@@ -33,7 +33,7 @@ const ARTIFACTS: &[(&str, &str)] = &[
     ("perfjson", "throughput trajectory -> BENCH_throughput.json [size]"),
     ("tiled", "tile-parallel engine smoke [size]"),
     ("dwt-tiled", "tile-parallel fixed-point DWT vs monolithic [size]"),
-    ("dwt-line", "line-based fused DWT bit-identity + streaming encode [size]"),
+    ("dwt-line", "line-based fused DWT bit-identity + codec vs multi-pass encode [size]"),
     ("fixed-codec", "paper-exact fixed-path codec smoke (LWCF) [size]"),
     ("serve", "loopback compression service + load generator [connections]"),
     ("volume", "volumetric 3-D engine vs per-slice 2-D coding [size]"),
@@ -464,6 +464,42 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
          {line_side}, \"bit_depth\": 12, \"filter\": \"F1\"}},\n    \"tiled_tile\": \
          {line_tile},\n"
     ));
+    // The lifting codec on the same frame: `fused_line` is
+    // `LosslessCodec::compress` (the line cascade straight into the Rice
+    // coders), `multi_pass` the reference composition it replaced — the
+    // whole-frame transform, then every subband copied, quantized and coded.
+    let codec_scales = 5u32;
+    let line_codec = LosslessCodec::new(codec_scales)?;
+    let reference = lwc_bench::multi_pass_compress(&line_codec, &line_view)?;
+    assert_eq!(
+        line_codec.compress(&line_frame)?,
+        reference,
+        "the codec must reproduce the multi-pass composition byte for byte"
+    );
+    let codec_fused_s = best(&|| {
+        std::hint::black_box(line_codec.compress(&line_frame)?);
+        Ok(())
+    })?;
+    let codec_multi_s = best(&|| {
+        std::hint::black_box(lwc_bench::multi_pass_compress(&line_codec, &line_view)?);
+        Ok(())
+    })?;
+    json.push_str(&format!(
+        "    \"codec\": {{\"transform\": \"5/3 lifting\", \"scales\": {codec_scales}, \
+         \"fused_line\": {{\"seconds\": {codec_fused_s:.6}, \"msamples_per_s\": {:.3}}}, \
+         \"multi_pass\": {{\"seconds\": {codec_multi_s:.6}, \"msamples_per_s\": {:.3}}}, \
+         \"fused_speedup_vs_multi_pass\": {:.3}}},\n",
+        line_msamples / codec_fused_s,
+        line_msamples / codec_multi_s,
+        codec_multi_s / codec_fused_s,
+    ));
+    println!(
+        "codec compress {codec_scales} scales ({line_side}x{line_side}): line cascade {:>8.1} \
+         Msamples/s, multi-pass reference {:>8.1} Msamples/s ({:>5.2}x, bytes identical)",
+        line_msamples / codec_fused_s,
+        line_msamples / codec_multi_s,
+        codec_multi_s / codec_fused_s,
+    );
     for line_scales in 1..=5u32 {
         let hw_n = FixedDwt2d::paper_default(&bank, line_scales)?;
         // The fused engine's contract is streaming: coefficient rows flow to
@@ -1101,10 +1137,11 @@ fn dwt_tiled(size: usize) -> Result<(), Box<dyn std::error::Error>> {
 /// Line-based fused DWT smoke: the one-pass streaming cascade is
 /// bit-identical to the multi-pass drivers on **both** datapaths (5/3
 /// lifting with mirror extension, paper-exact fixed point with periodic
-/// extension), and the row-streaming encoder produces the sequential
-/// codec's exact bytes with an `O(width x levels)` coefficient working set,
-/// round tripping through the pull-style row-band decode. CI runs this at
-/// 4096x4096.
+/// extension), the codec (which encodes through the cascade) reproduces the
+/// multi-pass reference composition byte for byte, lossless and
+/// near-lossless, and its push-style session holds an `O(width x levels)`
+/// coefficient working set, round tripping through the pull-style row-band
+/// decode. CI runs this at 4096x4096.
 fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     heading(&format!("Line-based fused DWT smoke — {size}x{size} 12-bit frame"));
     let frame = synth::ct_phantom(size, size, 12, 33);
@@ -1160,22 +1197,39 @@ fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         msamples / multi_fixed_s.max(1e-9)
     );
 
-    // Row-streaming encode: push rows through the fused cascade straight
-    // into the Rice coders; bytes must equal the sequential codec's and the
-    // coefficient working set must stay a sliver of the frame.
-    let line = LineCompressor::new(scales)?;
-    let mut encoder = line.begin(size, size, 12)?;
+    // The codec's encode: the line cascade straight into the Rice coders.
+    // Its bytes must equal the multi-pass reference composition (whole-frame
+    // transform, per-subband copy, quantize, code), lossless and
+    // near-lossless alike.
+    for delta in [0u8, 2] {
+        let codec = LosslessCodec::near_lossless(scales, delta)?;
+        let start = std::time::Instant::now();
+        let bytes = codec.compress(&frame)?;
+        let line_s = start.elapsed().as_secs_f64();
+        let start = std::time::Instant::now();
+        let reference = lwc_bench::multi_pass_compress(&codec, &frame.view())?;
+        let reference_s = start.elapsed().as_secs_f64();
+        assert_eq!(bytes, reference, "delta {delta}: codec must match the multi-pass reference");
+        println!(
+            "codec compress δ={delta}: {:>8.1} Msamples/s (multi-pass reference {:>8.1}), \
+             bytes identical",
+            msamples / line_s.max(1e-9),
+            msamples / reference_s.max(1e-9)
+        );
+    }
+
+    // Push-style session: rows pushed one at a time; bytes must equal the
+    // one-call compress and the coefficient working set must stay a sliver
+    // of the frame.
+    let codec = LosslessCodec::new(scales)?;
+    let mut encoder = codec.begin(size, size, 12)?;
     let mut peak = 0usize;
     for y in 0..size {
         encoder.push_row(frame.view().row(y));
         peak = peak.max(encoder.working_set_samples());
     }
     let bytes = encoder.finish();
-    assert_eq!(
-        bytes,
-        LosslessCodec::new(scales)?.compress(&frame)?,
-        "streamed bytes must be identical to the sequential codec"
-    );
+    assert_eq!(bytes, codec.compress(&frame)?, "streamed bytes must equal the one-call compress");
     assert!(
         peak * 8 < size * size,
         "peak coefficient working set {peak} must stay far below the {} frame samples",
@@ -1183,19 +1237,14 @@ fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "streaming encode:   peak working set {peak} samples ({:.2}% of the frame), \
-         bytes identical to the sequential codec",
+         bytes identical to compress",
         100.0 * peak as f64 / (size * size) as f64
     );
 
-    // The pull-style partner: a line-transform tiled container streams back
-    // out through bounded row bands — bounded-memory encode AND decode.
-    let tiled = TiledCompressor::new(scales, DEFAULT_TILE_SIZE, 0)?.with_line_transform();
+    // The pull-style partner: a tiled container streams back out through
+    // bounded row bands — bounded-memory encode AND decode.
+    let tiled = TiledCompressor::new(scales, DEFAULT_TILE_SIZE, 0)?;
     let container = tiled.compress(&frame)?;
-    assert_eq!(
-        container,
-        TiledCompressor::new(scales, DEFAULT_TILE_SIZE, 0)?.compress(&frame)?,
-        "the line transform must not change the container bytes"
-    );
     let mut next_y = 0usize;
     for band in tiled.decompress_row_bands(&container)? {
         let band = band?;
@@ -1205,7 +1254,7 @@ fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         next_y += band.image.height();
     }
     assert_eq!(next_y, size);
-    println!("row-band decode:    container from the line transform streams back bit exact");
+    println!("row-band decode:    the tiled container streams back bit exact");
     Ok(())
 }
 
@@ -1360,33 +1409,6 @@ fn conclusions(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         par_single.as_secs_f64() * 1e3,
         seq_single.as_secs_f64() / par_single.as_secs_f64().max(1e-9),
         subband_codec.workers()
-    );
-
-    // Line-based fused engine — the paper's line-buffer datapath (Table IV
-    // input buffers) taken literally in software: the whole multi-scale
-    // transform runs in one streaming pass with an O(width x levels)
-    // coefficient working set, instead of one frame-sized pass per scale,
-    // and the stream stays byte-identical.
-    let line_engine = parallel.line_based();
-    let start = std::time::Instant::now();
-    let line_stream = line_engine.compress(single)?;
-    let line_single = start.elapsed();
-    assert_eq!(seq_stream, line_stream, "line-based stream must be byte-identical");
-    let mut probe = line_engine.begin(size, size, single.bit_depth())?;
-    let single_view = single.view();
-    let mut line_peak = 0usize;
-    for y in 0..size {
-        probe.push_row(single_view.row(y));
-        line_peak = line_peak.max(probe.working_set_samples());
-    }
-    let _ = probe.finish();
-    println!(
-        "  line-based fused ({size}x{size}): {:.1} ms ({:.1} Msamples/s, peak \
-         coefficient working set {:.1}% of the frame, stream byte-identical) — the \
-         software analogue of the paper's line-buffer datapath",
-        line_single.as_secs_f64() * 1e3,
-        (size * size) as f64 / 1e6 / line_single.as_secs_f64().max(1e-9),
-        100.0 * line_peak as f64 / (size * size) as f64,
     );
 
     // Tile-parallel engine — the paper's line-buffer locality argument taken

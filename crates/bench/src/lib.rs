@@ -51,9 +51,46 @@ pub fn perf_corpus(count: usize, size: usize) -> Vec<Image> {
         .collect()
 }
 
+/// The multi-pass reference composition of [`LosslessCodec::compress_view`]:
+/// the whole window through [`Lifting53::forward_view`], then every subband
+/// copied out, quantized and Rice-coded behind the header. The codec itself
+/// encodes through the line cascade; `reproduce dwt-line` and `perfjson`
+/// time it against this composition and assert the bytes agree.
+///
+/// # Errors
+///
+/// Returns the codec's header error for a shape the stream cannot carry.
+pub fn multi_pass_compress(
+    codec: &LosslessCodec,
+    view: &ImageView<'_>,
+) -> Result<Vec<u8>, lwc_core::lwc_coder::CoderError> {
+    use lwc_core::lwc_coder::{bitio::BitWriter, quant, subband_order};
+    let header = codec.header_for_view(view)?;
+    let coeffs = codec.transform().forward_view(view)?;
+    let schedule = codec.schedule();
+    let mut writer = BitWriter::new();
+    header.write(&mut writer);
+    for (scale, band) in subband_order(codec.scales()) {
+        let mut samples = coeffs.subband(scale, band);
+        quant::quantize(&mut samples, schedule.allowance(scale, band));
+        codec.subband_codec().encode_subband(&mut writer, &samples);
+    }
+    Ok(writer.into_bytes())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn multi_pass_reference_reproduces_the_codec() {
+        let image = synth::mr_slice(45, 38, 12, 5);
+        for delta in [0u8, 3] {
+            let codec = LosslessCodec::near_lossless(3, delta).unwrap();
+            let reference = multi_pass_compress(&codec, &image.view()).unwrap();
+            assert_eq!(reference, codec.compress(&image).unwrap(), "delta {delta}");
+        }
+    }
 
     #[test]
     fn workloads_are_deterministic() {

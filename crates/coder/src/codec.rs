@@ -2,8 +2,8 @@
 //! subbands, with an opt-in near-lossless quantization mode.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::quant::{self, QuantSchedule};
-use crate::{CoderError, SubbandCodec};
+use crate::quant::QuantSchedule;
+use crate::{CoderError, RowEncoder, SubbandCodec};
 use lwc_image::{Image, ImageView};
 use lwc_lifting::geometry::{band_len, band_rect};
 use lwc_lifting::Lifting53;
@@ -221,6 +221,14 @@ impl fmt::Display for CompressionReport {
 /// All subbands are Rice coded with a per-subband parameter
 /// (see [`SubbandCodec`]).
 ///
+/// The forward transform is the line-based fused cascade
+/// ([`lwc_lifting::LineDwt53`]): every encode is one streaming pass over the
+/// pixel rows with an `O(width x levels)` coefficient working set (see
+/// [`RowEncoder`]). Its bytes equal the multi-pass composition — the whole
+/// frame through [`Lifting53::forward_view`], each subband copied out,
+/// quantized and coded — which stays in-tree as the test reference. Decode
+/// runs the multi-pass [`Lifting53`] inverse.
+///
 /// A codec built with [`LosslessCodec::near_lossless`] quantizes the detail
 /// subbands before coding so that every reconstructed pixel stays within
 /// the configured `δ` of the original (see [`crate::quant`]); its streams
@@ -276,8 +284,9 @@ impl LosslessCodec {
         QuantSchedule::for_delta(self.delta, self.scales())
     }
 
-    /// The reversible transform the codec runs (shared with the per-subband
-    /// parallel codec in `lwc-pipeline`).
+    /// The reversible transform whose inverse the decoder runs; its
+    /// multi-pass forward is the reference the encoder's line cascade
+    /// reproduces bit for bit.
     #[must_use]
     pub fn transform(&self) -> &Lifting53 {
         &self.transform
@@ -444,7 +453,7 @@ impl LosslessCodec {
             self.scales(),
             header.bit_depth,
         )?;
-        Ok(self.transform.inverse_raw(&coeffs)?)
+        Ok(self.transform.inverse_raw_owned(coeffs)?)
     }
 
     /// Compresses `image` into a self-contained byte stream.
@@ -462,21 +471,38 @@ impl LosslessCodec {
     /// straight out of the frame without copying them into owned images. For
     /// a full-frame view this is exactly [`LosslessCodec::compress`].
     ///
+    /// The view's rows run through one [`RowEncoder`] session, so no
+    /// frame-sized coefficient buffer is ever allocated.
+    ///
     /// # Errors
     ///
-    /// See [`LosslessCodec::compress`].
+    /// See [`LosslessCodec::begin`].
     pub fn compress_view(&self, view: &ImageView<'_>) -> Result<Vec<u8>, CoderError> {
-        let header = self.header_for_view(view)?;
-        let coeffs = self.transform.forward_view(view)?;
-        let schedule = self.schedule();
-        let mut writer = BitWriter::new();
-        header.write(&mut writer);
-        for (scale, band) in subband_order(self.scales()) {
-            let mut samples = coeffs.subband(scale, band);
-            quant::quantize(&mut samples, schedule.allowance(scale, band));
-            self.subbands.encode_subband(&mut writer, &samples);
+        let mut session = self.begin(view.width(), view.height(), view.bit_depth())?;
+        for y in 0..view.height() {
+            session.push_row(view.row(y));
         }
-        Ok(writer.into_bytes())
+        Ok(session.finish())
+    }
+
+    /// Starts a streaming encode of a `width x height` frame whose rows will
+    /// be pushed top to bottom with [`RowEncoder::push_row`] — the push-style
+    /// counterpart of the tiled engine's row-band decode, for frames that
+    /// never have to be resident in memory. The finished stream is this
+    /// codec's (`LWC1`, or `LWCQ` with its near-lossless bound),
+    /// byte-identical to [`LosslessCodec::compress`] of the same frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the shape does not fit the header fields (see
+    /// [`LosslessCodec::header_for_dims`]) or a dimension is zero.
+    pub fn begin(
+        &self,
+        width: usize,
+        height: usize,
+        bit_depth: u32,
+    ) -> Result<RowEncoder, CoderError> {
+        Ok(RowEncoder::new(self.header_for_dims(width, height, bit_depth)?)?)
     }
 
     /// Reconstructs the image from a stream produced by

@@ -10,7 +10,9 @@
 //! * [`SubbandCodec`] — serialization of a multi-scale integer decomposition
 //!   subband by subband,
 //! * [`LosslessCodec`] — an end-to-end image codec built on the reversible
-//!   5/3 lifting transform from `lwc-lifting`, byte-exact on decode,
+//!   5/3 lifting transform from `lwc-lifting`, byte-exact on decode; every
+//!   encode is one streaming pass of the line-based cascade into per-subband
+//!   Rice coders ([`RowEncoder`], also the push-style row API),
 //! * [`quant`] — the near-lossless mode: deterministic detail-band
 //!   quantization schedules derived from a per-pixel error bound `δ` and
 //!   the 5/3 synthesis gain, carried in the `LWCQ` stream header
@@ -55,6 +57,7 @@ mod codec;
 mod error;
 pub mod fixedband;
 pub mod fixedtiled;
+mod line;
 pub mod quant;
 pub mod rice;
 mod subband;
@@ -68,6 +71,7 @@ pub use fixedtiled::{
     is_fixed, write_fixed_container, FixedHeader, FixedStream, FIXED_HEADER_BYTES, FIXED_MAGIC,
     FIXED_VERSION,
 };
+pub use line::RowEncoder;
 pub use quant::{plane_delta_for_volume, QuantSchedule};
 pub use subband::{StreamingSubbandEncoder, SubbandCodec, BLOCK_SIZE, MAX_UNARY_RUN_BITS};
 pub use tiled::{TiledHeader, TiledStream};

@@ -40,10 +40,10 @@ pub use lwc_metrics::{self as metrics, FidelityReport};
 pub use lwc_perf::hardware::{HardwareModel, ThroughputReport};
 pub use lwc_perf::software::SoftwareModel;
 pub use lwc_pipeline::{
-    BatchCompressor, BatchReport, Codec, CodecCapabilities, LineCompressor, ParallelCodec,
-    ParallelFixedDwt2d, PipelineError, RowBand, RowEncoder, SubbandDirectory, TiledCompressor,
-    TiledDecomposition, TiledDwtReport, TiledFixedCompressor, TiledFixedDwt2d, TiledReport,
-    VolumeCompressor, VolumeSlab, VolumeSlabs, DEFAULT_BRICK_DEPTH, DEFAULT_TILE_SIZE,
+    BatchCompressor, BatchReport, Codec, CodecCapabilities, ParallelCodec, ParallelFixedDwt2d,
+    PipelineError, RowBand, SubbandDirectory, TiledCompressor, TiledDecomposition, TiledDwtReport,
+    TiledFixedCompressor, TiledFixedDwt2d, TiledReport, VolumeCompressor, VolumeSlab, VolumeSlabs,
+    DEFAULT_BRICK_DEPTH, DEFAULT_TILE_SIZE,
 };
 pub use lwc_server::{
     loadgen, Client, LoadGenConfig, LoadReport, Server, ServerConfig, ServerError, ServerStats,

@@ -142,9 +142,10 @@ impl Lifting53 {
         self.forward_view(&image.view())
     }
 
-    /// Forward transform of a borrowed (possibly strided) window — the entry
-    /// point of the tile-parallel engine, which transforms tiles straight out
-    /// of the full frame without materializing each tile as an owned image.
+    /// Forward transform of a borrowed (possibly strided) window, one full
+    /// pass over the active region per scale. The codec encodes through the
+    /// line cascade ([`crate::LineDwt53`]) instead; this multi-pass form is
+    /// the bit-exact reference that cascade is tested against.
     ///
     /// ```
     /// use lwc_image::{synth, TileRect};
@@ -213,6 +214,17 @@ impl Lifting53 {
     /// Returns [`LiftingError::ConfigurationMismatch`] if the coefficients
     /// carry a different decomposition depth.
     pub fn inverse_raw(&self, coeffs: &LiftingCoefficients) -> Result<Vec<i32>, LiftingError> {
+        self.inverse_raw_owned(coeffs.clone())
+    }
+
+    /// [`Lifting53::inverse_raw`] consuming the coefficients: the inverse
+    /// runs in place on their buffer, which comes back as the reconstructed
+    /// samples, so no frame-sized copy is made. The decoders use this form.
+    ///
+    /// # Errors
+    ///
+    /// See [`Lifting53::inverse_raw`].
+    pub fn inverse_raw_owned(&self, coeffs: LiftingCoefficients) -> Result<Vec<i32>, LiftingError> {
         if coeffs.scales != self.scales {
             return Err(LiftingError::ConfigurationMismatch(format!(
                 "coefficients have {} scales but the transform expects {}",
@@ -221,7 +233,7 @@ impl Lifting53 {
         }
         let width = coeffs.width;
         let height = coeffs.height;
-        let mut data = coeffs.data.clone();
+        let mut data = coeffs.data;
         for s in (1..=self.scales).rev() {
             let cur_w = scaled_dim(width, s - 1);
             let cur_h = scaled_dim(height, s - 1);

@@ -79,16 +79,6 @@ impl BatchCompressor {
         crate::ParallelCodec::with_codec(self.codec, self.workers)
     }
 
-    /// The line-based fused engine sharing this engine's codec — the
-    /// streaming path that runs the whole multi-scale transform in one pass
-    /// over the rows ([`crate::LineCompressor`]) with an `O(width x levels)`
-    /// coefficient working set, producing streams byte-identical to the
-    /// sequential codec.
-    #[must_use]
-    pub fn line_based(&self) -> crate::LineCompressor {
-        crate::LineCompressor::with_codec(self.codec)
-    }
-
     /// The tile-parallel engine sharing this engine's codec and worker
     /// budget — the scaling path for images too large to transform (or even
     /// address, past the legacy format's 2^20-pixel sides) as one block.

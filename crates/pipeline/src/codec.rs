@@ -1,7 +1,7 @@
 //! The unified compression-engine interface: the [`Codec`] trait.
 //!
 //! The workspace has grown four engines — [`LosslessCodec`] (sequential,
-//! `LWC1`), [`ParallelCodec`] (per-subband parallel, `LWC1`),
+//! `LWC1`), [`ParallelCodec`] (per-subband parallel decode, `LWC1`),
 //! [`TiledCompressor`] (tile-parallel lifting, `LWC1`/`LWCT`) and
 //! [`TiledFixedCompressor`] (tile-parallel paper-exact fixed point, `LWCF`)
 //! — that all answer the same two questions: bytes from an image, an image
@@ -335,10 +335,8 @@ mod tests {
     fn engines() -> Vec<Box<dyn Codec>> {
         vec![
             Box::new(LosslessCodec::new(3).unwrap()),
-            Box::new(crate::LineCompressor::new(3).unwrap()),
             Box::new(ParallelCodec::new(3, 2).unwrap()),
             Box::new(TiledCompressor::new(3, 32, 2).unwrap()),
-            Box::new(TiledCompressor::new(3, 32, 2).unwrap().with_line_transform()),
             Box::new(
                 TiledFixedCompressor::new(&FilterBank::table1(FilterId::F1), 3, 32, 2).unwrap(),
             ),
@@ -374,15 +372,12 @@ mod tests {
     fn capabilities_describe_the_engines() {
         let caps: Vec<CodecCapabilities> = engines().iter().map(|e| e.capabilities()).collect();
         assert!(!caps[0].tiled && !caps[0].fixed_point && caps[0].near_lossless);
-        // The line-based fused engine is lossless-only: it has no
-        // quantization stage.
-        assert!(!caps[1].tiled && !caps[1].fixed_point && !caps[1].near_lossless);
-        assert!(caps[2].near_lossless);
-        assert!(caps[3].tiled && caps[3].streaming_decode && caps[3].near_lossless);
-        assert!(caps[5].fixed_point && !caps[5].near_lossless);
-        assert_eq!(caps[5].containers, "LWCF");
-        assert!(caps[6].tiled && !caps[6].fixed_point && caps[6].near_lossless);
-        assert_eq!(caps[6].containers, "LWCV");
+        assert!(caps[1].near_lossless);
+        assert!(caps[2].tiled && caps[2].streaming_decode && caps[2].near_lossless);
+        assert!(caps[3].fixed_point && !caps[3].near_lossless);
+        assert_eq!(caps[3].containers, "LWCF");
+        assert!(caps[4].tiled && !caps[4].fixed_point && caps[4].near_lossless);
+        assert_eq!(caps[4].containers, "LWCV");
     }
 
     #[test]

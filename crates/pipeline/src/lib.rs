@@ -41,14 +41,6 @@
 //!   container. This is the end-to-end realization of the paper's
 //!   architecture — Table I banks at Table II word lengths with an entropy
 //!   back end — rather than the engineering-preferred lifting path.
-//! * [`LineCompressor`] — the **line-based fused** encode path: the whole
-//!   multi-scale 5/3 transform runs in one streaming pass over the input
-//!   rows ([`lwc_lifting::LineDwt53`]) and coefficients are Rice-coded the
-//!   moment the cascade releases them, giving an `O(width x levels)`
-//!   coefficient working set and a push-style row API
-//!   ([`LineCompressor::begin`] / [`RowEncoder`]) that pairs with
-//!   [`TiledCompressor::decompress_row_bands`] for bounded-memory encode
-//!   *and* decode. Output bytes are identical to the sequential codec.
 //! * [`VolumeCompressor`] — the **volumetric** engine: an
 //!   [`lwc_image::ImageStack`] is sharded by a [`lwc_image::BrickGrid`] into
 //!   bricks, each brick runs a separable 3-D DWT (the reversible 5/3 kernel
@@ -81,7 +73,6 @@
 mod batch;
 mod codec;
 mod error;
-mod line;
 mod parcodec;
 mod pardwt;
 mod report;
@@ -94,7 +85,6 @@ mod volume;
 pub use batch::BatchCompressor;
 pub use codec::{Codec, CodecCapabilities};
 pub use error::PipelineError;
-pub use line::{LineCompressor, RowEncoder};
 pub use parcodec::{ParallelCodec, SubbandDirectory};
 pub use pardwt::ParallelFixedDwt2d;
 pub use report::{BatchReport, TiledDwtReport, TiledReport};

@@ -1,11 +1,11 @@
-//! Intra-image parallelism: per-subband parallel Rice coding.
+//! Intra-image parallelism: per-subband parallel Rice decoding.
 //!
 //! A `scales`-deep decomposition has `3 * scales + 1` subbands and each is
 //! entropy-coded independently — the subband boundary is a natural
-//! parallelism seam the sequential [`LosslessCodec`] leaves unused. The
-//! [`ParallelCodec`] encodes every subband on a worker pool into its own
-//! [`BitWriter`] and splices the fragments, at arbitrary bit offsets, into
-//! **exactly** the bytes the sequential codec writes; on the way back a
+//! parallelism seam. The encoder's line cascade codes every subband into its
+//! own [`BitWriter`] fragment, and [`ParallelCodec`] splices the fragments,
+//! at arbitrary bit offsets, into **exactly** the bytes the sequential codec
+//! writes while recording where each one starts; on the way back a
 //! [`SubbandDirectory`] of bit offsets lets the subbands decode concurrently.
 
 use crate::PipelineError;
@@ -69,10 +69,10 @@ impl SubbandDirectory {
 
 /// Per-subband parallel Rice codec for a single image.
 ///
-/// Streams are **byte-identical** to [`LosslessCodec::compress`]: the workers
-/// produce one bitstream fragment per subband and a bit-level splice
-/// concatenates them in the sequential layout. Decoding runs the subbands
-/// concurrently from a [`SubbandDirectory`].
+/// Streams are **byte-identical** to [`LosslessCodec::compress`]: the codec's
+/// single-pass encode session produces one bitstream fragment per subband
+/// and a bit-level splice concatenates them in the sequential layout.
+/// Decoding runs the subbands concurrently from a [`SubbandDirectory`].
 ///
 /// ```
 /// use lwc_image::synth;
@@ -140,9 +140,10 @@ impl ParallelCodec {
     }
 
     /// Compresses `image` and also returns the [`SubbandDirectory`] the
-    /// encode discovered for free (each worker knows its fragment's length),
+    /// encode discovered for free (each subband fragment knows its length),
     /// enabling a fully parallel [`ParallelCodec::decompress_with_directory`]
-    /// without a scan.
+    /// without a scan. The encode itself is the codec's one streaming pass
+    /// ([`LosslessCodec::begin`]); the worker pool only serves decoding.
     ///
     /// # Errors
     ///
@@ -151,26 +152,12 @@ impl ParallelCodec {
         &self,
         image: &Image,
     ) -> Result<(Vec<u8>, SubbandDirectory), PipelineError> {
-        let header = self.codec.header_for(image)?;
-        let coeffs = self.codec.transform().forward(image).map_err(CoderError::from)?;
-        let order: Vec<(u32, usize)> = subband_order(self.codec.scales()).collect();
-
-        // Extract and encode every subband on the worker pool (the container
-        // is read-only, so each worker gathers its own subband rather than
-        // paying for a serial extraction pass up front). A near-lossless
-        // codec quantizes per band exactly like the sequential encoder, so
-        // byte-identity holds at every delta.
-        let subbands = *self.codec.subband_codec();
-        let schedule = self.codec.schedule();
-        let fragments: Vec<(Vec<u8>, u64)> = run_indexed(self.workers, order.len(), |i| {
-            let (scale, band) = order[i];
-            let mut samples = coeffs.subband(scale, band);
-            lwc_coder::quant::quantize(&mut samples, schedule.allowance(scale, band));
-            let mut writer = BitWriter::new();
-            subbands.encode_subband(&mut writer, &samples);
-            let bits = writer.bit_len();
-            Ok::<_, CoderError>((writer.into_bytes(), bits))
-        })?;
+        let view = image.view();
+        let mut session = self.codec.begin(view.width(), view.height(), view.bit_depth())?;
+        for y in 0..view.height() {
+            session.push_row(view.row(y));
+        }
+        let (header, fragments) = session.finish_subbands();
 
         // Splice the fragments into the sequential layout.
         let mut writer = BitWriter::new();

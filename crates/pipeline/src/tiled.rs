@@ -60,7 +60,6 @@ pub struct TiledCompressor {
     tile_width: usize,
     tile_height: usize,
     workers: usize,
-    line_transform: bool,
 }
 
 impl TiledCompressor {
@@ -102,24 +101,7 @@ impl TiledCompressor {
         } else {
             workers
         };
-        Ok(Self { codec, tile_width, tile_height, workers, line_transform: false })
-    }
-
-    /// Switches the per-tile forward transform to the line-based fused
-    /// engine ([`crate::LineCompressor`]): each tile is compressed in one
-    /// streaming pass instead of one pass per scale. Output bytes are
-    /// unchanged — the fused transform is bit-identical — so this is purely
-    /// a locality/throughput knob.
-    #[must_use]
-    pub fn with_line_transform(mut self) -> Self {
-        self.line_transform = true;
-        self
-    }
-
-    /// Whether tiles run the line-based fused transform.
-    #[must_use]
-    pub fn line_transform(&self) -> bool {
-        self.line_transform
+        Ok(Self { codec, tile_width, tile_height, workers })
     }
 
     /// The per-tile codec.
@@ -183,14 +165,8 @@ impl TiledCompressor {
         let bytes = if grid.is_single() {
             // Byte-identical legacy fast path: one tile covering the image is
             // exactly the whole-image codec (tile dimensions fit the legacy
-            // 20-bit fields by construction). The fused line transform is
-            // lossless-only, so near-lossless configurations fall back to the
-            // plain codec (which produces the same bytes for delta = 0).
-            if self.line_transform && self.codec.delta() == 0 {
-                crate::LineCompressor::with_codec(self.codec).compress(image)?
-            } else {
-                self.codec.compress(image)?
-            }
+            // 20-bit fields by construction).
+            self.codec.compress(image)?
         } else {
             let header = TiledHeader {
                 width: image.width(),
@@ -233,11 +209,7 @@ impl TiledCompressor {
         index: usize,
     ) -> Result<Vec<u8>, PipelineError> {
         let view = image.view_rect(grid.rect(index)).map_err(CoderError::from)?;
-        if self.line_transform && self.codec.delta() == 0 {
-            crate::LineCompressor::with_codec(self.codec).compress_view(&view)
-        } else {
-            Ok(self.codec.compress_view(&view)?)
-        }
+        Ok(self.codec.compress_view(&view)?)
     }
 
     /// Assembles per-tile payloads (row-major `grid` order, one per tile,
@@ -566,21 +538,6 @@ mod tests {
             let bytes = engine.compress(&image).unwrap();
             let back = engine.decompress(&bytes).unwrap();
             assert!(stats::bit_exact(&image, &back).unwrap());
-        }
-    }
-
-    #[test]
-    fn line_transform_produces_identical_containers() {
-        // The fused transform is bit-identical, so the opt-in must not change
-        // a single byte — multi-tile container or single-tile legacy stream.
-        let engine = TiledCompressor::new(3, 32, 3).unwrap();
-        let fused = engine.with_line_transform();
-        assert!(fused.line_transform() && !engine.line_transform());
-        for image in [
-            synth::ct_phantom(100, 60, 12, 21), // multi-tile, ragged edges
-            synth::mr_slice(24, 24, 12, 22),    // single-tile legacy path
-        ] {
-            assert_eq!(engine.compress(&image).unwrap(), fused.compress(&image).unwrap());
         }
     }
 
