@@ -203,7 +203,7 @@ struct PerfMode {
 
 /// Measures the throughput trajectory on the fixed synthetic corpus and
 /// writes `BENCH_throughput.json`: raw MB/s and images/s for the sequential
-/// codec, the inter-image batch engine and the per-subband parallel codec.
+/// codec and the inter-image batch engine.
 ///
 /// Every figure is a best-of-`LWC_PERF_REPS` (default 3) wall-clock
 /// measurement, which is robust against preemption on shared CI runners; the
@@ -234,7 +234,6 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     let compressed_bytes: usize = streams.iter().map(Vec::len).sum();
 
     let batch = BatchCompressor::with_codec(sequential, 0);
-    let subband = ParallelCodec::with_codec(sequential, 0);
     let modes = [
         PerfMode {
             name: "sequential",
@@ -261,22 +260,6 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
             })?,
             decompress_seconds: best(&|| {
                 std::hint::black_box(batch.decompress_batch(&streams)?);
-                Ok(())
-            })?,
-        },
-        PerfMode {
-            name: "parallel_subband",
-            workers: subband.workers(),
-            compress_seconds: best(&|| {
-                for image in &images {
-                    std::hint::black_box(subband.compress(image)?);
-                }
-                Ok(())
-            })?,
-            decompress_seconds: best(&|| {
-                for stream in &streams {
-                    std::hint::black_box(subband.decompress(stream)?);
-                }
                 Ok(())
             })?,
         },
@@ -1391,25 +1374,7 @@ fn conclusions(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         par.speedup_over(&seq)
     );
 
-    // Per-subband parallel codec — intra-image parallelism for the
-    // low-latency single-image case, still byte-identical.
-    let subband_codec = ParallelCodec::with_codec(*sequential.codec(), 0);
     let single = &batch[0];
-    let start = std::time::Instant::now();
-    let seq_stream = sequential.codec().compress(single)?;
-    let seq_single = start.elapsed();
-    let start = std::time::Instant::now();
-    let par_stream = subband_codec.compress(single)?;
-    let par_single = start.elapsed();
-    assert_eq!(seq_stream, par_stream, "per-subband streams must be byte-identical");
-    println!(
-        "  single image ({size}x{size}): sequential {:.1} ms, per-subband parallel {:.1} ms \
-         ({:.2}x, {} workers, stream byte-identical)",
-        seq_single.as_secs_f64() * 1e3,
-        par_single.as_secs_f64() * 1e3,
-        seq_single.as_secs_f64() / par_single.as_secs_f64().max(1e-9),
-        subband_codec.workers()
-    );
 
     // Tile-parallel engine — the paper's line-buffer locality argument taken
     // to software: one large image sharded into independently coded tiles.

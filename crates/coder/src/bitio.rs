@@ -113,10 +113,11 @@ impl BitWriter {
     /// Appends the first `bit_len` bits of `bytes` (MSB-first, the layout
     /// [`BitWriter::into_bytes`] produces) to this stream.
     ///
-    /// This is the splice primitive of the per-subband parallel codec: each
-    /// worker fills its own writer and the fragments are concatenated at
-    /// arbitrary bit offsets. When this writer happens to be byte-aligned the
-    /// fragment's whole bytes are copied directly.
+    /// This is how the codec's encode session joins its per-subband Rice
+    /// streams behind the header: each band fills its own writer and the
+    /// fragments are concatenated at arbitrary bit offsets. When this writer
+    /// happens to be byte-aligned the fragment's whole bytes are copied
+    /// directly.
     ///
     /// # Panics
     ///
@@ -185,11 +186,6 @@ impl<'a> BitReader<'a> {
     #[must_use]
     pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, next_byte: 0, acc: 0, avail: 0 }
-    }
-
-    /// Total number of bits in the underlying buffer.
-    fn total_bits(&self) -> u64 {
-        self.bytes.len() as u64 * 8
     }
 
     fn end_of_stream() -> CoderError {
@@ -340,35 +336,6 @@ impl<'a> BitReader<'a> {
         let quotient = self.read_unary()?;
         let field = self.read_bits(count)?;
         Ok((quotient, field))
-    }
-
-    /// Skips `count` bits without decoding them (used by the subband
-    /// directory scanner of the parallel codec).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoderError::MalformedStream`] if fewer than `count` bits
-    /// remain.
-    pub fn skip_bits(&mut self, count: u64) -> Result<(), CoderError> {
-        if u64::from(self.avail) >= count {
-            self.consume(count as u32);
-            return Ok(());
-        }
-        let target = self.bits_read() + count;
-        if target > self.total_bits() {
-            return Err(Self::end_of_stream());
-        }
-        self.next_byte = (target / 8) as usize;
-        self.acc = 0;
-        self.avail = 0;
-        let offset = (target % 8) as u32;
-        if offset != 0 {
-            // Re-load the rest of the byte the target lands inside.
-            self.acc = u64::from(self.bytes[self.next_byte]) << (56 + offset);
-            self.avail = 8 - offset;
-            self.next_byte += 1;
-        }
-        Ok(())
     }
 
     /// Number of bits consumed so far.
@@ -640,17 +607,6 @@ mod tests {
         let mut r = BitReader::new(&[0b0111_1111, 0xFF]);
         assert_eq!(r.read_unary().unwrap(), 0);
         assert!(r.read_unary().is_err());
-    }
-
-    #[test]
-    fn skip_bits_advances_and_bounds_checks() {
-        let mut r = BitReader::new(&[0xAB, 0xCD]);
-        r.skip_bits(4).unwrap();
-        assert_eq!(r.read_bits(8).unwrap(), 0xBC);
-        assert_eq!(r.bits_read(), 12);
-        assert!(r.skip_bits(5).is_err());
-        r.skip_bits(4).unwrap();
-        assert!(r.skip_bits(1).is_err());
     }
 
     #[test]

@@ -37,19 +37,8 @@ pub struct StreamHeader {
 
 impl StreamHeader {
     /// Size of the serialized lossless (`LWC1`) header in bits; a
-    /// near-lossless (`LWCQ`) header is [`StreamHeader::bits`] long.
+    /// near-lossless (`LWCQ`) header adds the 8-bit delta field.
     pub const BITS: u64 = 32 + 20 + 20 + 5 + 4;
-
-    /// Serialized size of *this* header in bits: the `LWC1` layout plus the
-    /// 8-bit delta field when the stream is near-lossless.
-    #[must_use]
-    pub fn bits(&self) -> u64 {
-        if self.delta == 0 {
-            Self::BITS
-        } else {
-            Self::BITS + 8
-        }
-    }
 
     /// Reads and validates a header (either magic).
     ///
@@ -167,8 +156,9 @@ impl StreamHeader {
 /// approximation first, then for each scale from the deepest to the finest
 /// the horizontal, vertical and diagonal details — `3 * scales + 1` entries.
 ///
-/// Shared by the sequential codec and the per-subband parallel codec in
-/// `lwc-pipeline` so the two can never disagree on the layout.
+/// Shared by the decoder, the fixed-path tile coder in `lwc-pipeline` and
+/// the reference encoders of the tests, so they can never disagree on the
+/// layout.
 pub fn subband_order(scales: u32) -> impl Iterator<Item = (u32, usize)> {
     std::iter::once((scales, 0))
         .chain((1..=scales).rev().flat_map(|scale| (1..=3).map(move |band| (scale, band))))
@@ -356,24 +346,6 @@ impl LosslessCodec {
         Ok(header)
     }
 
-    /// Rebuilds the Mallat-layout coefficient container from per-subband
-    /// sample vectors in [`subband_order`] order, then runs the inverse
-    /// transform. Shared by [`LosslessCodec::decompress`] and the parallel
-    /// decoder.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the header is inconsistent with the subband data
-    /// or the inverse transform fails.
-    pub fn reassemble(
-        &self,
-        header: &StreamHeader,
-        subbands: &[Vec<i32>],
-    ) -> Result<Image, CoderError> {
-        let data = self.reassemble_raw(header, subbands)?;
-        Self::image_from_raw(header, data)
-    }
-
     /// Wraps a reconstructed sample buffer as an [`Image`]. Near-lossless
     /// reconstructions may stray up to `delta` outside the pixel range at
     /// the extremes, so for `delta > 0` the samples are clamped to
@@ -392,11 +364,13 @@ impl LosslessCodec {
         Ok(Image::from_samples(header.width, header.height, header.bit_depth, data)?)
     }
 
-    /// Like [`LosslessCodec::reassemble`] but returns the raw row-major
-    /// sample buffer without the pixel-range validation of
-    /// [`lwc_image::Image`]. The 3-D codec reconstructs z-coefficient planes
-    /// through this path: their samples are signed z-transform outputs that
-    /// only return to the pixel range after the inverse z pass.
+    /// Rebuilds the Mallat-layout coefficient container from per-subband
+    /// sample vectors in [`subband_order`] order, then runs the inverse
+    /// transform, returning the raw row-major sample buffer without the
+    /// pixel-range validation of [`lwc_image::Image`]. The 3-D codec
+    /// reconstructs z-coefficient planes through this path: their samples
+    /// are signed z-transform outputs that only return to the pixel range
+    /// after the inverse z pass.
     ///
     /// # Errors
     ///
@@ -720,7 +694,7 @@ mod tests {
         let header = StreamHeader { width: 16, height: 16, bit_depth: 12, scales: 2, delta: 0 };
         // Wrong subband count.
         assert!(matches!(
-            codec.reassemble(&header, &[vec![0; 16]]),
+            codec.reassemble_raw(&header, &[vec![0; 16]]),
             Err(CoderError::MalformedStream(_))
         ));
         // Right count, one band oversized.
@@ -728,14 +702,17 @@ mod tests {
             .map(|(scale, band)| vec![0i32; header.band_len(scale, band)])
             .collect();
         bands[3].push(7);
-        assert!(matches!(codec.reassemble(&header, &bands), Err(CoderError::MalformedStream(_))));
+        assert!(matches!(
+            codec.reassemble_raw(&header, &bands),
+            Err(CoderError::MalformedStream(_))
+        ));
         // Scales deeper than the geometry are no longer an error: the ragged
         // pyramid saturates at one sample, so a 2x2 image reassembles at any
         // depth as long as the band lengths agree.
         let tiny = StreamHeader { width: 2, height: 2, bit_depth: 12, scales: 2, delta: 0 };
         let bands: Vec<Vec<i32>> =
             subband_order(2).map(|(scale, band)| vec![0i32; tiny.band_len(scale, band)]).collect();
-        assert_eq!(codec.reassemble(&tiny, &bands).unwrap().pixel_count(), 4);
+        assert_eq!(codec.reassemble_raw(&tiny, &bands).unwrap().len(), 4);
     }
 
     #[test]
@@ -802,7 +779,9 @@ mod tests {
             assert_eq!(&bytes[..4], &QUANT_MAGIC.to_be_bytes(), "delta {delta}");
             let header = StreamHeader::read(&mut BitReader::new(&bytes)).unwrap();
             assert_eq!(header.delta, delta);
-            assert_eq!(header.bits(), StreamHeader::BITS + 8);
+            let mut w = BitWriter::new();
+            header.write(&mut w);
+            assert_eq!(w.bit_len(), StreamHeader::BITS + 8);
             // Any codec decodes the stream, honoring the header's delta.
             let plain = LosslessCodec::new(3).unwrap();
             let back = plain.decompress(&bytes).unwrap();

@@ -142,29 +142,6 @@ impl FixedSubbandCodec {
         Ok(out)
     }
 
-    /// Advances `reader` past one subband of `count` words without
-    /// materializing the values — the fixed-path counterpart of
-    /// [`SubbandCodec::skip_subband`](crate::SubbandCodec::skip_subband),
-    /// usable to build a subband directory over a sequential stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoderError::MalformedStream`] if the stream is truncated or
-    /// a stored parameter is out of range.
-    pub fn skip_subband(self, reader: &mut BitReader<'_>, count: usize) -> Result<(), CoderError> {
-        let mut remaining = count;
-        while remaining > 0 {
-            let block_len = remaining.min(BLOCK_SIZE);
-            let k = self.read_parameter(reader)?;
-            for _ in 0..block_len {
-                reader.read_unary()?;
-                reader.skip_bits(u64::from(k))?;
-            }
-            remaining -= block_len;
-        }
-        Ok(())
-    }
-
     fn read_parameter(self, reader: &mut BitReader<'_>) -> Result<u32, CoderError> {
         let k = reader.read_bits(FIXED_PARAMETER_BITS)? as u32;
         if k > MAX_FIXED_RICE_PARAMETER {
@@ -267,7 +244,7 @@ mod tests {
                         "unary run of {} bits exceeds the bound",
                         quotient + 1
                     );
-                    r.skip_bits(k).unwrap();
+                    r.read_bits(k as u32).unwrap();
                 }
                 remaining -= block_len;
             }
@@ -296,7 +273,6 @@ mod tests {
         w.write_bits(63, FIXED_PARAMETER_BITS); // above the cap
         let bytes = w.into_bytes();
         assert!(codec.decode_subband(&mut BitReader::new(&bytes), 4).is_err());
-        assert!(codec.skip_subband(&mut BitReader::new(&bytes), 4).is_err());
     }
 
     #[test]
@@ -307,7 +283,6 @@ mod tests {
         let mut bytes = w.into_bytes();
         bytes.truncate(1);
         assert!(codec.decode_subband(&mut BitReader::new(&bytes), 4).is_err());
-        assert!(codec.skip_subband(&mut BitReader::new(&bytes), 4).is_err());
     }
 
     #[test]
@@ -324,24 +299,6 @@ mod tests {
             codec.decode_subband(&mut BitReader::new(&bytes), 1),
             Err(CoderError::MalformedStream(_))
         ));
-    }
-
-    #[test]
-    fn skip_subband_lands_exactly_on_the_next_subband() {
-        let codec = FixedSubbandCodec::new();
-        let mut rng = StdRng::seed_from_u64(9);
-        let first: Vec<i64> = (0..333).map(|_| rng.gen_range(-4_000_000..4_000_000)).collect();
-        let second: Vec<i64> = (0..100).map(|_| rng.gen_range(-7..7)).collect();
-        let mut w = BitWriter::new();
-        codec.encode_subband(&mut w, &first);
-        let first_bits = w.bit_len();
-        codec.encode_subband(&mut w, &second);
-        let bytes = w.into_bytes();
-
-        let mut r = BitReader::new(&bytes);
-        codec.skip_subband(&mut r, first.len()).unwrap();
-        assert_eq!(r.bits_read(), first_bits);
-        assert_eq!(codec.decode_subband(&mut r, second.len()).unwrap(), second);
     }
 
     #[test]

@@ -146,36 +146,23 @@ impl RowEncoder {
         self.dwt.push_row(row, &mut |c: CoeffRow<'_>| bands.accept(c));
     }
 
-    /// Flushes the cascade's boundary tails and returns each subband's
-    /// bitstream as `(bytes, exact bit length)` in [`subband_order`] — the
-    /// fragments [`RowEncoder::finish`] splices behind the header, for
-    /// callers that also want each subband's bit offset.
+    /// Flushes the cascade's boundary tails and splices the per-band
+    /// bitstreams (in [`subband_order`]) behind the header into the final
+    /// stream — byte-identical to [`LosslessCodec::compress`] of the same
+    /// frame.
     ///
     /// # Panics
     ///
     /// Panics if fewer than `height` rows were pushed.
     #[must_use]
-    pub fn finish_subbands(mut self) -> (StreamHeader, Vec<(Vec<u8>, u64)>) {
+    pub fn finish(mut self) -> Vec<u8> {
         let bands = &mut self.bands;
         self.dwt.finish(&mut |c: CoeffRow<'_>| bands.accept(c));
-        let fragments = self.bands.encoders.into_iter().map(StreamingSubbandEncoder::finish);
-        (self.header, fragments.collect())
-    }
-
-    /// Flushes the cascade and splices the per-band bitstreams behind the
-    /// header into the final stream — byte-identical to
-    /// [`LosslessCodec::compress`] of the same frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `height` rows were pushed.
-    #[must_use]
-    pub fn finish(self) -> Vec<u8> {
-        let (header, fragments) = self.finish_subbands();
         let mut writer = BitWriter::new();
-        header.write(&mut writer);
-        for (bytes, bits) in &fragments {
-            writer.append(bytes, *bits);
+        self.header.write(&mut writer);
+        for encoder in self.bands.encoders {
+            let (bytes, bits) = encoder.finish();
+            writer.append(&bytes, bits);
         }
         writer.into_bytes()
     }

@@ -85,38 +85,6 @@ impl SubbandCodec {
         }
         Ok(out)
     }
-
-    /// Advances `reader` past one subband of `count` samples without
-    /// materializing the values (the unary prefixes still have to be scanned,
-    /// but the remainders are skipped in one hop per value and nothing is
-    /// zig-zag decoded or collected).
-    ///
-    /// This is how the parallel decoder builds its subband directory from a
-    /// plain sequential stream: one cheap scan finds every subband's bit
-    /// offset, then the subbands decode concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoderError::MalformedStream`] if the stream is truncated or
-    /// a stored parameter is out of range.
-    pub fn skip_subband(self, reader: &mut BitReader<'_>, count: usize) -> Result<(), CoderError> {
-        let mut remaining = count;
-        while remaining > 0 {
-            let block_len = remaining.min(BLOCK_SIZE);
-            let k = reader.read_bits(5)? as u32;
-            if k > MAX_RICE_PARAMETER {
-                return Err(CoderError::MalformedStream(format!(
-                    "rice parameter {k} exceeds the supported maximum"
-                )));
-            }
-            for _ in 0..block_len {
-                reader.read_unary()?;
-                reader.skip_bits(u64::from(k))?;
-            }
-            remaining -= block_len;
-        }
-        Ok(())
-    }
 }
 
 /// Encodes one block (at most [`BLOCK_SIZE`] samples): the 5-bit Rice
@@ -327,41 +295,6 @@ mod tests {
         assert!(codec.decode_subband(&mut r, 4).is_err());
     }
 
-    #[test]
-    fn skip_subband_lands_exactly_on_the_next_subband() {
-        let codec = SubbandCodec::new();
-        let mut rng = StdRng::seed_from_u64(9);
-        let first: Vec<i32> = (0..333).map(|_| rng.gen_range(-4000..4000)).collect();
-        let second: Vec<i32> = (0..100).map(|_| rng.gen_range(-7..7)).collect();
-        let mut w = BitWriter::new();
-        codec.encode_subband(&mut w, &first);
-        let first_bits = w.bit_len();
-        codec.encode_subband(&mut w, &second);
-        let bytes = w.into_bytes();
-
-        let mut r = BitReader::new(&bytes);
-        codec.skip_subband(&mut r, first.len()).unwrap();
-        assert_eq!(r.bits_read(), first_bits);
-        assert_eq!(codec.decode_subband(&mut r, second.len()).unwrap(), second);
-    }
-
-    #[test]
-    fn skip_subband_rejects_truncation_and_bad_parameters() {
-        let codec = SubbandCodec::new();
-        let mut w = BitWriter::new();
-        codec.encode_subband(&mut w, &[100, -100, 300, -300]);
-        let mut bytes = w.into_bytes();
-        bytes.truncate(1);
-        let mut r = BitReader::new(&bytes);
-        assert!(codec.skip_subband(&mut r, 4).is_err());
-
-        let mut w = BitWriter::new();
-        w.write_bits(31, 5);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        assert!(codec.skip_subband(&mut r, 4).is_err());
-    }
-
     /// The [`MAX_UNARY_RUN_BITS`] bound: even adversarial blocks — a lone
     /// extreme value among zeros is the worst case for the mean-based
     /// parameter rule — never make the encoder emit a unary run beyond
@@ -412,7 +345,7 @@ mod tests {
                         "unary run of {} bits exceeds the bound {MAX_UNARY_RUN_BITS}",
                         quotient + 1
                     );
-                    r.skip_bits(k).unwrap();
+                    r.read_bits(k as u32).unwrap();
                 }
                 remaining -= block_len;
             }

@@ -1,9 +1,9 @@
 //! Convenient re-exports of the types most programs need.
 //!
 //! The central abstraction is the [`Codec`] trait: every compression engine
-//! in the workspace — [`LosslessCodec`], [`ParallelCodec`],
-//! [`TiledCompressor`], the paper-exact [`TiledFixedCompressor`] and the
-//! volumetric [`VolumeCompressor`] — implements it, so generic code holds a
+//! in the workspace — [`LosslessCodec`], [`TiledCompressor`], the
+//! paper-exact [`TiledFixedCompressor`] and the volumetric
+//! [`VolumeCompressor`] — implements it, so generic code holds a
 //! `&dyn Codec` and never enumerates engines.
 //!
 //! ```
@@ -40,10 +40,9 @@ pub use lwc_metrics::{self as metrics, FidelityReport};
 pub use lwc_perf::hardware::{HardwareModel, ThroughputReport};
 pub use lwc_perf::software::SoftwareModel;
 pub use lwc_pipeline::{
-    BatchCompressor, BatchReport, Codec, CodecCapabilities, ParallelCodec, ParallelFixedDwt2d,
-    PipelineError, RowBand, SubbandDirectory, TiledCompressor, TiledDecomposition, TiledDwtReport,
-    TiledFixedCompressor, TiledFixedDwt2d, TiledReport, VolumeCompressor, VolumeSlab, VolumeSlabs,
-    DEFAULT_BRICK_DEPTH, DEFAULT_TILE_SIZE,
+    BatchCompressor, BatchReport, Codec, CodecCapabilities, PipelineError, RowBand,
+    TiledCompressor, TiledDecomposition, TiledDwtReport, TiledFixedCompressor, TiledFixedDwt2d,
+    TiledReport, VolumeCompressor, VolumeSlab, VolumeSlabs, DEFAULT_BRICK_DEPTH, DEFAULT_TILE_SIZE,
 };
 pub use lwc_server::{
     loadgen, Client, LoadGenConfig, LoadReport, Server, ServerConfig, ServerError, ServerStats,

@@ -109,8 +109,8 @@ impl FixedDwt2d {
 
     /// Fixed-point step for the pass producing scale `to` data from scale
     /// `from` data — the per-pass alignment/rounding schedule. Public so
-    /// alternative drivers (e.g. the row-parallel transform in
-    /// `lwc-pipeline`) reuse the exact schedule instead of mirroring it.
+    /// alternative drivers (e.g. the line-based [`crate::LineFixedDwt`])
+    /// reuse the exact schedule instead of mirroring it.
     #[must_use]
     pub fn step(&self, from: u32, to: u32) -> FixedStep {
         FixedStep {
@@ -158,46 +158,6 @@ impl FixedDwt2d {
     ///
     /// See [`FixedDwt2d::forward`].
     pub fn forward_view(&self, view: &ImageView<'_>) -> Result<Decomposition<i64>, DwtError> {
-        self.forward_view_with(view, |data, stride, cur_w, cur_h, s| {
-            self.forward_scale(data, stride, cur_w, cur_h, s)
-        })
-    }
-
-    /// Drives the forward transform with a caller-supplied per-scale pass:
-    /// validation, the input shift, the scale schedule and the result
-    /// packaging are all handled here, so alternative pass implementations
-    /// (e.g. the row-parallel one in `lwc-pipeline`) cannot diverge from the
-    /// sequential transform's driver.
-    ///
-    /// `pass` receives `(data, stride, cur_w, cur_h, scale)` and must perform
-    /// exactly one 2-D analysis pass over the active `cur_w × cur_h` region.
-    ///
-    /// # Errors
-    ///
-    /// See [`FixedDwt2d::forward`]; additionally propagates any error the
-    /// pass returns.
-    pub fn forward_with<F>(&self, image: &Image, pass: F) -> Result<Decomposition<i64>, DwtError>
-    where
-        F: FnMut(&mut [i64], usize, usize, usize, u32) -> Result<(), DwtError>,
-    {
-        self.forward_view_with(&image.view(), pass)
-    }
-
-    /// View-based form of [`FixedDwt2d::forward_with`]; the window is
-    /// gathered with strided row reads and the pass runs on the contiguous
-    /// tile-sized working buffer.
-    ///
-    /// # Errors
-    ///
-    /// See [`FixedDwt2d::forward_with`].
-    pub fn forward_view_with<F>(
-        &self,
-        view: &ImageView<'_>,
-        mut pass: F,
-    ) -> Result<Decomposition<i64>, DwtError>
-    where
-        F: FnMut(&mut [i64], usize, usize, usize, u32) -> Result<(), DwtError>,
-    {
         Dwt2d::check_decomposable(view.width(), view.height(), self.scales())?;
         let width = view.width();
         let height = view.height();
@@ -210,7 +170,7 @@ impl FixedDwt2d {
         let mut cur_w = width;
         let mut cur_h = height;
         for s in 1..=self.scales() {
-            pass(&mut data, width, cur_w, cur_h, s)?;
+            self.forward_scale(&mut data, width, cur_w, cur_h, s)?;
             cur_w /= 2;
             cur_h /= 2;
         }
@@ -233,29 +193,7 @@ impl FixedDwt2d {
     ///   with a different filter or depth.
     /// * [`DwtError::Fixed`] if a word overflows during reconstruction.
     pub fn inverse(&self, decomposition: &Decomposition<i64>) -> Result<Image, DwtError> {
-        self.inverse_with(decomposition, |data, stride, cur_w, cur_h, s| {
-            self.inverse_scale(data, stride, cur_w, cur_h, s)
-        })
-    }
-
-    /// Drives the inverse transform with a caller-supplied per-scale pass;
-    /// the counterpart of [`FixedDwt2d::forward_with`], owning the
-    /// configuration checks, the reversed scale schedule and the final
-    /// round-half-up narrowing to integer pixels.
-    ///
-    /// # Errors
-    ///
-    /// See [`FixedDwt2d::inverse`]; additionally propagates any error the
-    /// pass returns.
-    pub fn inverse_with<F>(
-        &self,
-        decomposition: &Decomposition<i64>,
-        pass: F,
-    ) -> Result<Image, DwtError>
-    where
-        F: FnMut(&mut [i64], usize, usize, usize, u32) -> Result<(), DwtError>,
-    {
-        let data = self.inverse_core(decomposition, pass)?;
+        let data = self.inverse_core(decomposition)?;
         // Final rounding from the scale-0 format back to integer pixels.
         let frac0 = self.plan.frac_bits_for_scale(0);
         let max = (1i32 << decomposition.input_bit_depth()) - 1;
@@ -300,9 +238,7 @@ impl FixedDwt2d {
                 out.bit_depth()
             )));
         }
-        let data = self.inverse_core(decomposition, |data, stride, cur_w, cur_h, s| {
-            self.inverse_scale(data, stride, cur_w, cur_h, s)
-        })?;
+        let data = self.inverse_core(decomposition)?;
         let frac0 = self.plan.frac_bits_for_scale(0);
         let max = (1i32 << decomposition.input_bit_depth()) - 1;
         let width = decomposition.width();
@@ -318,14 +254,7 @@ impl FixedDwt2d {
     /// Shared driver of the inverse passes: configuration checks, the
     /// reversed scale schedule, and the raw scale-0 words (before the final
     /// rounding to pixels).
-    fn inverse_core<F>(
-        &self,
-        decomposition: &Decomposition<i64>,
-        mut pass: F,
-    ) -> Result<Vec<i64>, DwtError>
-    where
-        F: FnMut(&mut [i64], usize, usize, usize, u32) -> Result<(), DwtError>,
-    {
+    fn inverse_core(&self, decomposition: &Decomposition<i64>) -> Result<Vec<i64>, DwtError> {
         if decomposition.filter() != self.bank.id() {
             return Err(DwtError::ConfigurationMismatch(format!(
                 "decomposition was made with {} but the transform uses {}",
@@ -346,7 +275,7 @@ impl FixedDwt2d {
         for s in (1..=self.scales()).rev() {
             let cur_w = width >> (s - 1);
             let cur_h = height >> (s - 1);
-            pass(&mut data, width, cur_w, cur_h, s)?;
+            self.inverse_scale(&mut data, width, cur_w, cur_h, s)?;
         }
         Ok(data)
     }

@@ -8,8 +8,8 @@
 //! stays byte-identical to the original on previously supported inputs.
 //!
 //! These helpers are the single source of truth for that geometry, shared by
-//! the transform ([`crate::Lifting53`]), the sequential entropy codec and the
-//! per-subband parallel decoder in `lwc-pipeline`.
+//! the transform ([`crate::Lifting53`]), the line cascade and the entropy
+//! codec.
 
 use lwc_image::TileRect;
 

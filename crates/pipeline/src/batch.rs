@@ -1,11 +1,11 @@
 //! Inter-image parallelism: the batch Rice-codec engine.
 
+use crate::pool::run_indexed;
 use crate::report::BatchReport;
 use crate::stream::{spawn_ordered, OrderedStream};
-use crate::{Codec, PipelineError, TiledCompressor, TiledFixedCompressor};
+use crate::{PipelineError, TiledCompressor, TiledFixedCompressor};
 use lwc_coder::LosslessCodec;
 use lwc_image::Image;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
 
@@ -71,14 +71,6 @@ impl BatchCompressor {
         self.workers
     }
 
-    /// The per-subband parallel codec sharing this engine's codec and worker
-    /// budget — the low-latency path for a single image, where the batch
-    /// fan-out has nothing to parallelize over.
-    #[must_use]
-    pub fn single_image_codec(&self) -> crate::ParallelCodec {
-        crate::ParallelCodec::with_codec(self.codec, self.workers)
-    }
-
     /// The tile-parallel engine sharing this engine's codec and worker
     /// budget — the scaling path for images too large to transform (or even
     /// address, past the legacy format's 2^20-pixel sides) as one block.
@@ -127,35 +119,6 @@ impl BatchCompressor {
         TiledFixedCompressor::new(bank, self.codec.scales(), tile_size, self.workers)
     }
 
-    /// Compresses one image with per-subband parallelism (byte-identical to
-    /// [`lwc_coder::LosslessCodec::compress`]).
-    ///
-    /// **Note**: this spelling is superseded by the [`Codec`] trait — it is
-    /// now literally `Codec::compress` on
-    /// [`BatchCompressor::single_image_codec`], and new call sites should
-    /// dispatch through the trait.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the image cannot be decomposed to the configured
-    /// depth.
-    pub fn compress_one(&self, image: &Image) -> Result<Vec<u8>, PipelineError> {
-        Codec::compress(&self.single_image_codec(), image)
-    }
-
-    /// Decompresses one stream with per-subband parallelism.
-    ///
-    /// **Note**: superseded by [`Codec::decompress`] on
-    /// [`BatchCompressor::single_image_codec`], same as
-    /// [`BatchCompressor::compress_one`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for malformed streams or mismatched configuration.
-    pub fn decompress_one(&self, bytes: &[u8]) -> Result<Image, PipelineError> {
-        Codec::decompress(&self.single_image_codec(), bytes)
-    }
-
     /// Compresses a whole batch, returning the per-image streams (in input
     /// order) and the wall-clock throughput of the run.
     ///
@@ -169,7 +132,7 @@ impl BatchCompressor {
         let raw_bytes: usize =
             images.iter().map(|i| (i.pixel_count() * i.bit_depth() as usize).div_ceil(8)).sum();
         let start = Instant::now();
-        let streams = self.run_indexed(images, |image| Ok(self.codec.compress(image)?))?;
+        let streams = run_indexed(self.workers, images.len(), |i| self.codec.compress(&images[i]))?;
         let wall = start.elapsed();
         let compressed_bytes = streams.iter().map(Vec::len).sum();
         let report = BatchReport {
@@ -194,7 +157,8 @@ impl BatchCompressor {
         streams: &[Vec<u8>],
     ) -> Result<(Vec<Image>, BatchReport), PipelineError> {
         let start = Instant::now();
-        let images = self.run_indexed(streams, |bytes| Ok(self.codec.decompress(bytes)?))?;
+        let images =
+            run_indexed(self.workers, streams.len(), |i| self.codec.decompress(&streams[i]))?;
         let wall = start.elapsed();
         let raw_bytes =
             images.iter().map(|i| (i.pixel_count() * i.bit_depth() as usize).div_ceil(8)).sum();
@@ -229,69 +193,6 @@ impl BatchCompressor {
     {
         let codec = self.codec;
         spawn_ordered(self.workers, streams.into_iter(), move |bytes| Ok(codec.decompress(&bytes)?))
-    }
-
-    /// Applies `job` to every element of `inputs` on the worker pool and
-    /// collects the outputs in input order.
-    fn run_indexed<In, Out, Job>(&self, inputs: &[In], job: Job) -> Result<Vec<Out>, PipelineError>
-    where
-        In: Sync,
-        Out: Send,
-        Job: Fn(&In) -> Result<Out, PipelineError> + Sync,
-    {
-        let workers = self.workers.min(inputs.len()).max(1);
-        if workers == 1 {
-            return inputs.iter().map(job).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let mut collected: Vec<Vec<(usize, Out)>> = Vec::new();
-        let outcome: Result<Vec<Vec<(usize, Out)>>, PipelineError> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            // Once any worker has errored the batch is doomed:
-                            // stop pulling work instead of compressing the
-                            // whole remainder just to throw it away.
-                            if failed.load(Ordering::Relaxed) {
-                                return Ok(local);
-                            }
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(input) = inputs.get(index) else {
-                                return Ok(local);
-                            };
-                            match job(input) {
-                                Ok(output) => local.push((index, output)),
-                                Err(error) => {
-                                    failed.store(true, Ordering::Relaxed);
-                                    return Err(error);
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("batch worker panicked")).collect()
-        });
-        collected.extend(outcome?);
-
-        let mut slots: Vec<Option<Out>> = (0..inputs.len()).map(|_| None).collect();
-        for (index, output) in collected.into_iter().flatten() {
-            slots[index] = Some(output);
-        }
-        // Every slot is filled unless a worker errored, and errors returned
-        // above. (A worker that observed an error stops early, but then the
-        // `?` has already propagated it.)
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.ok_or_else(|| {
-                    PipelineError::Config("batch worker abandoned an input slot".into())
-                })
-            })
-            .collect()
     }
 }
 
@@ -395,17 +296,6 @@ mod tests {
         let image = synth::ct_phantom(64, 64, 12, 13);
         let bytes = fixed.compress(&image).unwrap();
         assert!(stats::bit_exact(&image, &fixed.decompress(&bytes).unwrap()).unwrap());
-    }
-
-    #[test]
-    fn single_image_path_matches_the_sequential_codec() {
-        let engine = BatchCompressor::new(4, 2).unwrap();
-        let image = synth::ct_phantom(64, 64, 12, 31);
-        let stream = engine.compress_one(&image).unwrap();
-        assert_eq!(stream, engine.codec().compress(&image).unwrap());
-        let back = engine.decompress_one(&stream).unwrap();
-        assert!(stats::bit_exact(&image, &back).unwrap());
-        assert_eq!(engine.single_image_codec().workers(), engine.workers());
     }
 
     #[test]

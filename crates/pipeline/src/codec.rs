@@ -1,8 +1,7 @@
 //! The unified compression-engine interface: the [`Codec`] trait.
 //!
-//! The workspace has grown four engines — [`LosslessCodec`] (sequential,
-//! `LWC1`), [`ParallelCodec`] (per-subband parallel decode, `LWC1`),
-//! [`TiledCompressor`] (tile-parallel lifting, `LWC1`/`LWCT`) and
+//! The workspace has three 2-D engines — [`LosslessCodec`] (sequential,
+//! `LWC1`), [`TiledCompressor`] (tile-parallel lifting, `LWC1`/`LWCT`) and
 //! [`TiledFixedCompressor`] (tile-parallel paper-exact fixed point, `LWCF`)
 //! — that all answer the same two questions: bytes from an image, an image
 //! from bytes. [`Codec`] names that contract once, so call sites (the batch
@@ -21,9 +20,7 @@
 //! inherent methods it always had, so trait dispatch is byte-identical to
 //! concrete calls — a property the test suite pins down.
 
-use crate::{
-    ParallelCodec, PipelineError, RowBand, TiledCompressor, TiledFixedCompressor, VolumeCompressor,
-};
+use crate::{PipelineError, RowBand, TiledCompressor, TiledFixedCompressor, VolumeCompressor};
 use lwc_coder::{CompressionReport, LosslessCodec};
 use lwc_image::{Image, ImageStack};
 
@@ -190,30 +187,6 @@ impl Codec for LosslessCodec {
     }
 }
 
-impl Codec for ParallelCodec {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn capabilities(&self) -> CodecCapabilities {
-        CodecCapabilities {
-            containers: "LWC1/LWCQ",
-            tiled: false,
-            streaming_decode: false,
-            fixed_point: false,
-            near_lossless: true,
-        }
-    }
-
-    fn compress(&self, image: &Image) -> Result<Vec<u8>, PipelineError> {
-        ParallelCodec::compress(self, image)
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Image, PipelineError> {
-        ParallelCodec::decompress(self, bytes)
-    }
-}
-
 impl Codec for TiledCompressor {
     fn name(&self) -> &'static str {
         "tiled"
@@ -335,7 +308,6 @@ mod tests {
     fn engines() -> Vec<Box<dyn Codec>> {
         vec![
             Box::new(LosslessCodec::new(3).unwrap()),
-            Box::new(ParallelCodec::new(3, 2).unwrap()),
             Box::new(TiledCompressor::new(3, 32, 2).unwrap()),
             Box::new(
                 TiledFixedCompressor::new(&FilterBank::table1(FilterId::F1), 3, 32, 2).unwrap(),
@@ -372,12 +344,11 @@ mod tests {
     fn capabilities_describe_the_engines() {
         let caps: Vec<CodecCapabilities> = engines().iter().map(|e| e.capabilities()).collect();
         assert!(!caps[0].tiled && !caps[0].fixed_point && caps[0].near_lossless);
-        assert!(caps[1].near_lossless);
-        assert!(caps[2].tiled && caps[2].streaming_decode && caps[2].near_lossless);
-        assert!(caps[3].fixed_point && !caps[3].near_lossless);
-        assert_eq!(caps[3].containers, "LWCF");
-        assert!(caps[4].tiled && !caps[4].fixed_point && caps[4].near_lossless);
-        assert_eq!(caps[4].containers, "LWCV");
+        assert!(caps[1].tiled && caps[1].streaming_decode && caps[1].near_lossless);
+        assert!(caps[2].fixed_point && !caps[2].near_lossless);
+        assert_eq!(caps[2].containers, "LWCF");
+        assert!(caps[3].tiled && !caps[3].fixed_point && caps[3].near_lossless);
+        assert_eq!(caps[3].containers, "LWCV");
     }
 
     #[test]
@@ -386,7 +357,6 @@ mod tests {
         let codec = LosslessCodec::near_lossless(3, 2).unwrap();
         let engines: Vec<Box<dyn Codec>> = vec![
             Box::new(codec),
-            Box::new(ParallelCodec::with_codec(codec, 2)),
             Box::new(TiledCompressor::with_codec(codec, 32, 32, 2).unwrap()),
             Box::new(VolumeCompressor::with_codec(codec, 1, 32, 32, 8, 2).unwrap()),
         ];
@@ -411,7 +381,7 @@ mod tests {
     #[test]
     fn default_row_bands_yield_one_band() {
         let image = synth::ct_phantom(64, 48, 12, 9);
-        let engine: Box<dyn Codec> = Box::new(ParallelCodec::new(3, 2).unwrap());
+        let engine: Box<dyn Codec> = Box::new(LosslessCodec::new(3).unwrap());
         let bytes = engine.compress(&image).unwrap();
         let bands: Vec<RowBand> =
             engine.decompress_row_bands(&bytes).unwrap().map(|b| b.unwrap()).collect();

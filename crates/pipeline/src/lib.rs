@@ -6,20 +6,10 @@
 //! software analogue of that organisation, layered on the bit-exact models of
 //! the rest of the workspace:
 //!
-//! * [`ParallelFixedDwt2d`] — *intra-image* parallelism: the rows (and the
-//!   column gathers) of every scale of the fixed-point 2-D DWT are fanned
-//!   across `std::thread` workers. The arithmetic per row/column is untouched,
-//!   so the result is bit-identical to [`lwc_dwt::FixedDwt2d`].
 //! * [`BatchCompressor`] — *inter-image* parallelism: a batch of images is
 //!   fanned across worker threads, each running the end-to-end Rice codec
 //!   ([`lwc_coder::LosslessCodec`]). Streams are byte-identical to the
 //!   sequential codec and come back in input order.
-//! * [`ParallelCodec`] — *intra-image* parallelism on the entropy-coding
-//!   side: the `3 * scales + 1` subbands of one image are Rice-coded on the
-//!   worker pool and the fragments are spliced at bit level into the exact
-//!   sequential stream; a [`SubbandDirectory`] of bit offsets drives the
-//!   concurrent decode. This is the low-latency path when a single image is
-//!   in flight, where [`BatchCompressor`] has nothing to fan out.
 //! * [`TiledCompressor`] — *intra-image* parallelism at the **tile** level:
 //!   the image is sharded by a [`lwc_image::TileGrid`] into independently
 //!   coded tiles wrapped in the versioned `LWCT` container
@@ -55,8 +45,8 @@
 //!   row-band streaming, with capability reporting), so the batch engine,
 //!   the server and the reproduction binary dispatch over `&dyn Codec`
 //!   instead of enumerating engines.
-//! * **Near-lossless mode** — the lifting engines ([`ParallelCodec`],
-//!   [`TiledCompressor`], [`VolumeCompressor`], [`BatchCompressor`]) accept
+//! * **Near-lossless mode** — the lifting engines ([`TiledCompressor`],
+//!   [`VolumeCompressor`], [`BatchCompressor`]) accept
 //!   an [`lwc_coder::LosslessCodec::near_lossless`] configuration: detail
 //!   subbands are uniformly quantized under a deterministic schedule derived
 //!   from a per-pixel error bound `δ` ([`lwc_coder::QuantSchedule`]), the
@@ -66,6 +56,13 @@
 //!   to the lossless streams.
 //! * [`BatchReport`] — wall-clock throughput of a batch run (MB/s, images/s,
 //!   compression ratio).
+//!
+//! Tiles and bricks are the only *intra-image* parallel axis: a frame that
+//! fits one tile is coded by the sequential [`lwc_coder::LosslessCodec`]
+//! (splitting one frame by subband or by row measured slower than its
+//! single-pass line cascade), and every tile, brick and batch fan-out above
+//! runs on the same scoped work-stealing helper (the streaming iterators
+//! keep their own bounded pipeline).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -73,8 +70,7 @@
 mod batch;
 mod codec;
 mod error;
-mod parcodec;
-mod pardwt;
+mod pool;
 mod report;
 mod stream;
 mod tiled;
@@ -85,8 +81,6 @@ mod volume;
 pub use batch::BatchCompressor;
 pub use codec::{Codec, CodecCapabilities};
 pub use error::PipelineError;
-pub use parcodec::{ParallelCodec, SubbandDirectory};
-pub use pardwt::ParallelFixedDwt2d;
 pub use report::{BatchReport, TiledDwtReport, TiledReport};
 pub use stream::OrderedStream;
 pub use tiled::{RowBand, RowBands, TiledCompressor, DEFAULT_TILE_SIZE};

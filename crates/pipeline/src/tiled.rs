@@ -1,9 +1,10 @@
 //! Intra-image parallelism for arbitrarily large images: the tile-sharded
 //! compression engine.
 //!
-//! [`BatchCompressor`](crate::BatchCompressor) fans *images* across workers
-//! and [`ParallelCodec`](crate::ParallelCodec) fans the *subbands* of one
-//! image; this module fans the **tiles** of one image. Each tile of a
+//! [`BatchCompressor`](crate::BatchCompressor) fans *images* across workers;
+//! this module fans the **tiles** of one image — with the bricks of
+//! [`VolumeCompressor`](crate::VolumeCompressor), the only intra-image
+//! parallel axis. Each tile of a
 //! [`TileGrid`] is an independent [`LosslessCodec`] stream (transformed with
 //! the same boundary extension the whole-image transform uses, just over the
 //! tile), wrapped in the versioned [`lwc_coder::tiled`] container with a
@@ -18,9 +19,9 @@
 //!   walks the directory one tile-row at a time, so a consumer can stream a
 //!   huge image top to bottom without ever materializing all of it.
 
-use crate::parcodec::run_indexed;
+use crate::pool::run_indexed;
 use crate::report::TiledReport;
-use crate::{ParallelCodec, PipelineError};
+use crate::PipelineError;
 use lwc_coder::bitio::BitReader;
 use lwc_coder::tiled::{is_tiled, write_container, TiledHeader, TiledStream};
 use lwc_coder::{CoderError, LosslessCodec, StreamHeader};
@@ -257,8 +258,7 @@ impl TiledCompressor {
     /// tiles that disagree with the container's grid geometry.
     pub fn decompress(&self, bytes: &[u8]) -> Result<Image, PipelineError> {
         if !is_tiled(bytes) {
-            // Legacy stream: reuse the per-subband parallel decoder.
-            return ParallelCodec::with_codec(self.codec, self.workers).decompress(bytes);
+            return Ok(self.codec.decompress(bytes)?);
         }
         let stream = TiledStream::parse(bytes)?;
         let header = *stream.header();
@@ -306,7 +306,7 @@ impl TiledCompressor {
                 ))
                 .into());
             }
-            return ParallelCodec::with_codec(self.codec, self.workers).decompress(bytes);
+            return Ok(self.codec.decompress(bytes)?);
         }
         self.decompress_parsed_tile(&TiledStream::parse(bytes)?, index)
     }
@@ -514,7 +514,8 @@ impl Iterator for RowBands<'_> {
         match &mut self.source {
             RowBandSource::Legacy(bytes) => {
                 let bytes = bytes.take()?;
-                Some(self.engine.decompress(bytes).map(|image| RowBand { y: 0, image }))
+                let image = self.engine.codec.decompress(bytes).map_err(PipelineError::from);
+                Some(image.map(|image| RowBand { y: 0, image }))
             }
             RowBandSource::Tiled { .. } => self.next_tiled_band(),
         }
@@ -652,6 +653,16 @@ mod tests {
         let (rect, whole) = engine.decompress_tile_at(&legacy, 63, 47).unwrap();
         assert_eq!((rect.width, rect.height), (64, 48));
         assert!(stats::bit_exact(&image, &whole).unwrap());
+        // A flipped magic and a truncated stream are errors on every legacy
+        // entry point.
+        let mut bad_magic = legacy.clone();
+        bad_magic[0] ^= 0xFF;
+        let truncated = &legacy[..legacy.len() / 2];
+        for bad in [&bad_magic[..], truncated] {
+            assert!(engine.decompress(bad).is_err());
+            assert!(engine.decompress_tile(bad, 0).is_err());
+            assert!(engine.decompress_row_bands(bad).unwrap().next().unwrap().is_err());
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! changes — so the result never depends on the worker count, and a grid
 //! that degenerates to one tile reproduces [`FixedDwt2d::forward`] exactly.
 
-use crate::parcodec::run_indexed;
+use crate::pool::run_indexed;
 use crate::report::TiledDwtReport;
 use crate::PipelineError;
 use lwc_dwt::{Decomposition, Dwt2d, DwtError, FixedDwt2d};

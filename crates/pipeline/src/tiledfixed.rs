@@ -10,13 +10,11 @@
 //! container ([`lwc_coder::fixedtiled`]).
 //!
 //! The stream is deterministic for a given tile shape — the worker count
-//! never changes a byte. Multi-tile grids parallelize per **tile** (payloads
-//! are byte-aligned and concatenated by the shared directory writer);
-//! single-tile grids parallelize per **subband**, splicing the fragments at
-//! bit level into the exact sequential payload, the same machinery
-//! [`ParallelCodec`](crate::ParallelCodec) uses on the lifting path.
+//! never changes a byte. Grids parallelize per **tile** (payloads are
+//! byte-aligned and concatenated by the shared directory writer); a
+//! single-tile grid codes its one payload sequentially.
 
-use crate::parcodec::run_indexed;
+use crate::pool::run_indexed;
 use crate::report::TiledReport;
 use crate::{PipelineError, TiledFixedDwt2d};
 use lwc_coder::bitio::{BitReader, BitWriter};
@@ -161,9 +159,8 @@ impl TiledFixedCompressor {
         }
     }
 
-    /// Compresses `image` into an `LWCF` container, fanning the tiles (or,
-    /// for a single-tile grid, the subbands of the one tile) across the
-    /// worker pool. The bytes depend only on the image and the tile shape,
+    /// Compresses `image` into an `LWCF` container, fanning the tiles across
+    /// the worker pool. The bytes depend only on the image and the tile shape,
     /// never on the worker count.
     ///
     /// # Errors
@@ -187,15 +184,9 @@ impl TiledFixedCompressor {
         let start = Instant::now();
         let grid = self.grid(image.width(), image.height())?;
         let header = self.header_for(&grid, image.bit_depth());
-        let payloads = if grid.is_single() {
-            // One tile cannot be fanned out by tiles; splice its subbands
-            // instead (bit-exact to the sequential payload by construction).
-            vec![self.encode_tile_spliced(&self.dwt.inner().forward(image)?)?]
-        } else {
-            run_indexed(self.workers(), grid.tile_count(), |index| {
-                self.encode_tile(image, &grid, index)
-            })?
-        };
+        let payloads = run_indexed(self.workers(), grid.tile_count(), |index| {
+            self.encode_tile(image, &grid, index)
+        })?;
         let bytes = write_fixed_container(&header, &payloads)?;
         let report = TiledReport {
             tiles: grid.tile_count(),
@@ -210,9 +201,8 @@ impl TiledFixedCompressor {
     /// Compresses one tile of `image` (row-major `index` of `grid`) into
     /// its standalone `LWCF` tile payload — the unit a scheduler can fan
     /// across workers. Byte-identical to the payload
-    /// [`TiledFixedCompressor::compress`] places at that directory slot
-    /// (for a single-tile grid this is the subband-spliced whole-image
-    /// payload; `compress` is built on this either way).
+    /// [`TiledFixedCompressor::compress`] places at that directory slot, by
+    /// construction: `compress` itself is built on this.
     ///
     /// # Errors
     ///
@@ -223,9 +213,6 @@ impl TiledFixedCompressor {
         grid: &TileGrid,
         index: usize,
     ) -> Result<Vec<u8>, PipelineError> {
-        if grid.is_single() {
-            return self.encode_tile_spliced(&self.dwt.inner().forward(image)?);
-        }
         let view = image.view_rect(grid.rect(index)).map_err(DwtError::from)?;
         let tile = self.dwt.inner().forward_view(&view)?;
         Ok(encode_tile_payload(self.codec, &tile))
@@ -246,26 +233,6 @@ impl TiledFixedCompressor {
         payloads: &[Vec<u8>],
     ) -> Result<Vec<u8>, PipelineError> {
         Ok(write_fixed_container(&self.header_for(grid, bit_depth), payloads)?)
-    }
-
-    /// Per-subband parallel encode of one tile: the `3 * scales + 1`
-    /// subbands are coded as independent fragments on the worker pool and
-    /// spliced at bit level into the exact sequential payload.
-    fn encode_tile_spliced(&self, tile: &Decomposition<i64>) -> Result<Vec<u8>, PipelineError> {
-        let codec = self.codec;
-        let order: Vec<(u32, usize)> = subband_order(self.scales()).collect();
-        let fragments = run_indexed(self.workers(), order.len(), |i| {
-            let (scale, band) = order[i];
-            let words = tile.subband(scale, band_of(band));
-            let mut writer = BitWriter::new();
-            let bits = codec.encode_subband(&mut writer, &words);
-            Ok::<_, PipelineError>((writer.into_bytes(), bits))
-        })?;
-        let mut writer = BitWriter::new();
-        for (bytes, bits) in &fragments {
-            writer.append(bytes, *bits);
-        }
-        Ok(writer.into_bytes())
     }
 
     /// Reconstructs the image from an `LWCF` container. The result is
@@ -424,8 +391,7 @@ impl TiledFixedCompressor {
 }
 
 /// Sequential per-tile encode: subbands in [`subband_order`], one
-/// concatenated fixed-subband stream. The spliced per-subband parallel path
-/// reproduces these bytes exactly.
+/// concatenated fixed-subband stream.
 fn encode_tile_payload(codec: FixedSubbandCodec, tile: &Decomposition<i64>) -> Vec<u8> {
     let mut writer = BitWriter::new();
     for (scale, band) in subband_order(tile.scales()) {
@@ -577,7 +543,7 @@ mod tests {
         for workers in [2, 3, 8] {
             assert_eq!(engine(3, 32, workers).compress(&image).unwrap(), reference);
         }
-        // Single-tile grids splice per subband; still worker-independent.
+        // Single-tile grids are worker-independent too.
         let single_ref = engine(3, 256, 1).compress(&image).unwrap();
         for workers in [2, 3, 8] {
             assert_eq!(engine(3, 256, workers).compress(&image).unwrap(), single_ref);
@@ -585,17 +551,17 @@ mod tests {
     }
 
     #[test]
-    fn single_tile_splice_matches_the_sequential_payload() {
+    fn single_tile_grid_matches_the_monolithic_payload() {
         let image = synth::mr_slice(64, 64, 12, 7);
         let eng = engine(3, 64, 4);
-        let spliced = eng.compress(&image).unwrap();
+        let single = eng.compress(&image).unwrap();
         // Hand-build the sequential container.
         let tile = eng.dwt().inner().forward(&image).unwrap();
         let payload = encode_tile_payload(FixedSubbandCodec::new(), &tile);
         let grid = eng.grid(64, 64).unwrap();
         let header = eng.header_for(&grid, image.bit_depth());
         let sequential = write_fixed_container(&header, &[payload]).unwrap();
-        assert_eq!(spliced, sequential);
+        assert_eq!(single, sequential);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   `decompress_row_bands`, sound because z transforms never cross brick
 //!   boundaries.
 
-use crate::parcodec::run_indexed;
+use crate::pool::run_indexed;
 use crate::report::TiledReport;
 use crate::PipelineError;
 use lwc_coder::volume::{split_brick_payload, write_brick_payload, write_volume_container};

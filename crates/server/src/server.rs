@@ -1690,8 +1690,8 @@ fn split_tile_request(payload: &[u8]) -> Result<(u32, &[u8]), (ErrorCode, String
     Ok((u32::from_be_bytes(index_bytes), &payload[4..]))
 }
 
-/// Decompresses any container format the service knows (`LWC1`, `LWCT`,
-/// `LWCF`), taking the decomposition depth (and tile shape, and for `LWCF`
+/// Decompresses any container format the service knows (`LWC1`/`LWCQ`,
+/// `LWCT`, `LWCF`), taking the decomposition depth (and tile shape, and for `LWCF`
 /// the filter bank) from the stream itself — the service never requires
 /// clients to know how a stream was produced.
 pub(crate) fn decompress_auto(bytes: &[u8]) -> Result<lwc_image::Image, ServerError> {
@@ -1787,7 +1787,8 @@ fn split_region_request(payload: &[u8]) -> Result<(BrickRect, &[u8]), (ErrorCode
 }
 
 /// Builds a single-threaded [`Codec`] matching the stream's own parameters —
-/// the three-way magic sniff (`LWC1` / `LWCT` / `LWCF`) behind the
+/// the three-way magic sniff (`LWCT` / `LWCF` / otherwise a single
+/// `LWC1`/`LWCQ` stream for the plain [`LosslessCodec`]) behind the
 /// decompression ops. All header reads reject empty/truncated buffers with
 /// typed errors, so sniffing never slices out of bounds.
 fn engine_for(bytes: &[u8]) -> Result<Box<dyn Codec>, ServerError> {
@@ -1797,8 +1798,7 @@ fn engine_for(bytes: &[u8]) -> Result<Box<dyn Codec>, ServerError> {
         Ok(Box::new(fixed_engine(FixedStream::parse(bytes)?.header())?))
     } else {
         let header = StreamHeader::read(&mut BitReader::new(bytes))?;
-        let codec = LosslessCodec::new(header.scales)?;
-        Ok(Box::new(TiledCompressor::with_codec(codec, header.width, header.height, 1)?))
+        Ok(Box::new(LosslessCodec::new(header.scales)?))
     }
 }
 
@@ -1844,6 +1844,15 @@ mod tests {
         for len in 0..8 {
             assert!(decompress_auto(&fixed[..len]).is_err(), "fixed prefix of {len} bytes");
         }
+        // A near-lossless LWCQ stream decodes within its bound through the
+        // same sniff, and its short prefixes are typed errors too.
+        let quantized = LosslessCodec::near_lossless(3, 2).unwrap().compress(&image).unwrap();
+        assert!(!is_tiled(&quantized) && !is_fixed(&quantized));
+        let back = decompress_auto(&quantized).unwrap();
+        assert!(lwc_image::stats::max_abs_diff(&image, &back).unwrap() <= 2);
+        for len in 0..8 {
+            assert!(decompress_auto(&quantized[..len]).is_err(), "LWCQ prefix of {len} bytes");
+        }
     }
 
     #[test]
@@ -1852,7 +1861,7 @@ mod tests {
         let legacy = LosslessCodec::new(3).unwrap().compress(&image).unwrap();
         let tiled = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
         let fixed = fixed_stream(&synth::ct_phantom(64, 48, 12, 5));
-        assert_eq!(engine_for(&legacy).unwrap().name(), "tiled");
+        assert_eq!(engine_for(&legacy).unwrap().name(), "lossless");
         assert_eq!(engine_for(&tiled).unwrap().name(), "tiled");
         let sniffed = engine_for(&fixed).unwrap();
         assert_eq!(sniffed.name(), "tiled-fixed");

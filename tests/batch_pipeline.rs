@@ -6,14 +6,7 @@
 //!   scales (the Rice-codec side),
 //! * the multithreaded [`BatchCompressor`] produces streams byte-identical
 //!   to the single-threaded codec, in input order, through both the batch
-//!   and the streaming APIs,
-//! * the per-subband [`ParallelCodec`] produces byte-identical streams and
-//!   decodes them — with and without a [`SubbandDirectory`] — across 1–5
-//!   coding scales and worker counts,
-//! * the row-parallel fixed-point DWT matches the sequential transform bit
-//!   for bit (which, with the bank sweep above, pins the wrap-free interior
-//!   fast path of the rewritten inner loops to the Table I reference
-//!   behaviour across all six banks and 1–5 levels).
+//!   and the streaming APIs.
 
 use lwc_core::prelude::*;
 
@@ -85,58 +78,6 @@ fn batch_compressor_is_byte_identical_to_the_sequential_codec() {
         let streamed: Vec<Vec<u8>> =
             engine.compress_iter(images.clone()).map(|r| r.unwrap()).collect();
         assert_eq!(streamed, sequential, "{workers} workers, streaming");
-    }
-}
-
-#[test]
-fn per_subband_parallel_codec_is_byte_identical_across_scales_and_workers() {
-    for scales in 1..=5u32 {
-        let sequential = LosslessCodec::new(scales).unwrap();
-        for workers in [1, 2, 4] {
-            let parallel = ParallelCodec::with_codec(sequential, workers);
-            for kind in 0..4 {
-                let image = phantom(kind, 64, 64, 500 + scales as u64 * 10 + kind as u64);
-                let expected = sequential.compress(&image).unwrap();
-                let (actual, directory) = parallel.compress_with_directory(&image).unwrap();
-                assert_eq!(actual, expected, "kind {kind}, {scales} scales, {workers} workers");
-
-                // Both decode paths reproduce the image exactly.
-                let via_scan = parallel.decompress(&expected).unwrap();
-                let via_directory =
-                    parallel.decompress_with_directory(&expected, &directory).unwrap();
-                assert!(stats::bit_exact(&image, &via_scan).unwrap());
-                assert!(stats::bit_exact(&image, &via_directory).unwrap());
-                // And the scanned directory matches the encoder's.
-                assert_eq!(SubbandDirectory::scan(&sequential, &expected).unwrap(), directory);
-            }
-        }
-    }
-}
-
-#[test]
-fn single_image_batch_path_uses_the_parallel_codec() {
-    let engine = BatchCompressor::new(4, 2).unwrap();
-    let image = phantom(1, 128, 64, 900);
-    let stream = engine.compress_one(&image).unwrap();
-    assert_eq!(stream, engine.codec().compress(&image).unwrap());
-    let back = engine.decompress_one(&stream).unwrap();
-    assert!(stats::bit_exact(&image, &back).unwrap());
-}
-
-#[test]
-fn row_parallel_dwt_matches_the_sequential_transform_bit_for_bit() {
-    for id in FilterId::ALL {
-        let bank = FilterBank::table1(id);
-        let sequential = FixedDwt2d::paper_default(&bank, 3).unwrap();
-        let parallel = ParallelFixedDwt2d::with_transform(sequential.clone(), 4);
-        for seed in 0..2u64 {
-            let image = phantom(seed as usize, 64, 64, 200 + seed);
-            let expected = sequential.forward(&image).unwrap();
-            let actual = parallel.forward(&image).unwrap();
-            assert_eq!(actual.data(), expected.data(), "{id}, seed {seed}");
-            let back = parallel.inverse(&actual).unwrap();
-            assert!(stats::bit_exact(&image, &back).unwrap(), "{id}, seed {seed}");
-        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! content, any decomposition depth, any tile/brick shape and any configured
 //! bound δ, the reconstruction satisfies `max|orig − recon| ≤ δ` — and δ = 0
 //! is byte-identical to the lossless streams, on every engine that carries
-//! the quantizer ([`LosslessCodec`], [`ParallelCodec`], [`TiledCompressor`],
+//! the quantizer ([`LosslessCodec`], [`TiledCompressor`],
 //! [`VolumeCompressor`], [`BatchCompressor`]).
 
 use lwc_core::lwc_coder::{plane_delta_for_volume, QuantSchedule};
@@ -58,10 +58,10 @@ proptest! {
         }
     }
 
-    /// Subband-parallel engine: same bound, same bytes as the sequential
-    /// codec.
+    /// Tiled engine with one tile covering the frame: the legacy single
+    /// stream, same bound, same bytes as the sequential codec.
     #[test]
-    fn parallel_codec_matches_the_sequential_bytes_and_bound(
+    fn single_tile_engine_matches_the_sequential_bytes_and_bound(
         seed in 0u64..10_000,
         scales in 1u32..=3,
         delta_index in 0usize..DELTAS.len(),
@@ -69,10 +69,10 @@ proptest! {
         let delta = DELTAS[delta_index];
         let image = synth::mr_slice(48, 37, 12, seed);
         let codec = LosslessCodec::near_lossless(scales, delta).unwrap();
-        let parallel = ParallelCodec::with_codec(codec, 2);
-        let stream = parallel.compress(&image).unwrap();
+        let single = TiledCompressor::with_codec(codec, 48, 37, 2).unwrap();
+        let stream = single.compress(&image).unwrap();
         prop_assert_eq!(&stream, &codec.compress(&image).unwrap());
-        let back = parallel.decompress(&stream).unwrap();
+        let back = single.decompress(&stream).unwrap();
         prop_assert!(stats::max_abs_diff(&image, &back).unwrap() <= i32::from(delta));
     }
 
@@ -123,11 +123,6 @@ fn zero_delta_is_byte_identical_to_lossless_on_every_engine() {
         lossless.compress(&image).unwrap(),
         zero.compress(&image).unwrap(),
         "sequential codec"
-    );
-    assert_eq!(
-        ParallelCodec::with_codec(lossless, 2).compress(&image).unwrap(),
-        ParallelCodec::with_codec(zero, 2).compress(&image).unwrap(),
-        "parallel codec"
     );
     assert_eq!(
         TiledCompressor::with_codec(lossless, 32, 32, 2).unwrap().compress(&image).unwrap(),
