@@ -309,6 +309,14 @@ impl<'a> FixedStream<'a> {
         self.offsets.len() - 1
     }
 
+    /// Consumes the parsed stream into its validated directory: `tile_count() + 1`
+    /// byte offsets into the container, ascending, the last one its length —
+    /// for owners of the bytes that keep the parse and drop the borrow.
+    #[must_use]
+    pub fn into_offsets(self) -> Vec<u64> {
+        self.offsets
+    }
+
     /// The raw payload (a fixed-subband stream) of tile `index`, in row-major
     /// tile order.
     ///

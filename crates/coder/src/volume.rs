@@ -410,6 +410,14 @@ impl<'a> VolumeStream<'a> {
         self.offsets.len() - 1
     }
 
+    /// Consumes the parsed stream into its validated directory: `brick_count() + 1`
+    /// byte offsets into the container, ascending, the last one its length —
+    /// for owners of the bytes that keep the parse and drop the borrow.
+    #[must_use]
+    pub fn into_offsets(self) -> Vec<u64> {
+        self.offsets
+    }
+
     /// The raw payload of brick `index`, in plane-major brick order.
     ///
     /// # Panics

@@ -68,6 +68,16 @@ impl Image {
         Ok(Self { width, height, bit_depth, samples })
     }
 
+    /// Assembles an image from parts another constructor already validated.
+    pub(crate) fn from_checked_parts(
+        width: usize,
+        height: usize,
+        bit_depth: u32,
+        samples: Vec<i32>,
+    ) -> Self {
+        Self { width, height, bit_depth, samples }
+    }
+
     /// Image width in pixels.
     #[must_use]
     pub fn width(&self) -> usize {

@@ -225,6 +225,23 @@ impl ImageStack {
         self.slice(z)?.to_image()
     }
 
+    /// Unwraps a single-slice stack into an [`Image`] without copying.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImageError::InvalidDimensions`] if the stack holds more
+    /// than one slice.
+    pub fn into_image(self) -> Result<Image, ImageError> {
+        if self.depth != 1 {
+            return Err(ImageError::InvalidDimensions {
+                width: self.width,
+                height: self.height,
+                samples: self.samples.len(),
+            });
+        }
+        Ok(Image::from_checked_parts(self.width, self.height, self.bit_depth, self.samples))
+    }
+
     /// Borrows slice `z` mutably — the scatter target for decoded bricks.
     ///
     /// # Errors

@@ -57,6 +57,14 @@
 //! * [`BatchReport`] — wall-clock throughput of a batch run (MB/s, images/s,
 //!   compression ratio).
 //!
+//! * [`Plan`] — the one shape of every tile and brick operation: `n`
+//!   independent parts, `run(i)`, and a step placing each part into the
+//!   output. The engines above build encode plans and [`DecodePlan`]s over
+//!   a requested box (whole image or volume, tile, band, slab, region) and
+//!   run them with [`Plan::execute`]; the server runs the same plans part
+//!   by part on its own scheduler. [`DecodePlan::sniff`] builds the plan a
+//!   stream's own header calls for.
+//!
 //! Tiles and bricks are the only *intra-image* parallel axis: a frame that
 //! fits one tile is coded by the sequential [`lwc_coder::LosslessCodec`]
 //! (splitting one frame by subband or by row measured slower than its
@@ -70,6 +78,7 @@
 mod batch;
 mod codec;
 mod error;
+mod plan;
 mod pool;
 mod report;
 mod stream;
@@ -81,9 +90,12 @@ mod volume;
 pub use batch::BatchCompressor;
 pub use codec::{Codec, CodecCapabilities};
 pub use error::PipelineError;
+pub use plan::{decompress_auto, engine_for, DecodePlan, Plan};
 pub use report::{BatchReport, TiledDwtReport, TiledReport};
 pub use stream::OrderedStream;
-pub use tiled::{RowBand, RowBands, TiledCompressor, DEFAULT_TILE_SIZE};
+pub use tiled::{RowBand, RowBands, TileEncodePlan, TiledCompressor, DEFAULT_TILE_SIZE};
 pub use tileddwt::{TiledDecomposition, TiledFixedDwt2d};
-pub use tiledfixed::{FixedRowBands, TiledFixedCompressor};
-pub use volume::{scatter_region, VolumeCompressor, VolumeSlab, VolumeSlabs, DEFAULT_BRICK_DEPTH};
+pub use tiledfixed::{FixedEncodePlan, TiledFixedCompressor};
+pub use volume::{
+    scatter_region, BrickEncodePlan, VolumeCompressor, VolumeSlab, VolumeSlabs, DEFAULT_BRICK_DEPTH,
+};

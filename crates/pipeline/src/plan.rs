@@ -1,0 +1,432 @@
+//! Job plans: the one shape every tile and brick operation takes.
+//!
+//! A [`Plan`] is `n` independent parts, `run(i)` computing part `i`, and a
+//! step placing each finished part into the output. The engines build their
+//! plans — encode: tiles or bricks into a container; decode: the parts
+//! covering a requested box into that box — and run them with
+//! [`Plan::execute`]. A caller with a scheduler of its own (the server) runs
+//! the same plans part by part. A [`DecodePlan`] owns the stream bytes and
+//! the parsed header and directory, so a container is parsed and validated
+//! once per plan, never once per part.
+
+use crate::pool::run_indexed;
+use crate::{
+    scatter_region, Codec, PipelineError, TiledCompressor, TiledFixedCompressor, VolumeCompressor,
+};
+use lwc_coder::bitio::BitReader;
+use lwc_coder::fixedtiled::is_fixed;
+use lwc_coder::tiled::is_tiled;
+use lwc_coder::{
+    is_volume, CoderError, FixedHeader, LosslessCodec, StreamHeader, TiledHeader, VolumeHeader,
+};
+use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, TileGrid, TileRect};
+use std::sync::Mutex;
+
+/// `n` independent parts of one operation and the step that places them.
+///
+/// Parts may run in any order on any thread; each finished part is placed
+/// into the sink (one at a time), and [`Plan::finish`] assembles the output
+/// once every part is placed. Outputs never depend on the run order, which
+/// is what keeps every engine's bytes independent of its worker count.
+pub trait Plan: Send + Sync {
+    /// What one part produces.
+    type Part: Send;
+    /// Where placed parts accumulate.
+    type Sink: Send;
+    /// The assembled result.
+    type Output;
+
+    /// Number of independent parts.
+    fn parts(&self) -> usize;
+
+    /// An empty sink ready for every part.
+    fn sink(&self) -> Self::Sink;
+
+    /// Computes part `index`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the part's codec error.
+    fn run(&self, index: usize) -> Result<Self::Part, PipelineError>;
+
+    /// Places finished part `index` into the sink.
+    fn place(&self, sink: &mut Self::Sink, index: usize, part: Self::Part);
+
+    /// Assembles the output from a sink holding every part.
+    ///
+    /// # Errors
+    ///
+    /// Returns a container or validation error.
+    fn finish(&self, sink: Self::Sink) -> Result<Self::Output, PipelineError>;
+
+    /// Runs every part across `workers` scoped threads, placing each part as
+    /// it finishes — at most one part per worker is ever held unplaced —
+    /// then assembles the output.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first part error, or the assembly error.
+    fn execute(&self, workers: usize) -> Result<Self::Output, PipelineError> {
+        let sink = Mutex::new(self.sink());
+        run_indexed(workers, self.parts(), |index| {
+            let part = self.run(index)?;
+            self.place(&mut sink.lock().expect("a placing worker panicked"), index, part);
+            Ok::<(), PipelineError>(())
+        })?;
+        self.finish(sink.into_inner().expect("a placing worker panicked"))
+    }
+}
+
+/// How a [`DecodePlan`] decodes one part: the engine and the parsed header
+/// of the stream's format.
+enum PartDecoder {
+    /// A legacy `LWC1`/`LWCQ` stream: one part, the whole stream.
+    Legacy(LosslessCodec),
+    Tiled(TiledCompressor, TiledHeader),
+    Fixed(Box<TiledFixedCompressor>, FixedHeader),
+    Volume(VolumeCompressor, VolumeHeader),
+}
+
+/// The decode plan of one parsed stream over a requested box.
+///
+/// Every format is a volume here: the tiles of a 2-D stream (`LWCT`,
+/// `LWCF`) are one-slice bricks, and a legacy `LWC1`/`LWCQ` stream is one
+/// brick covering the image. The box starts as the whole stream;
+/// [`DecodePlan::select`] narrows it to a tile, a band or any region, and
+/// the plan's parts become the bricks covering it. `B` owns the bytes:
+/// `&[u8]` for an engine's own call, `Vec<u8>` for a plan that must outlive
+/// the call (a server request).
+///
+/// ```
+/// use lwc_image::{synth, BrickRect, TileRect};
+/// use lwc_pipeline::{DecodePlan, Plan, TiledCompressor};
+///
+/// # fn main() -> Result<(), lwc_pipeline::PipelineError> {
+/// let image = synth::ct_phantom(100, 60, 12, 1);
+/// let bytes = TiledCompressor::new(3, 32, 1)?.compress(&image)?;
+/// // The header picks the engine; the region picks the tiles.
+/// let mut plan = DecodePlan::sniff(bytes.as_slice())?;
+/// let plane = TileRect { x: 20, y: 10, width: 40, height: 30 };
+/// plan.select(BrickRect { plane, z: 0, depth: 1 })?;
+/// assert_eq!(plan.parts(), 4);
+/// let region = plan.execute(2)?.into_image().expect("one slice");
+/// assert_eq!(region, image.crop(plane).expect("inside"));
+/// # Ok(())
+/// # }
+/// ```
+pub struct DecodePlan<B> {
+    bytes: B,
+    /// The validated directory: part `i` is `bytes[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u64>,
+    decoder: PartDecoder,
+    grid: BrickGrid,
+    bit_depth: u32,
+    region: BrickRect,
+    /// Plane-major indices of the parts covering `region`.
+    indices: Vec<usize>,
+}
+
+impl<B: AsRef<[u8]>> DecodePlan<B> {
+    /// Builds the plan a stream's own header calls for — `LWCT`, `LWCF`,
+    /// `LWCV`, otherwise a legacy `LWC1`/`LWCQ` stream — over a
+    /// single-threaded engine with the stream's parameters (depth, tile and
+    /// brick shape, filter bank), so a reader never needs to know how the
+    /// stream was produced. Near-lossless streams decode within their bound:
+    /// the quantizer rides in the per-part stream headers.
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed error for empty, truncated or malformed streams;
+    /// every header read is bounds-checked, so sniffing never panics.
+    pub fn sniff(bytes: B) -> Result<Self, PipelineError> {
+        let mut reader = BitReader::new(bytes.as_ref());
+        if is_tiled(bytes.as_ref()) {
+            let header = TiledHeader::read(&mut reader)?;
+            let codec = LosslessCodec::new(header.scales)?;
+            TiledCompressor::with_codec(codec, header.tile_width, header.tile_height, 1)?
+                .decode_plan(bytes)
+        } else if is_fixed(bytes.as_ref()) {
+            TiledFixedCompressor::for_stream(&FixedHeader::read(&mut reader)?, 1)?
+                .decode_plan(bytes)
+        } else if is_volume(bytes.as_ref()) {
+            let header = VolumeHeader::read(&mut reader)?;
+            VolumeCompressor::with_codec(
+                LosslessCodec::new(header.scales)?,
+                header.z_scales,
+                header.tile_width,
+                header.tile_height,
+                header.brick_depth,
+                1,
+            )?
+            .decode_plan(bytes)
+        } else {
+            let header = StreamHeader::read(&mut reader)?;
+            Self::legacy(LosslessCodec::new(header.scales)?, bytes)
+        }
+    }
+
+    /// The one-part plan of a legacy `LWC1`/`LWCQ` stream.
+    pub(crate) fn legacy(codec: LosslessCodec, bytes: B) -> Result<Self, PipelineError> {
+        let header = StreamHeader::read(&mut BitReader::new(bytes.as_ref()))?;
+        // The sink is sized from the header before any payload is read.
+        header.ensure_plausible_length(bytes.as_ref().len())?;
+        let (width, height) = (header.width, header.height);
+        let grid = BrickGrid::new(width, height, 1, width, height, 1).map_err(CoderError::from)?;
+        let offsets = vec![0, bytes.as_ref().len() as u64];
+        Ok(Self::new(bytes, offsets, PartDecoder::Legacy(codec), grid, header.bit_depth))
+    }
+
+    pub(crate) fn tiled(
+        engine: TiledCompressor,
+        header: TiledHeader,
+        bytes: B,
+        offsets: Vec<u64>,
+    ) -> Result<Self, PipelineError> {
+        let grid = one_slice(&header.grid()?)?;
+        Ok(Self::new(bytes, offsets, PartDecoder::Tiled(engine, header), grid, header.bit_depth))
+    }
+
+    pub(crate) fn fixed(
+        engine: TiledFixedCompressor,
+        header: FixedHeader,
+        bytes: B,
+        offsets: Vec<u64>,
+    ) -> Result<Self, PipelineError> {
+        let grid = one_slice(&header.grid()?)?;
+        Ok(Self::new(
+            bytes,
+            offsets,
+            PartDecoder::Fixed(Box::new(engine), header),
+            grid,
+            header.bit_depth,
+        ))
+    }
+
+    pub(crate) fn volume(
+        engine: VolumeCompressor,
+        header: VolumeHeader,
+        bytes: B,
+        offsets: Vec<u64>,
+    ) -> Result<Self, PipelineError> {
+        let grid = header.grid()?;
+        Ok(Self::new(bytes, offsets, PartDecoder::Volume(engine, header), grid, header.bit_depth))
+    }
+
+    /// A plan over the whole stream.
+    fn new(
+        bytes: B,
+        offsets: Vec<u64>,
+        decoder: PartDecoder,
+        grid: BrickGrid,
+        bit_depth: u32,
+    ) -> Self {
+        let whole = TileRect {
+            x: 0,
+            y: 0,
+            width: grid.plane().image_width(),
+            height: grid.plane().image_height(),
+        };
+        let region = BrickRect { plane: whole, z: 0, depth: grid.image_depth() };
+        let indices = (0..grid.brick_count()).collect();
+        Self { bytes, offsets, decoder, grid, bit_depth, region, indices }
+    }
+}
+
+/// A 2-D part grid as one-slice bricks.
+fn one_slice(grid: &TileGrid) -> Result<BrickGrid, PipelineError> {
+    let (width, height) = (grid.image_width(), grid.image_height());
+    Ok(BrickGrid::new(width, height, 1, grid.tile_width(), grid.tile_height(), 1)
+        .map_err(CoderError::from)?)
+}
+
+impl<B> DecodePlan<B> {
+    /// `true` for `LWCV` volumes, `false` for the 2-D formats (one slice).
+    #[must_use]
+    pub fn is_volume(&self) -> bool {
+        matches!(self.decoder, PartDecoder::Volume(..))
+    }
+
+    /// The stream's part grid: tiles as one-slice bricks for 2-D streams, a
+    /// single brick for a legacy stream.
+    #[must_use]
+    pub fn grid(&self) -> &BrickGrid {
+        &self.grid
+    }
+
+    /// Bits per decoded sample.
+    #[must_use]
+    pub fn bit_depth(&self) -> u32 {
+        self.bit_depth
+    }
+
+    /// The box the plan decodes.
+    #[must_use]
+    pub fn region(&self) -> BrickRect {
+        self.region
+    }
+
+    /// Narrows the plan to the parts covering `region` (volume coordinates;
+    /// a 2-D stream is one slice deep).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoderError::MalformedStream`] for an empty box or one
+    /// reaching outside the stream; the plan is left unchanged.
+    pub fn select(&mut self, region: BrickRect) -> Result<(), PipelineError> {
+        let (plane, depth) = (self.grid.plane(), self.grid.image_depth());
+        self.indices = self.grid.covering_indices(region).ok_or_else(|| {
+            CoderError::MalformedStream(format!(
+                "region ({}, {}, {}) {}x{}x{} does not fit the {}x{}x{} stream",
+                region.plane.x,
+                region.plane.y,
+                region.z,
+                region.plane.width,
+                region.plane.height,
+                region.depth,
+                plane.image_width(),
+                plane.image_height(),
+                depth
+            ))
+        })?;
+        self.region = region;
+        Ok(())
+    }
+}
+
+impl<B: AsRef<[u8]> + Send + Sync> Plan for DecodePlan<B> {
+    /// The part's plane-major samples.
+    type Part = Vec<i32>;
+    /// The box's slice-major samples.
+    type Sink = Vec<i32>;
+    type Output = ImageStack;
+
+    fn parts(&self) -> usize {
+        self.indices.len()
+    }
+
+    fn sink(&self) -> Vec<i32> {
+        vec![0; self.region.voxel_count()]
+    }
+
+    fn run(&self, slot: usize) -> Result<Vec<i32>, PipelineError> {
+        let index = self.indices[slot];
+        let bytes =
+            &self.bytes.as_ref()[self.offsets[index] as usize..self.offsets[index + 1] as usize];
+        let rect = self.grid.rect(index);
+        Ok(match &self.decoder {
+            PartDecoder::Legacy(codec) => codec.decompress(bytes)?.into_samples(),
+            PartDecoder::Tiled(engine, header) => {
+                engine.decode_tile(header, index, rect.plane, bytes)?.into_samples()
+            }
+            PartDecoder::Fixed(engine, header) => {
+                engine.decode_tile(header, rect.plane, bytes)?.into_samples()
+            }
+            PartDecoder::Volume(engine, header) => {
+                engine.decode_brick(header, index, rect, bytes)?
+            }
+        })
+    }
+
+    fn place(&self, sink: &mut Vec<i32>, slot: usize, part: Vec<i32>) {
+        scatter_region(sink, self.region, self.grid.rect(self.indices[slot]), &part);
+    }
+
+    /// Range-validates every sample against the stream's bit depth (a
+    /// corrupt brick can decode structurally yet leave the pixel range).
+    fn finish(&self, sink: Vec<i32>) -> Result<ImageStack, PipelineError> {
+        let BrickRect { plane, depth, .. } = self.region;
+        Ok(ImageStack::from_samples(plane.width, plane.height, depth, self.bit_depth, sink)
+            .map_err(CoderError::from)?)
+    }
+}
+
+/// The single-threaded engine a stream's own header calls for (see
+/// [`DecodePlan::sniff`]).
+///
+/// # Errors
+///
+/// See [`DecodePlan::sniff`].
+pub fn engine_for(bytes: &[u8]) -> Result<Box<dyn Codec>, PipelineError> {
+    Ok(match DecodePlan::sniff(bytes)?.decoder {
+        PartDecoder::Legacy(codec) => Box::new(codec),
+        PartDecoder::Tiled(engine, _) => Box::new(engine),
+        PartDecoder::Fixed(engine, _) => engine,
+        PartDecoder::Volume(engine, _) => Box::new(engine),
+    })
+}
+
+/// Decodes any 2-D stream (`LWC1`/`LWCQ`, `LWCT`, `LWCF`, or a one-slice
+/// `LWCV` volume) with the parameters its header records.
+///
+/// # Errors
+///
+/// See [`DecodePlan::sniff`]; additionally errors for a multi-slice volume.
+pub fn decompress_auto(bytes: &[u8]) -> Result<Image, PipelineError> {
+    Ok(DecodePlan::sniff(bytes)?.execute(1)?.into_image().map_err(CoderError::from)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lwc_image::synth;
+
+    fn fixed_stream(image: &Image) -> Vec<u8> {
+        let header = FixedHeader {
+            width: image.width(),
+            height: image.height(),
+            bit_depth: image.bit_depth(),
+            scales: 3,
+            filter: 0,
+            tile_width: 32,
+            tile_height: 32,
+        };
+        TiledFixedCompressor::for_stream(&header, 1).unwrap().compress(image).unwrap()
+    }
+
+    #[test]
+    fn decompress_auto_sniffs_all_three_formats_and_rejects_short_buffers() {
+        let image = synth::ct_phantom(70, 50, 12, 3);
+        let legacy = LosslessCodec::new(3).unwrap().compress(&image).unwrap();
+        let tiled = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
+        let fixed = fixed_stream(&synth::ct_phantom(64, 48, 12, 3));
+        assert!(is_tiled(&tiled) && !is_tiled(&legacy) && is_fixed(&fixed));
+        for stream in [&legacy, &tiled] {
+            let back = decompress_auto(stream).unwrap();
+            assert_eq!(back.samples(), image.samples());
+            // Every short prefix — including the empty buffer — must come
+            // back as a typed error, never a panic or slice failure.
+            for len in 0..8.min(stream.len()) {
+                assert!(decompress_auto(&stream[..len]).is_err(), "prefix of {len} bytes");
+            }
+        }
+        let back = decompress_auto(&fixed).unwrap();
+        assert_eq!(back.samples(), synth::ct_phantom(64, 48, 12, 3).samples());
+        for len in 0..8 {
+            assert!(decompress_auto(&fixed[..len]).is_err(), "fixed prefix of {len} bytes");
+        }
+        // A near-lossless LWCQ stream decodes within its bound through the
+        // same sniff, and its short prefixes are typed errors too.
+        let quantized = LosslessCodec::near_lossless(3, 2).unwrap().compress(&image).unwrap();
+        assert!(!is_tiled(&quantized) && !is_fixed(&quantized));
+        let back = decompress_auto(&quantized).unwrap();
+        assert!(lwc_image::stats::max_abs_diff(&image, &back).unwrap() <= 2);
+        for len in 0..8 {
+            assert!(decompress_auto(&quantized[..len]).is_err(), "LWCQ prefix of {len} bytes");
+        }
+    }
+
+    #[test]
+    fn engine_sniffing_matches_the_stream_parameters() {
+        let image = synth::ct_phantom(70, 50, 12, 3);
+        let legacy = LosslessCodec::new(3).unwrap().compress(&image).unwrap();
+        let tiled = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
+        let fixed = fixed_stream(&synth::ct_phantom(64, 48, 12, 5));
+        assert_eq!(engine_for(&legacy).unwrap().name(), "lossless");
+        assert_eq!(engine_for(&tiled).unwrap().name(), "tiled");
+        let sniffed = engine_for(&fixed).unwrap();
+        assert_eq!(sniffed.name(), "tiled-fixed");
+        assert!(sniffed.capabilities().fixed_point);
+        assert!(engine_for(&[]).is_err());
+        assert!(engine_for(&[0x4C, 0x57]).is_err());
+    }
+}

@@ -8,9 +8,10 @@ use std::thread;
 
 /// Runs `job(0..count)` across `workers` scoped threads with dynamic work
 /// stealing and returns the outputs in index order. Every parallel engine
-/// fans out through it: the tiles of [`crate::TiledCompressor`],
-/// [`crate::TiledFixedDwt2d`] and [`crate::TiledFixedCompressor`], the
-/// bricks of [`crate::VolumeCompressor`] and the images of
+/// fans out through it: [`crate::Plan::execute`] — the encode and decode
+/// plans of [`crate::TiledCompressor`], [`crate::TiledFixedCompressor`] and
+/// [`crate::VolumeCompressor`], whose jobs run a part and place it — the
+/// tiles of [`crate::TiledFixedDwt2d`] and the images of
 /// [`crate::BatchCompressor::compress_batch`] (whose jobs fail with
 /// different error types, hence the generic `Err`).
 pub(crate) fn run_indexed<Out, Err, Job>(

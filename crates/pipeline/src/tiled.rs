@@ -19,13 +19,13 @@
 //!   walks the directory one tile-row at a time, so a consumer can stream a
 //!   huge image top to bottom without ever materializing all of it.
 
-use crate::pool::run_indexed;
 use crate::report::TiledReport;
-use crate::PipelineError;
+use crate::{DecodePlan, PipelineError, Plan};
 use lwc_coder::bitio::BitReader;
 use lwc_coder::tiled::{is_tiled, write_container, TiledHeader, TiledStream};
 use lwc_coder::{CoderError, LosslessCodec, StreamHeader};
-use lwc_image::{Image, TileGrid, TileRect};
+use lwc_image::{BrickRect, Image, TileGrid, TileRect};
+use std::borrow::Borrow;
 use std::thread;
 use std::time::Instant;
 
@@ -162,35 +162,30 @@ impl TiledCompressor {
         image: &Image,
     ) -> Result<(Vec<u8>, TiledReport), PipelineError> {
         let start = Instant::now();
-        let grid = self.grid(image.width(), image.height())?;
-        let bytes = if grid.is_single() {
-            // Byte-identical legacy fast path: one tile covering the image is
-            // exactly the whole-image codec (tile dimensions fit the legacy
-            // 20-bit fields by construction).
-            self.codec.compress(image)?
-        } else {
-            let header = TiledHeader {
-                width: image.width(),
-                height: image.height(),
-                bit_depth: image.bit_depth(),
-                scales: self.codec.scales(),
-                tile_width: grid.tile_width(),
-                tile_height: grid.tile_height(),
-                delta: self.codec.delta(),
-            };
-            let payloads = run_indexed(self.workers, grid.tile_count(), |index| {
-                self.encode_tile(image, &grid, index)
-            })?;
-            write_container(&header, &payloads)?
-        };
+        let plan = self.encode_plan(image)?;
+        let bytes = plan.execute(self.workers)?;
         let report = TiledReport {
-            tiles: grid.tile_count(),
+            tiles: plan.parts(),
             raw_bytes: (image.pixel_count() * image.bit_depth() as usize).div_ceil(8),
             compressed_bytes: bytes.len(),
-            workers: self.workers.min(grid.tile_count()),
+            workers: self.workers.min(plan.parts()),
             wall: start.elapsed(),
         };
         Ok((bytes, report))
+    }
+
+    /// The encode plan of `image`: one part per tile of its grid. `I` owns
+    /// or borrows the image.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for zero image dimensions.
+    pub fn encode_plan<I: Borrow<Image>>(
+        &self,
+        image: I,
+    ) -> Result<TileEncodePlan<I>, PipelineError> {
+        let grid = self.grid(image.borrow().width(), image.borrow().height())?;
+        Ok(TileEncodePlan { engine: *self, image, grid })
     }
 
     /// Compresses one tile of `image` (row-major `index` of `grid`) into
@@ -198,6 +193,7 @@ impl TiledCompressor {
     /// workers. Byte-identical to the payload
     /// [`TiledCompressor::compress`] places in the container's `index`
     /// directory slot, by construction: `compress` itself is built on this.
+    /// For a single-tile grid the payload is the legacy stream itself.
     ///
     /// # Errors
     ///
@@ -216,9 +212,8 @@ impl TiledCompressor {
     /// Assembles per-tile payloads (row-major `grid` order, one per tile,
     /// as produced by [`TiledCompressor::encode_tile`]) into the `LWCT`
     /// container [`TiledCompressor::compress`] writes for a multi-tile
-    /// grid. Callers fanning tiles out themselves finish with this; note
-    /// that for a single-tile grid `compress` emits the legacy stream
-    /// instead of a container, so fan-out only applies to multi-tile grids.
+    /// grid (a single-tile grid emits its one payload, the legacy stream,
+    /// instead).
     ///
     /// # Errors
     ///
@@ -248,41 +243,39 @@ impl TiledCompressor {
     /// the per-pixel bound `δ` their headers declare (each tile's stream
     /// header is cross-checked against the container's quantizer delta).
     ///
-    /// Tiles are decoded in bounded batches (a few per worker) and scattered
-    /// into the frame as each batch completes, so peak memory stays at the
-    /// output frame plus one batch of tiles — not two copies of the image.
+    /// Each tile is placed into the frame as it finishes decoding, so peak
+    /// memory stays at the output frame plus one tile per worker — not two
+    /// copies of the image.
     ///
     /// # Errors
     ///
     /// Returns an error for malformed streams, mismatched configuration, or
     /// tiles that disagree with the container's grid geometry.
     pub fn decompress(&self, bytes: &[u8]) -> Result<Image, PipelineError> {
-        if !is_tiled(bytes) {
-            return Ok(self.codec.decompress(bytes)?);
+        Ok(self
+            .decode_plan(bytes)?
+            .execute(self.workers)?
+            .into_image()
+            .map_err(CoderError::from)?)
+    }
+
+    /// The decode plan of a tiled container or a legacy single-image stream
+    /// (the magic is sniffed), over the whole image; `B` owns or borrows the
+    /// bytes. The container is parsed and validated here, once.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for a malformed header or directory, or a container
+    /// coded at a different depth than this engine's codec.
+    pub fn decode_plan<B: AsRef<[u8]>>(&self, bytes: B) -> Result<DecodePlan<B>, PipelineError> {
+        if !is_tiled(bytes.as_ref()) {
+            return DecodePlan::legacy(self.codec, bytes);
         }
-        let stream = TiledStream::parse(bytes)?;
+        let stream = TiledStream::parse(bytes.as_ref())?;
         let header = *stream.header();
         self.ensure_scales(&header)?;
-        let grid = stream.grid()?;
-        let mut frame = Image::zeros(header.width, header.height, header.bit_depth)
-            .map_err(CoderError::from)?;
-        // Enough tiles per batch to keep every worker busy, few enough that
-        // the decoded-but-not-yet-scattered set stays small.
-        let batch = (self.workers * 4).max(4);
-        let mut index = 0;
-        while index < grid.tile_count() {
-            let count = batch.min(grid.tile_count() - index);
-            let tiles = self.decode_tiles(&stream, &grid, index, count)?;
-            for (offset, tile) in tiles.iter().enumerate() {
-                let rect = grid.rect(index + offset);
-                frame
-                    .view_rect_mut(rect)
-                    .and_then(|mut window| window.copy_from_image(tile))
-                    .map_err(CoderError::from)?;
-            }
-            index += count;
-        }
-        Ok(frame)
+        let offsets = stream.into_offsets();
+        DecodePlan::tiled(*self, header, bytes, offsets)
     }
 
     /// Random tile access: decodes exactly one tile (row-major `index`) of a
@@ -333,8 +326,7 @@ impl TiledCompressor {
             ))
             .into());
         }
-        let mut tiles = self.decode_tiles(stream, &grid, index, 1)?;
-        Ok(tiles.pop().expect("decode_tiles returns exactly one tile"))
+        Ok(self.decode_tile(stream.header(), index, grid.rect(index), stream.tile_bytes(index))?)
     }
 
     /// Random tile access by coordinate: decodes the tile containing pixel
@@ -376,9 +368,9 @@ impl TiledCompressor {
 
     /// Streaming decode: yields the image one tile-row **band** at a time
     /// (top to bottom), decoding each band's tiles on the worker pool. Peak
-    /// memory is bounded by one band — the decoded tiles of one tile-row
-    /// plus the `image_width x tile_height` band image they assemble into —
-    /// plus the compressed bytes, regardless of the image height. Legacy
+    /// memory is bounded by one band — the `image_width x tile_height` band
+    /// image plus one decoded tile per worker placed into it — plus the
+    /// compressed bytes, regardless of the image height. Legacy
     /// streams yield a single band covering the whole image.
     ///
     /// # Errors
@@ -386,13 +378,13 @@ impl TiledCompressor {
     /// Returns an error if the container header or directory is malformed;
     /// per-band decode errors surface through the iterator's items.
     pub fn decompress_row_bands<'a>(&self, bytes: &'a [u8]) -> Result<RowBands<'a>, PipelineError> {
-        if !is_tiled(bytes) {
-            return Ok(RowBands { engine: *self, source: RowBandSource::Legacy(Some(bytes)) });
-        }
-        let stream = TiledStream::parse(bytes)?;
-        self.ensure_scales(stream.header())?;
-        let grid = stream.grid()?;
-        Ok(RowBands { engine: *self, source: RowBandSource::Tiled { stream, grid, next_row: 0 } })
+        let plan = match self.decode_plan(bytes) {
+            // A legacy stream's header errors surface through its one band,
+            // as its decode errors do.
+            Err(error) if !is_tiled(bytes) => Err(Some(error)),
+            plan => Ok(plan?),
+        };
+        Ok(RowBands { plan, workers: self.workers, next_row: 0 })
     }
 
     fn ensure_scales(&self, header: &TiledHeader) -> Result<(), PipelineError> {
@@ -407,47 +399,78 @@ impl TiledCompressor {
         Ok(())
     }
 
-    /// Decodes tiles `first..first + count` (row-major) on the worker pool,
-    /// validating each decoded tile against its grid rectangle.
-    fn decode_tiles(
+    /// Decodes one tile payload (row-major `index`, placed at `rect`),
+    /// validating it against the container header and its grid rectangle.
+    pub(crate) fn decode_tile(
         &self,
-        stream: &TiledStream<'_>,
-        grid: &TileGrid,
-        first: usize,
-        count: usize,
-    ) -> Result<Vec<Image>, PipelineError> {
-        let header = *stream.header();
-        let codec = self.codec;
-        run_indexed(self.workers, count, |offset| {
-            let index = first + offset;
-            let rect = grid.rect(index);
-            let tile_bytes = stream.tile_bytes(index);
-            let tile_header = StreamHeader::read(&mut BitReader::new(tile_bytes))?;
-            if tile_header.delta != header.delta {
-                return Err(CoderError::MalformedStream(format!(
-                    "tile {index} carries quantizer delta {} but the container header says {}",
-                    tile_header.delta, header.delta
-                )));
-            }
-            let tile = codec.decompress(tile_bytes)?;
-            if tile.width() != rect.width || tile.height() != rect.height {
-                return Err(CoderError::MalformedStream(format!(
-                    "tile {index} decodes to {}x{} but the grid places a {}x{} tile there",
-                    tile.width(),
-                    tile.height(),
-                    rect.width,
-                    rect.height
-                )));
-            }
-            if tile.bit_depth() != header.bit_depth {
-                return Err(CoderError::MalformedStream(format!(
-                    "tile {index} carries {}-bit pixels but the container header says {}-bit",
-                    tile.bit_depth(),
-                    header.bit_depth
-                )));
-            }
-            Ok(tile)
-        })
+        header: &TiledHeader,
+        index: usize,
+        rect: TileRect,
+        bytes: &[u8],
+    ) -> Result<Image, CoderError> {
+        let tile_header = StreamHeader::read(&mut BitReader::new(bytes))?;
+        if tile_header.delta != header.delta {
+            return Err(CoderError::MalformedStream(format!(
+                "tile {index} carries quantizer delta {} but the container header says {}",
+                tile_header.delta, header.delta
+            )));
+        }
+        let tile = self.codec.decompress(bytes)?;
+        if tile.width() != rect.width || tile.height() != rect.height {
+            return Err(CoderError::MalformedStream(format!(
+                "tile {index} decodes to {}x{} but the grid places a {}x{} tile there",
+                tile.width(),
+                tile.height(),
+                rect.width,
+                rect.height
+            )));
+        }
+        if tile.bit_depth() != header.bit_depth {
+            return Err(CoderError::MalformedStream(format!(
+                "tile {index} carries {}-bit pixels but the container header says {}-bit",
+                tile.bit_depth(),
+                header.bit_depth
+            )));
+        }
+        Ok(tile)
+    }
+}
+
+/// The encode plan of a [`TiledCompressor`]: one part per tile, assembled
+/// into the `LWCT` container — or, for a single-tile grid, the legacy
+/// stream the one part already is.
+pub struct TileEncodePlan<I> {
+    engine: TiledCompressor,
+    image: I,
+    grid: TileGrid,
+}
+
+impl<I: Borrow<Image> + Send + Sync> Plan for TileEncodePlan<I> {
+    type Part = Vec<u8>;
+    type Sink = Vec<Vec<u8>>;
+    type Output = Vec<u8>;
+
+    fn parts(&self) -> usize {
+        self.grid.tile_count()
+    }
+
+    fn sink(&self) -> Vec<Vec<u8>> {
+        vec![Vec::new(); self.parts()]
+    }
+
+    fn run(&self, index: usize) -> Result<Vec<u8>, PipelineError> {
+        self.engine.encode_tile(self.image.borrow(), &self.grid, index)
+    }
+
+    fn place(&self, sink: &mut Vec<Vec<u8>>, index: usize, part: Vec<u8>) {
+        sink[index] = part;
+    }
+
+    fn finish(&self, mut sink: Vec<Vec<u8>>) -> Result<Vec<u8>, PipelineError> {
+        if self.grid.is_single() {
+            return Ok(sink.pop().expect("a single-tile grid has one part"));
+        }
+        self.engine.assemble_container(&self.grid, self.image.borrow().bit_depth(), &sink)
     }
 }
 
@@ -461,49 +484,19 @@ pub struct RowBand {
     pub image: Image,
 }
 
-enum RowBandSource<'a> {
-    /// A legacy stream decodes as one full-image band (taken on first `next`).
-    Legacy(Option<&'a [u8]>),
-    Tiled {
-        stream: TiledStream<'a>,
-        grid: TileGrid,
-        next_row: usize,
-    },
-}
-
-/// Iterator over the row bands of a compressed stream, yielded top to bottom.
+/// Iterator over the row bands of a compressed stream, yielded top to
+/// bottom: each band is the stream's decode plan narrowed to one tile-row.
 pub struct RowBands<'a> {
-    engine: TiledCompressor,
-    source: RowBandSource<'a>,
+    /// The stream's plan, or the error building it (yielded as the first
+    /// item).
+    plan: Result<DecodePlan<&'a [u8]>, Option<PipelineError>>,
+    workers: usize,
+    next_row: usize,
 }
 
-impl RowBands<'_> {
-    fn next_tiled_band(&mut self) -> Option<Result<RowBand, PipelineError>> {
-        let RowBandSource::Tiled { stream, grid, next_row } = &mut self.source else {
-            unreachable!("only called for tiled sources");
-        };
-        if *next_row >= grid.tiles_y() {
-            return None;
-        }
-        let ty = *next_row;
-        *next_row += 1;
-        let tiles_x = grid.tiles_x();
-        let band_rect = grid.rect_at(0, ty);
-        let result = (|| {
-            let tiles = self.engine.decode_tiles(stream, grid, ty * tiles_x, tiles_x)?;
-            let mut band =
-                Image::zeros(grid.image_width(), band_rect.height, stream.header().bit_depth)
-                    .map_err(CoderError::from)?;
-            for (tx, tile) in tiles.iter().enumerate() {
-                let mut rect = grid.rect_at(tx, ty);
-                rect.y = 0; // band-local coordinates
-                band.view_rect_mut(rect)
-                    .and_then(|mut window| window.copy_from_image(tile))
-                    .map_err(CoderError::from)?;
-            }
-            Ok(RowBand { y: band_rect.y, image: band })
-        })();
-        Some(result)
+impl<'a> RowBands<'a> {
+    pub(crate) fn new(plan: DecodePlan<&'a [u8]>, workers: usize) -> Self {
+        Self { plan: Ok(plan), workers, next_row: 0 }
     }
 }
 
@@ -511,14 +504,21 @@ impl Iterator for RowBands<'_> {
     type Item = Result<RowBand, PipelineError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.source {
-            RowBandSource::Legacy(bytes) => {
-                let bytes = bytes.take()?;
-                let image = self.engine.codec.decompress(bytes).map_err(PipelineError::from);
-                Some(image.map(|image| RowBand { y: 0, image }))
-            }
-            RowBandSource::Tiled { .. } => self.next_tiled_band(),
+        let plan = match &mut self.plan {
+            Ok(plan) => plan,
+            Err(error) => return error.take().map(Err),
+        };
+        let grid = *plan.grid().plane();
+        if self.next_row >= grid.tiles_y() {
+            return None;
         }
+        let band = TileRect { width: grid.image_width(), ..grid.rect_at(0, self.next_row) };
+        self.next_row += 1;
+        let image = plan
+            .select(BrickRect { plane: band, z: 0, depth: 1 })
+            .and_then(|()| plan.execute(self.workers))
+            .and_then(|stack| Ok(stack.into_image().map_err(CoderError::from)?));
+        Some(image.map(|image| RowBand { y: band.y, image }))
     }
 }
 

@@ -14,9 +14,8 @@
 //! byte-aligned and concatenated by the shared directory writer); a
 //! single-tile grid codes its one payload sequentially.
 
-use crate::pool::run_indexed;
 use crate::report::TiledReport;
-use crate::{PipelineError, TiledFixedDwt2d};
+use crate::{DecodePlan, PipelineError, Plan, RowBands, TiledFixedDwt2d};
 use lwc_coder::bitio::{BitReader, BitWriter};
 use lwc_coder::fixedtiled::{write_fixed_container, FixedHeader, FixedStream};
 use lwc_coder::{subband_order, CoderError, FixedSubbandCodec};
@@ -182,20 +181,29 @@ impl TiledFixedCompressor {
         image: &Image,
     ) -> Result<(Vec<u8>, TiledReport), PipelineError> {
         let start = Instant::now();
-        let grid = self.grid(image.width(), image.height())?;
-        let header = self.header_for(&grid, image.bit_depth());
-        let payloads = run_indexed(self.workers(), grid.tile_count(), |index| {
-            self.encode_tile(image, &grid, index)
-        })?;
-        let bytes = write_fixed_container(&header, &payloads)?;
+        let plan = self.encode_plan(image)?;
+        let bytes = plan.execute(self.workers())?;
         let report = TiledReport {
-            tiles: grid.tile_count(),
+            tiles: plan.parts(),
             raw_bytes: (image.pixel_count() * image.bit_depth() as usize).div_ceil(8),
             compressed_bytes: bytes.len(),
-            workers: self.workers().min(grid.tile_count()),
+            workers: self.workers().min(plan.parts()),
             wall: start.elapsed(),
         };
         Ok((bytes, report))
+    }
+
+    /// The encode plan of `image`: one part per tile of its grid.
+    ///
+    /// # Errors
+    ///
+    /// See [`TiledFixedCompressor::grid`].
+    pub fn encode_plan<'a>(
+        &'a self,
+        image: &'a Image,
+    ) -> Result<FixedEncodePlan<'a>, PipelineError> {
+        let grid = self.grid(image.width(), image.height())?;
+        Ok(FixedEncodePlan { engine: self, image, grid })
     }
 
     /// Compresses one tile of `image` (row-major `index` of `grid`) into
@@ -236,36 +244,36 @@ impl TiledFixedCompressor {
     }
 
     /// Reconstructs the image from an `LWCF` container. The result is
-    /// pixel-exact. Tiles are decoded in bounded batches (a few per worker)
-    /// and scattered into the frame as each batch completes, so peak memory
-    /// stays at the output frame plus one batch of tiles.
+    /// pixel-exact. Each tile is placed into the frame as it finishes
+    /// decoding, so peak memory stays at the output frame plus one tile per
+    /// worker.
     ///
     /// # Errors
     ///
     /// Returns an error for malformed streams or containers whose filter or
     /// depth disagree with this engine's transform.
     pub fn decompress(&self, bytes: &[u8]) -> Result<Image, PipelineError> {
-        let stream = FixedStream::parse(bytes)?;
+        Ok(self
+            .decode_plan(bytes)?
+            .execute(self.workers())?
+            .into_image()
+            .map_err(CoderError::from)?)
+    }
+
+    /// The decode plan of an `LWCF` container over the whole image; `B` owns
+    /// or borrows the bytes. The container is parsed and validated here,
+    /// once.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for a malformed header or directory, or a container
+    /// whose filter or depth disagree with this engine's transform.
+    pub fn decode_plan<B: AsRef<[u8]>>(&self, bytes: B) -> Result<DecodePlan<B>, PipelineError> {
+        let stream = FixedStream::parse(bytes.as_ref())?;
         let header = *stream.header();
         self.ensure_compatible(&header)?;
-        let grid = stream.grid()?;
-        let mut frame = Image::zeros(header.width, header.height, header.bit_depth)
-            .map_err(CoderError::from)?;
-        let batch = (self.workers() * 4).max(4);
-        let mut index = 0;
-        while index < grid.tile_count() {
-            let count = batch.min(grid.tile_count() - index);
-            let tiles = self.decode_tiles(&stream, &grid, index, count)?;
-            for (offset, tile) in tiles.iter().enumerate() {
-                let rect = grid.rect(index + offset);
-                frame
-                    .view_rect_mut(rect)
-                    .and_then(|mut window| window.copy_from_image(tile))
-                    .map_err(CoderError::from)?;
-            }
-            index += count;
-        }
-        Ok(frame)
+        let offsets = stream.into_offsets();
+        DecodePlan::fixed(self.clone(), header, bytes, offsets)
     }
 
     /// Random tile access: decodes exactly one tile (row-major `index`)
@@ -301,8 +309,7 @@ impl TiledFixedCompressor {
             ))
             .into());
         }
-        let mut tiles = self.decode_tiles(stream, &grid, index, 1)?;
-        Ok(tiles.pop().expect("decode_tiles returns exactly one tile"))
+        self.decode_tile(stream.header(), grid.rect(index), stream.tile_bytes(index))
     }
 
     /// Random tile access by coordinate: decodes the tile containing pixel
@@ -340,14 +347,8 @@ impl TiledFixedCompressor {
     ///
     /// Returns an error if the container header or directory is malformed;
     /// per-band decode errors surface through the iterator's items.
-    pub fn decompress_row_bands<'a>(
-        &self,
-        bytes: &'a [u8],
-    ) -> Result<FixedRowBands<'a>, PipelineError> {
-        let stream = FixedStream::parse(bytes)?;
-        self.ensure_compatible(stream.header())?;
-        let grid = stream.grid()?;
-        Ok(FixedRowBands { engine: self.clone(), stream, grid, next_row: 0 })
+    pub fn decompress_row_bands<'a>(&self, bytes: &'a [u8]) -> Result<RowBands<'a>, PipelineError> {
+        Ok(RowBands::new(self.decode_plan(bytes)?, self.workers()))
     }
 
     fn ensure_compatible(&self, header: &FixedHeader) -> Result<(), PipelineError> {
@@ -370,23 +371,49 @@ impl TiledFixedCompressor {
         Ok(())
     }
 
-    /// Decodes tiles `first..first + count` (row-major) on the worker pool.
-    fn decode_tiles(
+    /// Decodes one tile payload placed at `rect` back to its pixels.
+    pub(crate) fn decode_tile(
         &self,
-        stream: &FixedStream<'_>,
-        grid: &TileGrid,
-        first: usize,
-        count: usize,
-    ) -> Result<Vec<Image>, PipelineError> {
-        let header = *stream.header();
-        let codec = self.codec;
-        let inner = self.dwt.inner();
-        run_indexed(self.workers(), count, |offset| {
-            let index = first + offset;
-            let rect = grid.rect(index);
-            let tile = decode_tile_payload(codec, stream.tile_bytes(index), &rect, &header)?;
-            Ok::<_, PipelineError>(inner.inverse(&tile)?)
-        })
+        header: &FixedHeader,
+        rect: TileRect,
+        bytes: &[u8],
+    ) -> Result<Image, PipelineError> {
+        let tile = decode_tile_payload(self.codec, bytes, &rect, header)?;
+        Ok(self.dwt.inner().inverse(&tile)?)
+    }
+}
+
+/// The encode plan of a [`TiledFixedCompressor`]: one part per tile,
+/// assembled into the `LWCF` container (a single-tile grid is wrapped too).
+pub struct FixedEncodePlan<'a> {
+    engine: &'a TiledFixedCompressor,
+    image: &'a Image,
+    grid: TileGrid,
+}
+
+impl Plan for FixedEncodePlan<'_> {
+    type Part = Vec<u8>;
+    type Sink = Vec<Vec<u8>>;
+    type Output = Vec<u8>;
+
+    fn parts(&self) -> usize {
+        self.grid.tile_count()
+    }
+
+    fn sink(&self) -> Vec<Vec<u8>> {
+        vec![Vec::new(); self.parts()]
+    }
+
+    fn run(&self, index: usize) -> Result<Vec<u8>, PipelineError> {
+        self.engine.encode_tile(self.image, &self.grid, index)
+    }
+
+    fn place(&self, sink: &mut Vec<Vec<u8>>, index: usize, part: Vec<u8>) {
+        sink[index] = part;
+    }
+
+    fn finish(&self, sink: Vec<Vec<u8>>) -> Result<Vec<u8>, PipelineError> {
+        self.engine.assemble_container(&self.grid, self.image.bit_depth(), &sink)
     }
 }
 
@@ -442,48 +469,6 @@ fn decode_tile_payload(
         .into());
     }
     Ok(tile)
-}
-
-/// One horizontal band of a streamed `LWCF` decode; see
-/// [`TiledFixedCompressor::decompress_row_bands`].
-pub struct FixedRowBands<'a> {
-    engine: TiledFixedCompressor,
-    stream: FixedStream<'a>,
-    grid: TileGrid,
-    next_row: usize,
-}
-
-impl Iterator for FixedRowBands<'_> {
-    type Item = Result<crate::RowBand, PipelineError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next_row >= self.grid.tiles_y() {
-            return None;
-        }
-        let ty = self.next_row;
-        self.next_row += 1;
-        let tiles_x = self.grid.tiles_x();
-        let band_rect = self.grid.rect_at(0, ty);
-        let result = (|| {
-            let tiles =
-                self.engine.decode_tiles(&self.stream, &self.grid, ty * tiles_x, tiles_x)?;
-            let mut band = Image::zeros(
-                self.grid.image_width(),
-                band_rect.height,
-                self.stream.header().bit_depth,
-            )
-            .map_err(CoderError::from)?;
-            for (tx, tile) in tiles.iter().enumerate() {
-                let mut rect = self.grid.rect_at(tx, ty);
-                rect.y = 0; // band-local coordinates
-                band.view_rect_mut(rect)
-                    .and_then(|mut window| window.copy_from_image(tile))
-                    .map_err(CoderError::from)?;
-            }
-            Ok(crate::RowBand { y: band_rect.y, image: band })
-        })();
-        Some(result)
-    }
 }
 
 #[cfg(test)]

@@ -16,20 +16,20 @@
 //!   substreams become byte-identical to the 2-D tiled path's,
 //! * **brick parallelism** — one volume request fans into
 //!   `bricks_z x tiles` independent encode/decode jobs with worker-count
-//!   independent bytes (the same [`run_indexed`] discipline as every other
+//!   independent bytes (the same [`Plan`] discipline as every other
 //!   engine),
 //! * **bounded-memory decode** — [`VolumeCompressor::decompress_slabs`]
 //!   walks the directory one brick layer at a time, the volumetric mirror of
 //!   `decompress_row_bands`, sound because z transforms never cross brick
 //!   boundaries.
 
-use crate::pool::run_indexed;
 use crate::report::TiledReport;
-use crate::PipelineError;
+use crate::{DecodePlan, PipelineError, Plan};
 use lwc_coder::volume::{split_brick_payload, write_brick_payload, write_volume_container};
 use lwc_coder::{plane_delta_for_volume, CoderError, LosslessCodec, VolumeHeader, VolumeStream};
-use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, ImageView};
+use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, ImageView, TileRect};
 use lwc_lifting::{forward_z, inverse_z};
+use std::borrow::Borrow;
 use std::thread;
 use std::time::Instant;
 
@@ -218,19 +218,31 @@ impl VolumeCompressor {
         stack: &ImageStack,
     ) -> Result<(Vec<u8>, TiledReport), PipelineError> {
         let start = Instant::now();
-        let grid = self.grid(stack.width(), stack.height(), stack.depth())?;
-        let payloads = run_indexed(self.workers, grid.brick_count(), |index| {
-            self.encode_brick(stack, &grid, index)
-        })?;
-        let bytes = self.assemble_container(&grid, stack.bit_depth(), &payloads)?;
+        let plan = self.encode_plan(stack)?;
+        let bytes = plan.execute(self.workers)?;
         let report = TiledReport {
-            tiles: grid.brick_count(),
+            tiles: plan.parts(),
             raw_bytes: (stack.voxel_count() * stack.bit_depth() as usize).div_ceil(8),
             compressed_bytes: bytes.len(),
-            workers: self.workers.min(grid.brick_count()),
+            workers: self.workers.min(plan.parts()),
             wall: start.elapsed(),
         };
         Ok((bytes, report))
+    }
+
+    /// The encode plan of `stack`: one part per brick of its grid. `S` owns
+    /// or borrows the volume.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for zero volume dimensions.
+    pub fn encode_plan<S: Borrow<ImageStack>>(
+        &self,
+        stack: S,
+    ) -> Result<BrickEncodePlan<S>, PipelineError> {
+        let volume = stack.borrow();
+        let grid = self.grid(volume.width(), volume.height(), volume.depth())?;
+        Ok(BrickEncodePlan { engine: *self, stack, grid })
     }
 
     /// Compresses one brick (plane-major `index` of `grid`) into its
@@ -278,9 +290,7 @@ impl VolumeCompressor {
 
     /// Assembles per-brick payloads (plane-major `grid` order, one per
     /// brick, as produced by [`VolumeCompressor::encode_brick`]) into the
-    /// `LWCV` container [`VolumeCompressor::compress_stack`] writes. Callers
-    /// fanning bricks out themselves — the server's volume op — finish with
-    /// this.
+    /// `LWCV` container [`VolumeCompressor::compress_stack`] writes.
     ///
     /// # Errors
     ///
@@ -312,8 +322,7 @@ impl VolumeCompressor {
     /// declares for near-lossless ones (each plane's stream header is
     /// cross-checked against the bound the container implies).
     ///
-    /// Bricks are decoded in bounded batches (a few per worker) and
-    /// scattered into the volume as each batch completes. Every
+    /// Each brick is placed into the volume as it finishes decoding. Every
     /// reconstructed sample is range-validated against the container's bit
     /// depth after the inverse z transform — corrupt brick payloads that
     /// decode structurally but produce out-of-range voxels are rejected.
@@ -323,36 +332,29 @@ impl VolumeCompressor {
     /// Returns an error for malformed streams, mismatched configuration, or
     /// bricks that disagree with the container's grid geometry.
     pub fn decompress_stack(&self, bytes: &[u8]) -> Result<ImageStack, PipelineError> {
-        let stream = VolumeStream::parse(bytes)?;
+        self.decode_plan(bytes)?.execute(self.workers)
+    }
+
+    /// The decode plan of an `LWCV` container over the whole volume; `B`
+    /// owns or borrows the bytes. The container is parsed and validated
+    /// here, once; [`DecodePlan::select`] narrows the plan to a region.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for a malformed header or directory, or a container
+    /// coded at a different 2-D depth than this engine's codec.
+    pub fn decode_plan<B: AsRef<[u8]>>(&self, bytes: B) -> Result<DecodePlan<B>, PipelineError> {
+        let stream = VolumeStream::parse(bytes.as_ref())?;
         let header = *stream.header();
         self.ensure_scales(&header)?;
-        let grid = stream.grid()?;
-        let mut volume = vec![0i32; header.width * header.height * header.depth];
-        let batch = (self.workers * 4).max(4);
-        let mut index = 0;
-        while index < grid.brick_count() {
-            let count = batch.min(grid.brick_count() - index);
-            let bricks = self.decode_bricks(&stream, &grid, index, count)?;
-            for (offset, brick) in bricks.iter().enumerate() {
-                let rect = grid.rect(index + offset);
-                scatter_brick(&mut volume, header.width, header.height, rect, brick);
-            }
-            index += count;
-        }
-        Ok(ImageStack::from_samples(
-            header.width,
-            header.height,
-            header.depth,
-            header.bit_depth,
-            volume,
-        )
-        .map_err(CoderError::from)?)
+        let offsets = stream.into_offsets();
+        DecodePlan::volume(*self, header, bytes, offsets)
     }
 
     /// Streaming decode: yields the volume one brick-layer **slab** at a
     /// time (front to back), decoding each slab's bricks on the worker
     /// pool. Peak memory is bounded by one slab — `width x height x
-    /// brick_depth` voxels plus one batch of decoded bricks — regardless of
+    /// brick_depth` voxels plus one decoded brick per worker — regardless of
     /// the volume's slice count; sound because the z transform never crosses
     /// a brick boundary. The volumetric mirror of
     /// [`crate::TiledCompressor::decompress_row_bands`].
@@ -362,10 +364,7 @@ impl VolumeCompressor {
     /// Returns an error if the container header or directory is malformed;
     /// per-slab decode errors surface through the iterator's items.
     pub fn decompress_slabs<'a>(&self, bytes: &'a [u8]) -> Result<VolumeSlabs<'a>, PipelineError> {
-        let stream = VolumeStream::parse(bytes)?;
-        self.ensure_scales(stream.header())?;
-        let grid = stream.grid()?;
-        Ok(VolumeSlabs { engine: *self, stream, grid, next_layer: 0 })
+        Ok(VolumeSlabs { plan: self.decode_plan(bytes)?, workers: self.workers, next_layer: 0 })
     }
 
     /// Decodes the minimal set of bricks covering the box `rect` and crops
@@ -382,40 +381,9 @@ impl VolumeCompressor {
         bytes: &[u8],
         rect: BrickRect,
     ) -> Result<ImageStack, PipelineError> {
-        let stream = VolumeStream::parse(bytes)?;
-        let header = *stream.header();
-        self.ensure_scales(&header)?;
-        let grid = stream.grid()?;
-        let indices = grid.covering_indices(rect).ok_or_else(|| {
-            CoderError::MalformedStream(format!(
-                "region ({}, {}, {}) {}x{}x{} does not fit the {}x{}x{} volume",
-                rect.plane.x,
-                rect.plane.y,
-                rect.z,
-                rect.plane.width,
-                rect.plane.height,
-                rect.depth,
-                header.width,
-                header.height,
-                header.depth
-            ))
-        })?;
-        let bricks = run_indexed(self.workers, indices.len(), |i| {
-            self.decode_brick(&stream, &grid, indices[i])
-        })?;
-        let mut region = vec![0i32; rect.voxel_count()];
-        for (&index, brick) in indices.iter().zip(&bricks) {
-            let brick_rect = grid.rect(index);
-            scatter_region(&mut region, rect, brick_rect, brick);
-        }
-        Ok(ImageStack::from_samples(
-            rect.plane.width,
-            rect.plane.height,
-            rect.depth,
-            header.bit_depth,
-            region,
-        )
-        .map_err(CoderError::from)?)
+        let mut plan = self.decode_plan(bytes)?;
+        plan.select(rect)?;
+        plan.execute(self.workers)
     }
 
     /// Decodes brick `index` (plane-major directory order) as a 2-D image —
@@ -453,7 +421,7 @@ impl VolumeCompressor {
             ))
             .into());
         }
-        let samples = self.decode_brick(&stream, &grid, index)?;
+        let samples = self.decode_brick(stream.header(), index, rect, stream.brick_bytes(index))?;
         Ok(Image::from_samples(
             rect.plane.width,
             rect.plane.height,
@@ -475,57 +443,24 @@ impl VolumeCompressor {
         Ok(())
     }
 
-    /// Decodes bricks `first..first + count` (plane-major) on the worker
-    /// pool, returning each brick's plane-major raw samples (inverse z
-    /// applied, range validation deferred to the caller's
-    /// [`ImageStack::from_samples`]).
-    fn decode_bricks(
-        &self,
-        stream: &VolumeStream<'_>,
-        grid: &BrickGrid,
-        first: usize,
-        count: usize,
-    ) -> Result<Vec<Vec<i32>>, PipelineError> {
-        run_indexed(self.workers, count, |offset| self.decode_brick(stream, grid, first + offset))
-    }
-
-    /// Decodes one brick of a parsed stream to its plane-major raw samples —
-    /// the per-brick unit an external scheduler (the server's volume ops)
-    /// fans across workers, paired with [`scatter_region`] to place the
-    /// result. Range validation is deferred: feed the assembled buffer
-    /// through [`ImageStack::from_samples`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the brick's codec error; see
-    /// [`VolumeCompressor::decompress_stack`].
-    pub fn decode_brick_samples(
-        &self,
-        stream: &VolumeStream<'_>,
-        grid: &BrickGrid,
-        index: usize,
-    ) -> Result<Vec<i32>, PipelineError> {
-        Ok(self.decode_brick(stream, grid, index)?)
-    }
-
-    /// Decodes one brick: splits the payload's plane table, 2-D decodes
+    /// Decodes one brick (plane-major `index`, placed at `rect`) to its
+    /// plane-major raw samples: splits the payload's plane table, 2-D decodes
     /// every coefficient plane through the raw (range-unchecked) path, then
     /// inverts the z transform with the **container's** `z_scales`. Each
     /// plane's stream header must carry the per-plane quantizer delta the
     /// container's volume bound implies; near-lossless voxels are clamped to
     /// the container's sample range after the inverse z transform (clamping
     /// only moves a reconstruction toward the original, so the bound holds).
-    fn decode_brick(
+    pub(crate) fn decode_brick(
         &self,
-        stream: &VolumeStream<'_>,
-        grid: &BrickGrid,
+        header: &VolumeHeader,
         index: usize,
+        rect: BrickRect,
+        bytes: &[u8],
     ) -> Result<Vec<i32>, CoderError> {
-        let header = stream.header();
         let expected_delta = plane_delta_for_volume(header.delta, header.z_scales);
-        let rect = grid.rect(index);
         let plane_len = rect.plane.pixel_count();
-        let planes = split_brick_payload(stream.brick_bytes(index), rect.depth)?;
+        let planes = split_brick_payload(bytes, rect.depth)?;
         let mut samples = Vec::with_capacity(plane_len * rect.depth);
         for (z, plane_bytes) in planes.iter().enumerate() {
             let (plane_header, plane) = self.codec.decompress_raw(plane_bytes)?;
@@ -565,23 +500,44 @@ impl VolumeCompressor {
     }
 }
 
-/// Scatters a plane-major brick buffer into the slice-major volume buffer.
-fn scatter_brick(volume: &mut [i32], width: usize, height: usize, rect: BrickRect, brick: &[i32]) {
-    let plane_len = rect.plane.pixel_count();
-    for z in 0..rect.depth {
-        for y in 0..rect.plane.height {
-            let src = z * plane_len + y * rect.plane.width;
-            let dst = ((rect.z + z) * height + rect.plane.y + y) * width + rect.plane.x;
-            volume[dst..dst + rect.plane.width]
-                .copy_from_slice(&brick[src..src + rect.plane.width]);
-        }
+/// The encode plan of a [`VolumeCompressor`]: one part per brick,
+/// assembled into the `LWCV` container.
+pub struct BrickEncodePlan<S> {
+    engine: VolumeCompressor,
+    stack: S,
+    grid: BrickGrid,
+}
+
+impl<S: Borrow<ImageStack> + Send + Sync> Plan for BrickEncodePlan<S> {
+    type Part = Vec<u8>;
+    type Sink = Vec<Vec<u8>>;
+    type Output = Vec<u8>;
+
+    fn parts(&self) -> usize {
+        self.grid.brick_count()
+    }
+
+    fn sink(&self) -> Vec<Vec<u8>> {
+        vec![Vec::new(); self.parts()]
+    }
+
+    fn run(&self, index: usize) -> Result<Vec<u8>, PipelineError> {
+        self.engine.encode_brick(self.stack.borrow(), &self.grid, index)
+    }
+
+    fn place(&self, sink: &mut Vec<Vec<u8>>, index: usize, part: Vec<u8>) {
+        sink[index] = part;
+    }
+
+    fn finish(&self, sink: Vec<Vec<u8>>) -> Result<Vec<u8>, PipelineError> {
+        self.engine.assemble_container(&self.grid, self.stack.borrow().bit_depth(), &sink)
     }
 }
 
-/// Scatters the intersection of a decoded brick (plane-major `samples`, from
-/// [`VolumeCompressor::decode_brick_samples`]) with a requested region into
-/// the region's slice-major buffer (both boxes in volume coordinates;
-/// disjoint boxes are a no-op).
+/// Scatters the intersection of a decoded brick (plane-major `samples`) with
+/// a requested region into the region's slice-major buffer (both boxes in
+/// volume coordinates; disjoint boxes are a no-op). A 2-D tile is a
+/// one-slice brick.
 pub fn scatter_region(region: &mut [i32], want: BrickRect, brick: BrickRect, samples: &[i32]) {
     let x0 = want.plane.x.max(brick.plane.x);
     let x1 = want.plane.right().min(brick.plane.right());
@@ -615,11 +571,11 @@ pub struct VolumeSlab {
     pub stack: ImageStack,
 }
 
-/// Iterator over the slabs of a compressed volume, yielded front to back.
+/// Iterator over the slabs of a compressed volume, yielded front to back:
+/// each slab is the volume's decode plan narrowed to one brick layer.
 pub struct VolumeSlabs<'a> {
-    engine: VolumeCompressor,
-    stream: VolumeStream<'a>,
-    grid: BrickGrid,
+    plan: DecodePlan<&'a [u8]>,
+    workers: usize,
     next_layer: usize,
 }
 
@@ -627,34 +583,23 @@ impl Iterator for VolumeSlabs<'_> {
     type Item = Result<VolumeSlab, PipelineError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next_layer >= self.grid.bricks_z() {
+        let grid = *self.plan.grid();
+        if self.next_layer >= grid.bricks_z() {
             return None;
         }
-        let bz = self.next_layer;
+        let (z, depth) = grid.z_extent(self.next_layer);
         self.next_layer += 1;
-        let header = *self.stream.header();
-        let per_layer = self.grid.plane().tile_count();
-        let (z, slab_depth) = self.grid.z_extent(bz);
-        let result = (|| {
-            let bricks =
-                self.engine.decode_bricks(&self.stream, &self.grid, bz * per_layer, per_layer)?;
-            let mut slab = vec![0i32; header.width * header.height * slab_depth];
-            for (offset, brick) in bricks.iter().enumerate() {
-                let mut rect = self.grid.rect(bz * per_layer + offset);
-                rect.z = 0; // slab-local coordinates
-                scatter_brick(&mut slab, header.width, header.height, rect, brick);
-            }
-            let stack = ImageStack::from_samples(
-                header.width,
-                header.height,
-                slab_depth,
-                header.bit_depth,
-                slab,
-            )
-            .map_err(CoderError::from)?;
-            Ok(VolumeSlab { z, stack })
-        })();
-        Some(result)
+        let plane = TileRect {
+            x: 0,
+            y: 0,
+            width: grid.plane().image_width(),
+            height: grid.plane().image_height(),
+        };
+        let stack = self
+            .plan
+            .select(BrickRect { plane, z, depth })
+            .and_then(|()| self.plan.execute(self.workers));
+        Some(stack.map(|stack| VolumeSlab { z, stack }))
     }
 }
 

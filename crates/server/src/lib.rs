@@ -16,9 +16,9 @@
 //! * [`Server`] — a **nonblocking event loop** (epoll on Linux via the
 //!   vendored `polling` shim, poll(2) elsewhere): one I/O thread multiplexes
 //!   every connection through per-connection state machines, and a
-//!   [work-stealing scheduler](sched::WorkStealing) fans the per-tile jobs
-//!   of one large request across every codec worker over the
-//!   [`TiledCompressor`](lwc_pipeline::TiledCompressor) machinery.
+//!   [work-stealing scheduler](sched::WorkStealing) fans the parts of one
+//!   large request's job [`Plan`](lwc_pipeline::Plan) — its tiles or
+//!   bricks — across every codec worker.
 //!   Backpressure is a **global in-flight budget** plus a per-connection
 //!   cap: overload answers `busy` instead of buffering without bound (the
 //!   FIFO-sizing trade-off made observable), and an optional content-hash

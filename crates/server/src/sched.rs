@@ -21,8 +21,6 @@
 //! bounded here — admission control (the server's global in-flight budget)
 //! happens before tasks enter, which is what turns overload into an
 //! explicit `busy` instead of unbounded buffering.
-//!
-//! JobQueue: the bounded FIFO of PRs 4–7, now retired.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -8,13 +8,22 @@
 //! control — a **global in-flight budget** plus a per-connection cap, both
 //! answered with typed `busy` — and enter a work-stealing scheduler
 //! ([`WorkStealing`]): one deque per codec worker, owner LIFO at the bottom,
-//! idle workers stealing FIFO from the top. A multi-tile request splits
-//! itself into per-tile tasks on its worker's own deque, so one large image
-//! fans across every idle worker while the assembled bytes stay identical
-//! to the sequential engine's. Completed responses ride a completion queue
-//! back to the I/O thread, which wakes via [`Poller::notify`]. An optional
-//! content-hash LRU cache answers repeated compress/decompress payloads
-//! without touching the engine at all.
+//! idle workers stealing FIFO from the top.
+//!
+//! A worker turns each request into the engine's job [`Plan`] — tiles or
+//! bricks to encode, or the parts covering the requested box to decode —
+//! building it once: the container is parsed and validated there, and every
+//! typed refusal and the response-size check happen before any codec work.
+//! A plan with one part, or a pool with one worker, runs inline. Otherwise
+//! one generic fan pushes a `Task::Part` per part onto the worker's own
+//! deque, idle workers steal them, each part is placed into the output as it
+//! finishes, and the last one assembles the reply; the bytes are the
+//! sequential engine's either way. The task boundary is also the panic
+//! boundary: a panicking request or part becomes that request's one
+//! `Internal` reply and the worker lives on. Completed responses ride a
+//! completion queue back to the I/O thread, which wakes via
+//! [`Poller::notify`]. An optional content-hash LRU cache answers repeated
+//! compress/decompress payloads without touching the engine at all.
 
 use crate::cache::ResponseCache;
 use crate::conn::{ConnPhase, Connection, ReadResult};
@@ -26,23 +35,18 @@ use crate::protocol::{
 use crate::rawvol::{raw_volume_len, read_raw_volume, write_raw_volume};
 use crate::sched::WorkStealing;
 use crate::stats::{Metrics, SchedSnapshot, ServerStats};
-use lwc_coder::bitio::BitReader;
-use lwc_coder::fixedtiled::is_fixed;
-use lwc_coder::tiled::is_tiled;
-use lwc_coder::{
-    is_volume, FixedHeader, FixedStream, LosslessCodec, StreamHeader, TiledHeader, TiledStream,
-    VolumeHeader, VolumeStream,
-};
+use lwc_coder::{is_volume, LosslessCodec};
 use lwc_image::pgm;
-use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, TileGrid, TileRect};
+use lwc_image::{BrickRect, ImageStack, TileRect};
 use lwc_pipeline::{
-    scatter_region, Codec, TiledCompressor, TiledFixedCompressor, VolumeCompressor,
-    DEFAULT_BRICK_DEPTH, DEFAULT_TILE_SIZE,
+    DecodePlan, PipelineError, Plan, TiledCompressor, VolumeCompressor, DEFAULT_BRICK_DEPTH,
+    DEFAULT_TILE_SIZE,
 };
 use polling::{Event, Poller, NOTIFY_KEY};
 use std::collections::{HashMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{Shutdown, SocketAddr, TcpListener, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -130,103 +134,103 @@ struct Job {
     payload: Vec<u8>,
 }
 
-/// A multi-tile `compress` fanned across workers: each tile task encodes
-/// one payload; the last to finish assembles the container.
-struct CompressFan {
-    token: usize,
-    request_id: u64,
-    /// Original PGM request payload (the cache key on insert).
-    payload: Vec<u8>,
-    image: Image,
-    grid: TileGrid,
-    parts: Mutex<Vec<Option<Vec<u8>>>>,
-    remaining: AtomicUsize,
-    failed: Mutex<Option<(ErrorCode, String)>>,
-}
-
-/// A multi-tile `decompress` fanned across workers: each tile task decodes
-/// one tile image; the last to finish scatters them into the frame.
-struct DecodeFan {
-    token: usize,
-    request_id: u64,
-    /// The compressed container (re-parsed per tile; the directory makes
-    /// that a slice lookup, not a scan).
-    payload: Vec<u8>,
-    /// `true` for `LWCF`, `false` for `LWCT`.
-    fixed: bool,
-    width: usize,
-    height: usize,
-    bit_depth: u32,
-    grid: TileGrid,
-    parts: Mutex<Vec<Option<Image>>>,
-    remaining: AtomicUsize,
-    failed: Mutex<Option<(ErrorCode, String)>>,
-}
-
-/// A multi-brick `compress-volume` fanned across workers: each brick task
-/// encodes one payload; the last to finish assembles the `LWCV` container.
-struct VolumeFan {
-    token: usize,
-    request_id: u64,
-    stack: ImageStack,
-    grid: BrickGrid,
-    parts: Mutex<Vec<Option<Vec<u8>>>>,
-    remaining: AtomicUsize,
-    failed: Mutex<Option<(ErrorCode, String)>>,
-}
-
-/// A fanned volumetric decode: each brick task decodes one brick's raw
-/// samples; the last to finish scatters them into the requested box. Serves
-/// both `decompress-volume` (the box is the whole volume) and
-/// `decompress-region` over `LWCV` streams.
-struct VolumeDecodeFan {
-    token: usize,
-    request_id: u64,
-    /// [`Op::OkDecompressVolume`] or [`Op::OkDecompressRegion`].
-    respond_op: Op,
-    /// The `LWCV` container (request prefix stripped; re-parsed per brick —
-    /// the directory makes that a slice lookup, not a scan).
-    stream: Vec<u8>,
-    engine: VolumeCompressor,
-    header: VolumeHeader,
-    grid: BrickGrid,
-    /// The requested box, in volume coordinates.
-    rect: BrickRect,
-    /// Plane-major brick indices covering the box; slot `i` of `parts`
-    /// holds brick `indices[i]`.
-    indices: Vec<usize>,
-    parts: Mutex<Vec<Option<Vec<i32>>>>,
-    remaining: AtomicUsize,
-    failed: Mutex<Option<(ErrorCode, String)>>,
-}
-
-/// A fanned 2-D `decompress-region`: each task decodes one covering tile of
-/// an `LWCT`/`LWCF` directory; the last to finish crops the region out.
-struct RegionFan {
-    token: usize,
-    request_id: u64,
-    /// The container (request prefix stripped).
-    stream: Vec<u8>,
-    /// `true` for `LWCF`, `false` for `LWCT`.
-    fixed: bool,
-    rect: TileRect,
-    bit_depth: u32,
-    grid: TileGrid,
-    /// Row-major tile indices covering the rectangle.
-    indices: Vec<usize>,
-    parts: Mutex<Vec<Option<Image>>>,
-    remaining: AtomicUsize,
-    failed: Mutex<Option<(ErrorCode, String)>>,
-}
-
-/// What worker deques carry: whole requests, or per-tile slices of one.
+/// What worker deques carry: whole requests, or one part of a fanned one.
 enum Task {
     Request(Job),
-    CompressTile { fan: Arc<CompressFan>, index: usize },
-    DecodeTile { fan: Arc<DecodeFan>, index: usize },
-    VolumeBrick { fan: Arc<VolumeFan>, index: usize },
-    VolumeDecodeBrick { fan: Arc<VolumeDecodeFan>, slot: usize },
-    RegionTile { fan: Arc<RegionFan>, slot: usize },
+    Part { fan: Arc<Fan>, index: usize },
+}
+
+/// A typed error reply: its code and message.
+type Refusal = (ErrorCode, String);
+
+/// Where a request's reply goes. `cache_key` holds the request payload of a
+/// cacheable op while the response cache is on.
+struct ReplyTo {
+    token: usize,
+    request_id: u64,
+    op: Op,
+    cache_key: Option<Vec<u8>>,
+}
+
+impl ReplyTo {
+    /// Sends the one reply a request gets — a success (cached if cacheable)
+    /// or a typed error — and wakes the I/O thread.
+    fn send(self, shared: &Shared, outcome: Result<Vec<u8>, Refusal>) {
+        match outcome.and_then(|payload| ensure_frame_fits(shared, payload)) {
+            Ok(payload) => {
+                if let (Some(key), Some(cache)) = (self.cache_key, &shared.cache) {
+                    cache.lock().expect("poisoned").insert(self.op, key, payload.clone());
+                }
+                Metrics::bump(&shared.metrics.completed_requests);
+                let frame = Frame { op: self.op.response(), request_id: self.request_id, payload };
+                push_completion(shared, self.token, frame);
+            }
+            Err((code, message)) => {
+                Metrics::bump(&shared.metrics.error_replies);
+                push_completion(shared, self.token, Frame::error(self.request_id, code, &message));
+            }
+        }
+    }
+}
+
+/// A request's plan as the workers see it: parts to run and place, then
+/// one response payload to assemble. Type-erased so one fan carries every op.
+trait Work: Send + Sync {
+    fn parts(&self) -> usize;
+    /// Runs part `index` and places it into the plan's sink.
+    fn run_part(&self, index: usize) -> Result<(), Refusal>;
+    /// Assembles the placed parts into the response payload.
+    fn finish(&self) -> Result<Vec<u8>, Refusal>;
+}
+
+/// A [`Plan`] with its sink, the error class its failures answer, and the
+/// encoding of its output as a response payload.
+struct Planned<P: Plan> {
+    plan: P,
+    sink: Mutex<Option<P::Sink>>,
+    /// `BadPayload` for decodes (the stream is at fault), `Internal` for
+    /// encodes; with the message prefix.
+    failure: (ErrorCode, &'static str),
+    respond: fn(&P, P::Output) -> Result<Vec<u8>, Refusal>,
+}
+
+impl<P: Plan + 'static> Planned<P> {
+    fn boxed(
+        plan: P,
+        failure: (ErrorCode, &'static str),
+        respond: fn(&P, P::Output) -> Result<Vec<u8>, Refusal>,
+    ) -> Box<dyn Work> {
+        let sink = Mutex::new(Some(plan.sink()));
+        Box::new(Self { plan, sink, failure, respond })
+    }
+}
+
+impl<P: Plan + 'static> Work for Planned<P> {
+    fn parts(&self) -> usize {
+        self.plan.parts()
+    }
+
+    fn run_part(&self, index: usize) -> Result<(), Refusal> {
+        let part = self.plan.run(index).map_err(|e| refuse(self.failure, e))?;
+        let mut sink = self.sink.lock().expect("poisoned");
+        self.plan.place(sink.as_mut().expect("parts run before finish"), index, part);
+        Ok(())
+    }
+
+    fn finish(&self) -> Result<Vec<u8>, Refusal> {
+        let sink = self.sink.lock().expect("poisoned").take().expect("finished once");
+        let output = self.plan.finish(sink).map_err(|e| refuse(self.failure, e))?;
+        (self.respond)(&self.plan, output)
+    }
+}
+
+/// A request fanned out as one task per part; the last part to finish
+/// assembles and replies.
+struct Fan {
+    work: Box<dyn Work>,
+    reply: Mutex<Option<ReplyTo>>,
+    remaining: AtomicUsize,
+    failed: Mutex<Option<Refusal>>,
 }
 
 /// A finished response traveling from a worker back to the I/O thread.
@@ -775,629 +779,171 @@ fn close_conn(shared: &Arc<Shared>, conns: &mut HashMap<usize, Connection>, toke
     }
 }
 
-/// Executes one scheduled task on a worker thread.
+/// Executes one scheduled task on a worker thread — the server's one panic
+/// boundary: every call into a plan runs under [`guarded`], so a panicking
+/// request or part becomes that request's single `Internal` reply, the
+/// in-flight budget settles when it is delivered, and the worker (and the
+/// scheduler's busy count) carries on.
 fn run_task(shared: &Arc<Shared>, worker: usize, task: Task) {
     match task {
-        Task::Request(job) => run_request(shared, worker, job),
-        Task::CompressTile { fan, index } => run_compress_tile(shared, &fan, index),
-        Task::DecodeTile { fan, index } => run_decode_tile(shared, &fan, index),
-        Task::VolumeBrick { fan, index } => run_volume_brick(shared, &fan, index),
-        Task::VolumeDecodeBrick { fan, slot } => run_volume_decode_brick(shared, &fan, slot),
-        Task::RegionTile { fan, slot } => run_region_tile(shared, &fan, slot),
-    }
-}
-
-/// Runs a whole request: multi-tile work splits itself into per-tile tasks
-/// on this worker's own deque (idle workers steal them); everything else
-/// executes directly.
-fn run_request(shared: &Arc<Shared>, worker: usize, job: Job) {
-    let job = match try_fan_out(shared, worker, job) {
-        Ok(()) => return, // tiles queued; the last to finish responds
-        Err(job) => job,
-    };
-    let outcome = execute(shared, job.op, &job.payload)
-        .and_then(|payload| ensure_frame_fits(shared, payload));
-    match outcome {
-        Ok(response) => {
-            cache_insert(shared, job.op, &job.payload, &response);
-            respond_ok(shared, job.token, job.op.response(), job.request_id, response);
+        Task::Request(Job { op, request_id, token, payload }) => {
+            let cacheable = shared.cache.is_some() && matches!(op, Op::Compress | Op::Decompress);
+            let cache_key = cacheable.then(|| payload.clone());
+            let reply = ReplyTo { token, request_id, op, cache_key };
+            match guarded(|| plan_request(shared, op, payload)) {
+                Ok(work) if work.parts() >= 2 && shared.sched.workers() >= 2 => {
+                    let parts = work.parts();
+                    let fan = Arc::new(Fan {
+                        work,
+                        reply: Mutex::new(Some(reply)),
+                        remaining: AtomicUsize::new(parts),
+                        failed: Mutex::new(None),
+                    });
+                    for index in 0..parts {
+                        shared
+                            .sched
+                            .push_local(worker, Task::Part { fan: Arc::clone(&fan), index });
+                    }
+                }
+                Ok(work) => reply.send(
+                    shared,
+                    guarded(|| {
+                        (0..work.parts()).try_for_each(|index| work.run_part(index))?;
+                        work.finish()
+                    }),
+                ),
+                Err(refusal) => reply.send(shared, Err(refusal)),
+            }
         }
-        Err((code, message)) => respond_error(shared, job.token, job.request_id, code, &message),
+        Task::Part { fan, index } => {
+            if fan.failed.lock().expect("poisoned").is_none() {
+                if let Err(refusal) = guarded(|| fan.work.run_part(index)) {
+                    fan.failed.lock().expect("poisoned").get_or_insert(refusal);
+                }
+            }
+            if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                let outcome = match fan.failed.lock().expect("poisoned").take() {
+                    Some(refusal) => Err(refusal),
+                    None => guarded(|| fan.work.finish()),
+                };
+                let reply = fan.reply.lock().expect("poisoned").take().expect("one reply per fan");
+                reply.send(shared, outcome);
+            }
+        }
     }
 }
 
-/// Splits a multi-tile compress/decompress into per-tile tasks. `Err(job)`
-/// hands the request back for the direct path (single tile, single worker,
-/// or any condition the direct path will classify with its typed error).
-fn try_fan_out(shared: &Arc<Shared>, worker: usize, job: Job) -> Result<(), Job> {
-    if shared.sched.workers() < 2 {
-        return Err(job);
+/// Runs `f`, turning a panic into an `Internal` refusal.
+fn guarded<T>(f: impl FnOnce() -> Result<T, Refusal>) -> Result<T, Refusal> {
+    panic::catch_unwind(AssertUnwindSafe(f))
+        .unwrap_or_else(|_| Err((ErrorCode::Internal, "the request's handler panicked".to_owned())))
+}
+
+/// Builds a request's plan: parses and validates the payload (a container
+/// is parsed once, here), makes every typed refusal, and checks a decode's
+/// response size from the header before any decode work.
+fn plan_request(shared: &Shared, op: Op, payload: Vec<u8>) -> Result<Box<dyn Work>, Refusal> {
+    const ENCODE: (ErrorCode, &str) = (ErrorCode::Internal, "compression failed");
+    const DECODE: (ErrorCode, &str) = (ErrorCode::BadPayload, "invalid compressed payload");
+    let bad = |e: PipelineError| refuse(DECODE, e);
+    #[cfg(test)]
+    if op == Op::Compress && payload == tests::PANIC_PROBE {
+        return Ok(Planned::boxed(tests::PanicPlan, ENCODE, |_, ()| Ok(Vec::new())));
     }
-    match job.op {
+    let plan = match op {
         Op::Compress => {
-            let Ok(image) = pgm::read_pgm(job.payload.as_slice()) else { return Err(job) };
-            let Ok(grid) = shared.engine.grid(image.width(), image.height()) else {
-                return Err(job);
-            };
-            if grid.tile_count() < 2 {
-                return Err(job);
-            }
-            let tiles = grid.tile_count();
-            let fan = Arc::new(CompressFan {
-                token: job.token,
-                request_id: job.request_id,
-                payload: job.payload,
-                image,
-                grid,
-                parts: Mutex::new(vec![None; tiles]),
-                remaining: AtomicUsize::new(tiles),
-                failed: Mutex::new(None),
-            });
-            for index in 0..tiles {
-                shared
-                    .sched
-                    .push_local(worker, Task::CompressTile { fan: Arc::clone(&fan), index });
-            }
-            Ok(())
-        }
-        Op::Decompress => {
-            // Probe the container shape; any parse problem falls back to the
-            // direct path for its typed error.
-            let probe = if is_tiled(&job.payload) {
-                TiledStream::parse(&job.payload).ok().and_then(|s| {
-                    let h = *s.header();
-                    s.grid().ok().map(|g| (false, h.width, h.height, h.bit_depth, g))
-                })
-            } else if is_fixed(&job.payload) {
-                FixedStream::parse(&job.payload).ok().and_then(|s| {
-                    let h = *s.header();
-                    s.grid().ok().map(|g| (true, h.width, h.height, h.bit_depth, g))
-                })
-            } else {
-                None
-            };
-            let Some((fixed, width, height, bit_depth, grid)) = probe else { return Err(job) };
-            if grid.tile_count() < 2
-                || ensure_response_fits(shared, width, height, bit_depth).is_err()
-            {
-                return Err(job);
-            }
-            let tiles = grid.tile_count();
-            let fan = Arc::new(DecodeFan {
-                token: job.token,
-                request_id: job.request_id,
-                payload: job.payload,
-                fixed,
-                width,
-                height,
-                bit_depth,
-                grid,
-                parts: Mutex::new(vec![None; tiles]),
-                remaining: AtomicUsize::new(tiles),
-                failed: Mutex::new(None),
-            });
-            for index in 0..tiles {
-                shared.sched.push_local(worker, Task::DecodeTile { fan: Arc::clone(&fan), index });
-            }
-            Ok(())
+            let image = pgm::read_pgm(payload.as_slice())
+                .map_err(|e| (ErrorCode::BadPayload, format!("invalid PGM payload: {e}")))?;
+            let plan = shared.engine.encode_plan(image).map_err(|e| refuse(ENCODE, e))?;
+            return Ok(Planned::boxed(plan, ENCODE, |_, bytes| Ok(bytes)));
         }
         Op::CompressVolume => {
-            let Ok(stack) = read_raw_volume(&job.payload) else { return Err(job) };
-            let Ok(grid) = shared.volume_engine.grid(stack.width(), stack.height(), stack.depth())
-            else {
-                return Err(job);
-            };
-            if grid.brick_count() < 2 {
-                return Err(job);
+            let stack = read_raw_volume(&payload)
+                .map_err(|e| (ErrorCode::BadPayload, format!("invalid raw volume payload: {e}")))?;
+            let plan = shared.volume_engine.encode_plan(stack).map_err(|e| refuse(ENCODE, e))?;
+            return Ok(Planned::boxed(plan, ENCODE, |_, bytes| Ok(bytes)));
+        }
+        Op::Decompress => {
+            if is_volume(&payload) {
+                return Err((
+                    ErrorCode::BadPayload,
+                    "stream is a volumetric LWCV container: use decompress-volume".to_owned(),
+                ));
             }
-            let bricks = grid.brick_count();
-            let fan = Arc::new(VolumeFan {
-                token: job.token,
-                request_id: job.request_id,
-                stack,
-                grid,
-                parts: Mutex::new(vec![None; bricks]),
-                remaining: AtomicUsize::new(bricks),
-                failed: Mutex::new(None),
-            });
-            for index in 0..bricks {
-                shared.sched.push_local(worker, Task::VolumeBrick { fan: Arc::clone(&fan), index });
-            }
-            Ok(())
+            DecodePlan::sniff(payload).map_err(bad)?
         }
         Op::DecompressVolume => {
-            let Some((engine, header, grid)) = probe_volume(&job.payload) else { return Err(job) };
-            let whole = BrickRect {
-                plane: TileRect { x: 0, y: 0, width: header.width, height: header.height },
-                z: 0,
-                depth: header.depth,
-            };
-            let Some(indices) = grid.covering_indices(whole) else { return Err(job) };
-            if indices.len() < 2
-                || ensure_volume_response_fits(
-                    shared,
-                    header.width,
-                    header.height,
-                    header.depth,
-                    header.bit_depth,
-                )
-                .is_err()
-            {
-                return Err(job);
+            if !is_volume(&payload) {
+                return Err((
+                    ErrorCode::BadPayload,
+                    "invalid compressed payload: not an LWCV container".to_owned(),
+                ));
             }
-            fan_volume_decode(
-                shared,
-                worker,
-                &job,
-                Op::OkDecompressVolume,
-                job.payload.clone(),
-                engine,
-                header,
-                grid,
-                whole,
-                indices,
-            );
-            Ok(())
+            DecodePlan::sniff(payload).map_err(bad)?
+        }
+        Op::DecompressTile => {
+            let index = tile_index(&payload)?;
+            let mut stream = payload;
+            stream.drain(..4);
+            if is_volume(&stream) {
+                return Err((
+                    ErrorCode::BadPayload,
+                    "stream is a volumetric LWCV container: use decompress-region".to_owned(),
+                ));
+            }
+            let mut plan = DecodePlan::sniff(stream).map_err(bad)?;
+            let tiles = plan.grid().brick_count();
+            if index >= tiles {
+                return Err((
+                    ErrorCode::TileIndexOutOfRange,
+                    format!("tile index {index} out of range: the stream has {tiles} tiles"),
+                ));
+            }
+            plan.select(plan.grid().rect(index)).map_err(bad)?;
+            plan
         }
         Op::DecompressRegion => {
-            let Ok((rect, stream_bytes)) = split_region_request(&job.payload) else {
-                return Err(job);
-            };
-            if is_volume(stream_bytes) {
-                let Some((engine, header, grid)) = probe_volume(stream_bytes) else {
-                    return Err(job);
-                };
-                let Some(indices) = grid.covering_indices(rect) else { return Err(job) };
-                if indices.len() < 2
-                    || ensure_volume_response_fits(
-                        shared,
-                        rect.plane.width,
-                        rect.plane.height,
-                        rect.depth,
-                        header.bit_depth,
-                    )
-                    .is_err()
-                {
-                    return Err(job);
-                }
-                fan_volume_decode(
-                    shared,
-                    worker,
-                    &job,
-                    Op::OkDecompressRegion,
-                    stream_bytes.to_vec(),
-                    engine,
-                    header,
-                    grid,
-                    rect,
-                    indices,
-                );
-                return Ok(());
-            }
-            // 2-D containers: the region must be a single slice.
-            if rect.z != 0 || rect.depth != 1 {
-                return Err(job);
-            }
-            let probe = if is_tiled(stream_bytes) {
-                TiledStream::parse(stream_bytes).ok().and_then(|s| {
-                    let h = *s.header();
-                    s.grid().ok().map(|g| (false, h.bit_depth, g))
-                })
-            } else if is_fixed(stream_bytes) {
-                FixedStream::parse(stream_bytes).ok().and_then(|s| {
-                    let h = *s.header();
-                    s.grid().ok().map(|g| (true, h.bit_depth, g))
-                })
-            } else {
-                None
-            };
-            let Some((fixed, bit_depth, grid)) = probe else { return Err(job) };
-            let Some(indices) = grid.covering_indices(rect.plane) else { return Err(job) };
-            if indices.len() < 2
-                || ensure_response_fits(shared, rect.plane.width, rect.plane.height, bit_depth)
-                    .is_err()
-            {
-                return Err(job);
-            }
-            let slots = indices.len();
-            let fan = Arc::new(RegionFan {
-                token: job.token,
-                request_id: job.request_id,
-                stream: stream_bytes.to_vec(),
-                fixed,
-                rect: rect.plane,
-                bit_depth,
-                grid,
-                indices,
-                parts: Mutex::new(vec![None; slots]),
-                remaining: AtomicUsize::new(slots),
-                failed: Mutex::new(None),
-            });
-            for slot in 0..slots {
-                shared.sched.push_local(worker, Task::RegionTile { fan: Arc::clone(&fan), slot });
-            }
-            Ok(())
+            let region = region_of(&payload)?;
+            let mut stream = payload;
+            stream.drain(..24);
+            let mut plan = DecodePlan::sniff(stream).map_err(bad)?;
+            plan.select(region)
+                .map_err(|e| (ErrorCode::BadPayload, format!("invalid region: {e}")))?;
+            plan
         }
-        _ => Err(job),
-    }
+        other => return Err((ErrorCode::UnknownOp, format!("{other:?} is not a request op"))),
+    };
+    ensure_response_fits(shared, &plan)?;
+    Ok(Planned::boxed(plan, DECODE, decoded))
 }
 
-/// Parses an `LWCV` payload into the header-matched single-threaded engine
-/// and the grid; `None` hands the request to the direct path for its typed
-/// error.
-fn probe_volume(bytes: &[u8]) -> Option<(VolumeCompressor, VolumeHeader, BrickGrid)> {
-    if !is_volume(bytes) {
-        return None;
-    }
-    let stream = VolumeStream::parse(bytes).ok()?;
-    let header = *stream.header();
-    let grid = stream.grid().ok()?;
-    let engine = volume_engine_for(&header).ok()?;
-    Some((engine, header, grid))
+fn refuse(failure: (ErrorCode, &str), error: impl std::fmt::Display) -> Refusal {
+    (failure.0, format!("{}: {error}", failure.1))
 }
 
-/// Queues the per-brick decode tasks of a volumetric fan.
-#[allow(clippy::too_many_arguments)]
-fn fan_volume_decode(
-    shared: &Arc<Shared>,
-    worker: usize,
-    job: &Job,
-    respond_op: Op,
-    stream: Vec<u8>,
-    engine: VolumeCompressor,
-    header: VolumeHeader,
-    grid: BrickGrid,
-    rect: BrickRect,
-    indices: Vec<usize>,
-) {
-    let slots = indices.len();
-    let fan = Arc::new(VolumeDecodeFan {
-        token: job.token,
-        request_id: job.request_id,
-        respond_op,
-        stream,
-        engine,
-        header,
-        grid,
-        rect,
-        indices,
-        parts: Mutex::new(vec![None; slots]),
-        remaining: AtomicUsize::new(slots),
-        failed: Mutex::new(None),
-    });
-    for slot in 0..slots {
-        shared.sched.push_local(worker, Task::VolumeDecodeBrick { fan: Arc::clone(&fan), slot });
+/// A decoded box as a response payload: a raw volume for `LWCV` streams, a
+/// PGM image for the 2-D formats.
+fn decoded(plan: &DecodePlan<Vec<u8>>, stack: ImageStack) -> Result<Vec<u8>, Refusal> {
+    if plan.is_volume() {
+        return Ok(write_raw_volume(&stack));
     }
+    let image = stack
+        .into_image()
+        .map_err(|e| (ErrorCode::Internal, format!("decompression failed: {e}")))?;
+    let mut bytes = Vec::with_capacity(image.pixel_count() * 2 + 64);
+    pgm::write_pgm(&image, &mut bytes)
+        .map_err(|e| (ErrorCode::Internal, format!("PGM serialization failed: {e}")))?;
+    Ok(bytes)
 }
 
-/// Encodes one tile of a fanned-out compress; the last finisher assembles.
-fn run_compress_tile(shared: &Arc<Shared>, fan: &Arc<CompressFan>, index: usize) {
-    if fan.failed.lock().expect("poisoned").is_none() {
-        match shared.engine.encode_tile(&fan.image, &fan.grid, index) {
-            Ok(bytes) => fan.parts.lock().expect("poisoned")[index] = Some(bytes),
-            Err(e) => {
-                let mut failed = fan.failed.lock().expect("poisoned");
-                if failed.is_none() {
-                    *failed = Some((ErrorCode::Internal, format!("compression failed: {e}")));
-                }
-            }
-        }
-    }
-    if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finish_compress(shared, fan);
-    }
-}
-
-/// Assembles the `LWCT` container from the fanned tile payloads —
-/// byte-identical to the sequential engine, which is built on the same
-/// per-tile encode and container writer.
-fn finish_compress(shared: &Arc<Shared>, fan: &Arc<CompressFan>) {
-    if let Some((code, message)) = fan.failed.lock().expect("poisoned").take() {
-        respond_error(shared, fan.token, fan.request_id, code, &message);
-        return;
-    }
-    let parts = std::mem::take(&mut *fan.parts.lock().expect("poisoned"));
-    let payloads: Vec<Vec<u8>> =
-        parts.into_iter().map(|p| p.expect("every tile encoded")).collect();
-    let outcome = shared
-        .engine
-        .assemble_container(&fan.grid, fan.image.bit_depth(), &payloads)
-        .map_err(|e| (ErrorCode::Internal, format!("compression failed: {e}")))
-        .and_then(|bytes| ensure_frame_fits(shared, bytes));
-    match outcome {
-        Ok(response) => {
-            cache_insert(shared, Op::Compress, &fan.payload, &response);
-            respond_ok(shared, fan.token, Op::OkCompress, fan.request_id, response);
-        }
-        Err((code, message)) => respond_error(shared, fan.token, fan.request_id, code, &message),
-    }
-}
-
-/// Decodes one tile of a fanned-out decompress; the last finisher scatters.
-fn run_decode_tile(shared: &Arc<Shared>, fan: &Arc<DecodeFan>, index: usize) {
-    if fan.failed.lock().expect("poisoned").is_none() {
-        let bad =
-            |e: ServerError| (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"));
-        let result = if fan.fixed {
-            FixedStream::parse(&fan.payload).map_err(|e| bad(e.into())).and_then(|stream| {
-                let engine = fixed_engine(stream.header()).map_err(bad)?;
-                engine.decompress_parsed_tile(&stream, index).map_err(|e| bad(e.into()))
-            })
-        } else {
-            TiledStream::parse(&fan.payload).map_err(|e| bad(e.into())).and_then(|stream| {
-                let engine = tiled_engine(stream.header()).map_err(bad)?;
-                engine.decompress_parsed_tile(&stream, index).map_err(|e| bad(e.into()))
-            })
-        };
-        match result {
-            Ok(tile) => fan.parts.lock().expect("poisoned")[index] = Some(tile),
-            Err(em) => {
-                let mut failed = fan.failed.lock().expect("poisoned");
-                if failed.is_none() {
-                    *failed = Some(em);
-                }
-            }
-        }
-    }
-    if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finish_decode(shared, fan);
-    }
-}
-
-/// Scatters the fanned tile images into the output frame and serializes the
-/// PGM response — the same scatter the sequential decompress performs.
-fn finish_decode(shared: &Arc<Shared>, fan: &Arc<DecodeFan>) {
-    if let Some((code, message)) = fan.failed.lock().expect("poisoned").take() {
-        respond_error(shared, fan.token, fan.request_id, code, &message);
-        return;
-    }
-    let parts = std::mem::take(&mut *fan.parts.lock().expect("poisoned"));
-    let internal = |e: String| (ErrorCode::Internal, format!("decompression failed: {e}"));
-    let outcome = Image::zeros(fan.width, fan.height, fan.bit_depth)
-        .map_err(|e| internal(e.to_string()))
-        .and_then(|mut frame| {
-            for (index, tile) in parts.into_iter().enumerate() {
-                let tile = tile.expect("every tile decoded");
-                frame
-                    .view_rect_mut(fan.grid.rect(index))
-                    .and_then(|mut window| window.copy_from_image(&tile))
-                    .map_err(|e| internal(e.to_string()))?;
-            }
-            encode_pgm(&frame)
-        })
-        .and_then(|bytes| ensure_frame_fits(shared, bytes));
-    match outcome {
-        Ok(response) => {
-            cache_insert(shared, Op::Decompress, &fan.payload, &response);
-            respond_ok(shared, fan.token, Op::OkDecompress, fan.request_id, response);
-        }
-        Err((code, message)) => respond_error(shared, fan.token, fan.request_id, code, &message),
-    }
-}
-
-/// Encodes one brick of a fanned-out compress-volume; the last finisher
-/// assembles the `LWCV` container.
-fn run_volume_brick(shared: &Arc<Shared>, fan: &Arc<VolumeFan>, index: usize) {
-    if fan.failed.lock().expect("poisoned").is_none() {
-        match shared.volume_engine.encode_brick(&fan.stack, &fan.grid, index) {
-            Ok(bytes) => fan.parts.lock().expect("poisoned")[index] = Some(bytes),
-            Err(e) => {
-                let mut failed = fan.failed.lock().expect("poisoned");
-                if failed.is_none() {
-                    *failed = Some((ErrorCode::Internal, format!("compression failed: {e}")));
-                }
-            }
-        }
-    }
-    if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finish_volume_compress(shared, fan);
-    }
-}
-
-/// Assembles the `LWCV` container from the fanned brick payloads —
-/// byte-identical to the sequential engine, which is built on the same
-/// per-brick encode and container writer.
-fn finish_volume_compress(shared: &Arc<Shared>, fan: &Arc<VolumeFan>) {
-    if let Some((code, message)) = fan.failed.lock().expect("poisoned").take() {
-        respond_error(shared, fan.token, fan.request_id, code, &message);
-        return;
-    }
-    let parts = std::mem::take(&mut *fan.parts.lock().expect("poisoned"));
-    let payloads: Vec<Vec<u8>> =
-        parts.into_iter().map(|p| p.expect("every brick encoded")).collect();
-    let outcome = shared
-        .volume_engine
-        .assemble_container(&fan.grid, fan.stack.bit_depth(), &payloads)
-        .map_err(|e| (ErrorCode::Internal, format!("compression failed: {e}")))
-        .and_then(|bytes| ensure_frame_fits(shared, bytes));
-    match outcome {
-        Ok(response) => {
-            respond_ok(shared, fan.token, Op::OkCompressVolume, fan.request_id, response);
-        }
-        Err((code, message)) => respond_error(shared, fan.token, fan.request_id, code, &message),
-    }
-}
-
-/// Decodes one brick of a fanned-out volumetric decode (whole volume or
-/// region); the last finisher scatters.
-fn run_volume_decode_brick(shared: &Arc<Shared>, fan: &Arc<VolumeDecodeFan>, slot: usize) {
-    if fan.failed.lock().expect("poisoned").is_none() {
-        let bad = |e: String| (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"));
-        let result =
-            VolumeStream::parse(&fan.stream).map_err(|e| bad(e.to_string())).and_then(|stream| {
-                fan.engine
-                    .decode_brick_samples(&stream, &fan.grid, fan.indices[slot])
-                    .map_err(|e| bad(e.to_string()))
-            });
-        match result {
-            Ok(samples) => fan.parts.lock().expect("poisoned")[slot] = Some(samples),
-            Err(em) => {
-                let mut failed = fan.failed.lock().expect("poisoned");
-                if failed.is_none() {
-                    *failed = Some(em);
-                }
-            }
-        }
-    }
-    if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finish_volume_decode(shared, fan);
-    }
-}
-
-/// Scatters the fanned brick samples into the requested region and
-/// serializes the raw-volume response — the same scatter the sequential
-/// volumetric decode performs.
-fn finish_volume_decode(shared: &Arc<Shared>, fan: &Arc<VolumeDecodeFan>) {
-    if let Some((code, message)) = fan.failed.lock().expect("poisoned").take() {
-        respond_error(shared, fan.token, fan.request_id, code, &message);
-        return;
-    }
-    let parts = std::mem::take(&mut *fan.parts.lock().expect("poisoned"));
-    let internal = |e: String| (ErrorCode::Internal, format!("decompression failed: {e}"));
-    let rect = fan.rect;
-    let mut region = vec![0i32; rect.plane.width * rect.plane.height * rect.depth];
-    for (slot, samples) in parts.into_iter().enumerate() {
-        let samples = samples.expect("every brick decoded");
-        scatter_region(&mut region, rect, fan.grid.rect(fan.indices[slot]), &samples);
-    }
-    let outcome = ImageStack::from_samples(
-        rect.plane.width,
-        rect.plane.height,
-        rect.depth,
-        fan.header.bit_depth,
-        region,
-    )
-    .map_err(|e| internal(e.to_string()))
-    .map(|stack| write_raw_volume(&stack))
-    .and_then(|bytes| ensure_frame_fits(shared, bytes));
-    match outcome {
-        Ok(response) => {
-            respond_ok(shared, fan.token, fan.respond_op, fan.request_id, response);
-        }
-        Err((code, message)) => respond_error(shared, fan.token, fan.request_id, code, &message),
-    }
-}
-
-/// Decodes one covering tile of a fanned-out 2-D region request; the last
-/// finisher crops and assembles.
-fn run_region_tile(shared: &Arc<Shared>, fan: &Arc<RegionFan>, slot: usize) {
-    if fan.failed.lock().expect("poisoned").is_none() {
-        let bad =
-            |e: ServerError| (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"));
-        let index = fan.indices[slot];
-        let result = if fan.fixed {
-            FixedStream::parse(&fan.stream).map_err(|e| bad(e.into())).and_then(|stream| {
-                let engine = fixed_engine(stream.header()).map_err(bad)?;
-                engine.decompress_parsed_tile(&stream, index).map_err(|e| bad(e.into()))
-            })
-        } else {
-            TiledStream::parse(&fan.stream).map_err(|e| bad(e.into())).and_then(|stream| {
-                let engine = tiled_engine(stream.header()).map_err(bad)?;
-                engine.decompress_parsed_tile(&stream, index).map_err(|e| bad(e.into()))
-            })
-        };
-        match result {
-            Ok(tile) => fan.parts.lock().expect("poisoned")[slot] = Some(tile),
-            Err(em) => {
-                let mut failed = fan.failed.lock().expect("poisoned");
-                if failed.is_none() {
-                    *failed = Some(em);
-                }
-            }
-        }
-    }
-    if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finish_region(shared, fan);
-    }
-}
-
-/// Crops the covering tiles to the requested rectangle, assembles the region
-/// image and serializes the PGM response.
-fn finish_region(shared: &Arc<Shared>, fan: &Arc<RegionFan>) {
-    if let Some((code, message)) = fan.failed.lock().expect("poisoned").take() {
-        respond_error(shared, fan.token, fan.request_id, code, &message);
-        return;
-    }
-    let parts = std::mem::take(&mut *fan.parts.lock().expect("poisoned"));
-    let internal = |e: String| (ErrorCode::Internal, format!("decompression failed: {e}"));
-    let rect = fan.rect;
-    let mut region = vec![0i32; rect.width * rect.height];
-    for (slot, tile) in parts.into_iter().enumerate() {
-        let tile = tile.expect("every tile decoded");
-        copy_tile_into_region(&mut region, rect, fan.grid.rect(fan.indices[slot]), &tile);
-    }
-    let outcome = Image::from_samples(rect.width, rect.height, fan.bit_depth, region)
-        .map_err(|e| internal(e.to_string()))
-        .and_then(|image| encode_pgm(&image))
-        .and_then(|bytes| ensure_frame_fits(shared, bytes));
-    match outcome {
-        Ok(response) => {
-            respond_ok(shared, fan.token, Op::OkDecompressRegion, fan.request_id, response);
-        }
-        Err((code, message)) => respond_error(shared, fan.token, fan.request_id, code, &message),
-    }
-}
-
-/// Copies the intersection of a decoded tile with the requested rectangle
-/// into the region buffer (region-local coordinates). Tiles that miss the
-/// rectangle entirely are a no-op, so callers can scatter any covering set.
-fn copy_tile_into_region(
-    region: &mut [i32],
-    want: TileRect,
-    tile_rect: TileRect,
-    tile: &lwc_image::Image,
-) {
-    let x0 = want.x.max(tile_rect.x);
-    let y0 = want.y.max(tile_rect.y);
-    let x1 = want.right().min(tile_rect.right());
-    let y1 = want.bottom().min(tile_rect.bottom());
-    if x0 >= x1 || y0 >= y1 {
-        return;
-    }
-    for y in y0..y1 {
-        let src_off = (y - tile_rect.y) * tile_rect.width + (x0 - tile_rect.x);
-        let dst_off = (y - want.y) * want.width + (x0 - want.x);
-        let n = x1 - x0;
-        region[dst_off..dst_off + n].copy_from_slice(&tile.samples()[src_off..src_off + n]);
-    }
-}
-
-/// Inserts a successful cacheable response into the hot-response cache.
-fn cache_insert(shared: &Arc<Shared>, op: Op, payload: &[u8], response: &[u8]) {
-    if !matches!(op, Op::Compress | Op::Decompress) {
-        return;
-    }
-    if let Some(cache) = &shared.cache {
-        cache.lock().expect("poisoned").insert(op, payload.to_vec(), response.to_vec());
-    }
-}
-
-/// Queues a success completion and wakes the I/O thread.
-fn respond_ok(shared: &Arc<Shared>, token: usize, op: Op, request_id: u64, payload: Vec<u8>) {
-    Metrics::bump(&shared.metrics.completed_requests);
-    push_completion(shared, token, Frame { op, request_id, payload });
-}
-
-/// Queues an error completion and wakes the I/O thread.
-fn respond_error(
-    shared: &Arc<Shared>,
-    token: usize,
-    request_id: u64,
-    code: ErrorCode,
-    message: &str,
-) {
-    Metrics::bump(&shared.metrics.error_replies);
-    push_completion(shared, token, Frame::error(request_id, code, message));
-}
-
-fn push_completion(shared: &Arc<Shared>, token: usize, frame: Frame) {
+fn push_completion(shared: &Shared, token: usize, frame: Frame) {
     shared.completions.lock().expect("poisoned").push_back(Completion { token, frame });
     let _ = shared.poller.notify();
 }
 
 /// Refuses a response that would exceed the frame limit — the server never
 /// emits a frame it would itself refuse to read.
-fn ensure_frame_fits(shared: &Shared, payload: Vec<u8>) -> Result<Vec<u8>, (ErrorCode, String)> {
+fn ensure_frame_fits(shared: &Shared, payload: Vec<u8>) -> Result<Vec<u8>, Refusal> {
     if payload.len() > shared.config.max_payload_bytes {
         return Err((
             ErrorCode::FrameTooLarge,
@@ -1411,353 +957,48 @@ fn ensure_frame_fits(shared: &Shared, payload: Vec<u8>) -> Result<Vec<u8>, (Erro
     Ok(payload)
 }
 
-/// Executes one validated request against the shared engine (the direct,
-/// non-fanned path; also the only path for `decompress-tile`).
-fn execute(shared: &Shared, op: Op, payload: &[u8]) -> Result<Vec<u8>, (ErrorCode, String)> {
-    match op {
-        Op::Compress => {
-            let image = pgm::read_pgm(payload)
-                .map_err(|e| (ErrorCode::BadPayload, format!("invalid PGM payload: {e}")))?;
-            Codec::compress(&shared.engine, &image)
-                .map_err(|e| (ErrorCode::Internal, format!("compression failed: {e}")))
-        }
-        Op::Decompress => {
-            let bad = |e: ServerError| {
-                (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"))
-            };
-            if is_volume(payload) {
-                return Err((
-                    ErrorCode::BadPayload,
-                    "stream is a volumetric LWCV container: use decompress-volume".to_owned(),
-                ));
-            }
-            // Check the response size from the header dimensions before any
-            // decode work — a stream whose pixels cannot fit one response
-            // frame is refused up front (see `ensure_response_fits`).
-            let image = if is_tiled(payload) {
-                let header = *TiledStream::parse(payload).map_err(|e| bad(e.into()))?.header();
-                ensure_response_fits(shared, header.width, header.height, header.bit_depth)?;
-                let engine = tiled_engine(&header).map_err(bad)?;
-                Codec::decompress(&engine, payload).map_err(|e| bad(e.into()))?
-            } else if is_fixed(payload) {
-                let header = *FixedStream::parse(payload).map_err(|e| bad(e.into()))?.header();
-                ensure_response_fits(shared, header.width, header.height, header.bit_depth)?;
-                let engine = fixed_engine(&header).map_err(bad)?;
-                Codec::decompress(&engine, payload).map_err(|e| bad(e.into()))?
-            } else {
-                let header =
-                    StreamHeader::read(&mut BitReader::new(payload)).map_err(|e| bad(e.into()))?;
-                ensure_response_fits(shared, header.width, header.height, header.bit_depth)?;
-                decompress_auto(payload).map_err(bad)?
-            };
-            encode_pgm(&image)
-        }
-        Op::DecompressTile => {
-            let (index, stream_bytes) = split_tile_request(payload)?;
-            let bad = |e: ServerError| {
-                (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"))
-            };
-            if is_volume(stream_bytes) {
-                return Err((
-                    ErrorCode::BadPayload,
-                    "stream is a volumetric LWCV container: use decompress-region".to_owned(),
-                ));
-            }
-            // One container parse serves the range check, the size check,
-            // the engine parameters and the tile decode.
-            let tile = if is_tiled(stream_bytes) {
-                let stream = TiledStream::parse(stream_bytes).map_err(|e| bad(e.into()))?;
-                let tiles = stream.tile_count();
-                if index as usize >= tiles {
-                    return Err((
-                        ErrorCode::TileIndexOutOfRange,
-                        format!("tile index {index} out of range: the stream has {tiles} tiles"),
-                    ));
-                }
-                let header = *stream.header();
-                let rect = stream.grid().map_err(|e| bad(e.into()))?.rect(index as usize);
-                ensure_response_fits(shared, rect.width, rect.height, header.bit_depth)?;
-                let engine = tiled_engine(&header).map_err(bad)?;
-                engine.decompress_parsed_tile(&stream, index as usize).map_err(|e| bad(e.into()))?
-            } else if is_fixed(stream_bytes) {
-                let stream = FixedStream::parse(stream_bytes).map_err(|e| bad(e.into()))?;
-                let tiles = stream.tile_count();
-                if index as usize >= tiles {
-                    return Err((
-                        ErrorCode::TileIndexOutOfRange,
-                        format!("tile index {index} out of range: the stream has {tiles} tiles"),
-                    ));
-                }
-                let header = *stream.header();
-                let rect = stream.grid().map_err(|e| bad(e.into()))?.rect(index as usize);
-                ensure_response_fits(shared, rect.width, rect.height, header.bit_depth)?;
-                let engine = fixed_engine(&header).map_err(bad)?;
-                engine.decompress_parsed_tile(&stream, index as usize).map_err(|e| bad(e.into()))?
-            } else {
-                if index != 0 {
-                    return Err((
-                        ErrorCode::TileIndexOutOfRange,
-                        format!(
-                            "tile index {index} out of range: a legacy stream is a single tile"
-                        ),
-                    ));
-                }
-                let header = StreamHeader::read(&mut BitReader::new(stream_bytes))
-                    .map_err(|e| bad(e.into()))?;
-                ensure_response_fits(shared, header.width, header.height, header.bit_depth)?;
-                decompress_auto(stream_bytes).map_err(bad)?
-            };
-            encode_pgm(&tile)
-        }
-        Op::CompressVolume => {
-            let stack = read_raw_volume(payload)
-                .map_err(|e| (ErrorCode::BadPayload, format!("invalid raw volume payload: {e}")))?;
-            shared
-                .volume_engine
-                .compress_stack(&stack)
-                .map_err(|e| (ErrorCode::Internal, format!("compression failed: {e}")))
-        }
-        Op::DecompressVolume => {
-            let bad =
-                |e: String| (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"));
-            if !is_volume(payload) {
-                return Err(bad("not an LWCV container".to_owned()));
-            }
-            // Check the response size from the header dimensions before any
-            // decode work, exactly as the 2-D path does.
-            let stream = VolumeStream::parse(payload).map_err(|e| bad(e.to_string()))?;
-            let header = *stream.header();
-            ensure_volume_response_fits(
-                shared,
-                header.width,
-                header.height,
-                header.depth,
-                header.bit_depth,
-            )?;
-            let engine = volume_engine_for(&header).map_err(|e| bad(e.to_string()))?;
-            let stack = engine.decompress_stack(payload).map_err(|e| bad(e.to_string()))?;
-            Ok(write_raw_volume(&stack))
-        }
-        Op::DecompressRegion => {
-            let (rect, stream_bytes) = split_region_request(payload)?;
-            if is_volume(stream_bytes) {
-                let bad =
-                    |e: String| (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"));
-                let stream = VolumeStream::parse(stream_bytes).map_err(|e| bad(e.to_string()))?;
-                let header = *stream.header();
-                ensure_volume_response_fits(
-                    shared,
-                    rect.plane.width,
-                    rect.plane.height,
-                    rect.depth,
-                    header.bit_depth,
-                )?;
-                let engine = volume_engine_for(&header).map_err(|e| bad(e.to_string()))?;
-                let stack = engine
-                    .decompress_region(stream_bytes, rect)
-                    .map_err(|e| (ErrorCode::BadPayload, format!("region decode failed: {e}")))?;
-                return Ok(write_raw_volume(&stack));
-            }
-            if rect.z != 0 || rect.depth != 1 {
-                return Err((
-                    ErrorCode::BadPayload,
-                    format!(
-                        "a 2-D stream holds a single slice: the region must have z = 0 and \
-                         depth = 1, got z = {} depth = {}",
-                        rect.z, rect.depth
-                    ),
-                ));
-            }
-            let image = decompress_region_2d(shared, rect.plane, stream_bytes)?;
-            encode_pgm(&image)
-        }
-        Op::Stats => Ok(shared.stats().to_json().into_bytes()),
-        other => Err((ErrorCode::UnknownOp, format!("{other:?} is not a request op"))),
+/// Refuses a decode whose response (PGM image or raw volume) could not fit
+/// one frame under the server's payload limit — checked from the header
+/// dimensions before any decode work, so a client can't make the server
+/// decode terabytes it could never send back (and a legitimate-but-huge
+/// stream gets a typed error instead of an unreadable oversized frame).
+fn ensure_response_fits<B>(shared: &Shared, plan: &DecodePlan<B>) -> Result<(), Refusal> {
+    let BrickRect { plane, depth, .. } = plan.region();
+    let bit_depth = plan.bit_depth();
+    let need = if plan.is_volume() {
+        raw_volume_len(plane.width, plane.height, depth, bit_depth)
+    } else {
+        let per_sample: u128 = if bit_depth > 8 { 2 } else { 1 };
+        plane.width as u128 * plane.height as u128 * per_sample + 64
+    };
+    if need > shared.config.max_payload_bytes as u128 {
+        return Err((
+            ErrorCode::FrameTooLarge,
+            format!(
+                "a {}x{}x{depth} {bit_depth}-bit box decompresses to ~{need} response bytes, \
+                 beyond the {}-byte frame limit (raise --max-frame-mb, request a region, or \
+                 decode locally)",
+                plane.width, plane.height, shared.config.max_payload_bytes
+            ),
+        ));
     }
+    Ok(())
 }
 
-/// Decodes the minimal covering tile set of a 2-D region request
-/// sequentially and crops it to the rectangle (the direct, non-fanned
-/// region path; also the only 2-D region path for legacy `LWC1` streams,
-/// which are a single tile).
-fn decompress_region_2d(
-    shared: &Shared,
-    rect: TileRect,
-    stream_bytes: &[u8],
-) -> Result<lwc_image::Image, (ErrorCode, String)> {
-    let bad = |e: ServerError| (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"));
-    let region_err = |w: usize, h: usize| {
+/// The tile index prefixing a `decompress-tile` payload (one `u32` BE).
+fn tile_index(payload: &[u8]) -> Result<usize, Refusal> {
+    let bytes: [u8; 4] = payload.get(..4).and_then(|b| b.try_into().ok()).ok_or_else(|| {
         (
             ErrorCode::BadPayload,
-            format!(
-                "region out of bounds: {}x{} at ({}, {}) exceeds the {w}x{h} image",
-                rect.width, rect.height, rect.x, rect.y
-            ),
+            "decompress-tile payload must start with a 4-byte tile index".to_owned(),
         )
-    };
-    let (bit_depth, grid, indices) = if is_tiled(stream_bytes) {
-        let stream = TiledStream::parse(stream_bytes).map_err(|e| bad(e.into()))?;
-        let header = *stream.header();
-        let grid = stream.grid().map_err(|e| bad(e.into()))?;
-        let indices =
-            grid.covering_indices(rect).ok_or_else(|| region_err(header.width, header.height))?;
-        (header.bit_depth, grid, indices)
-    } else if is_fixed(stream_bytes) {
-        let stream = FixedStream::parse(stream_bytes).map_err(|e| bad(e.into()))?;
-        let header = *stream.header();
-        let grid = stream.grid().map_err(|e| bad(e.into()))?;
-        let indices =
-            grid.covering_indices(rect).ok_or_else(|| region_err(header.width, header.height))?;
-        (header.bit_depth, grid, indices)
-    } else {
-        // A legacy LWC1 stream is a single tile covering the whole image.
-        let header =
-            StreamHeader::read(&mut BitReader::new(stream_bytes)).map_err(|e| bad(e.into()))?;
-        let grid = TileGrid::new(header.width, header.height, header.width, header.height)
-            .map_err(|e| bad(e.into()))?;
-        let indices =
-            grid.covering_indices(rect).ok_or_else(|| region_err(header.width, header.height))?;
-        (header.bit_depth, grid, indices)
-    };
-    ensure_response_fits(shared, rect.width, rect.height, bit_depth)?;
-    let mut region = vec![0i32; rect.width * rect.height];
-    for index in indices {
-        let tile = if is_tiled(stream_bytes) || is_fixed(stream_bytes) {
-            decompress_tile_auto(stream_bytes, index).map_err(bad)?
-        } else {
-            decompress_auto(stream_bytes).map_err(bad)?
-        };
-        copy_tile_into_region(&mut region, rect, grid.rect(index), &tile);
-    }
-    Image::from_samples(rect.width, rect.height, bit_depth, region)
-        .map_err(|e| (ErrorCode::Internal, format!("decompression failed: {e}")))
+    })?;
+    Ok(u32::from_be_bytes(bytes) as usize)
 }
 
-/// Decodes one tile of a tiled or fixed container, header-driven.
-fn decompress_tile_auto(bytes: &[u8], index: usize) -> Result<lwc_image::Image, ServerError> {
-    if is_fixed(bytes) {
-        let stream = FixedStream::parse(bytes)?;
-        let engine = fixed_engine(stream.header())?;
-        Ok(engine.decompress_parsed_tile(&stream, index)?)
-    } else {
-        let stream = TiledStream::parse(bytes)?;
-        let engine = tiled_engine(stream.header())?;
-        Ok(engine.decompress_parsed_tile(&stream, index)?)
-    }
-}
-
-/// Refuses a decompression whose PGM response could not fit one frame under
-/// the server's payload limit — checked from the header dimensions before
-/// any decode work, so a client can't make the server decode terabytes it
-/// could never send back (and a legitimate-but-huge stream gets a typed
-/// error instead of an unreadable oversized response frame).
-fn ensure_response_fits(
-    shared: &Shared,
-    width: usize,
-    height: usize,
-    bit_depth: u32,
-) -> Result<(), (ErrorCode, String)> {
-    let per_sample: u128 = if bit_depth > 8 { 2 } else { 1 };
-    let need = width as u128 * height as u128 * per_sample + 64;
-    if need > shared.config.max_payload_bytes as u128 {
-        return Err((
-            ErrorCode::FrameTooLarge,
-            format!(
-                "a {width}x{height} {bit_depth}-bit image decompresses to ~{need} response \
-                 bytes, beyond the {}-byte frame limit (raise --max-frame-mb or decode locally)",
-                shared.config.max_payload_bytes
-            ),
-        ));
-    }
-    Ok(())
-}
-
-fn encode_pgm(image: &lwc_image::Image) -> Result<Vec<u8>, (ErrorCode, String)> {
-    let mut bytes = Vec::with_capacity(image.pixel_count() * 2 + 64);
-    pgm::write_pgm(image, &mut bytes)
-        .map_err(|e| (ErrorCode::Internal, format!("PGM serialization failed: {e}")))?;
-    Ok(bytes)
-}
-
-fn split_tile_request(payload: &[u8]) -> Result<(u32, &[u8]), (ErrorCode, String)> {
-    let index_bytes: [u8; 4] =
-        payload.get(..4).and_then(|b| b.try_into().ok()).ok_or_else(|| {
-            (
-                ErrorCode::BadPayload,
-                "decompress-tile payload must start with a 4-byte tile index".to_owned(),
-            )
-        })?;
-    Ok((u32::from_be_bytes(index_bytes), &payload[4..]))
-}
-
-/// Decompresses any container format the service knows (`LWC1`/`LWCQ`,
-/// `LWCT`, `LWCF`), taking the decomposition depth (and tile shape, and for `LWCF`
-/// the filter bank) from the stream itself — the service never requires
-/// clients to know how a stream was produced.
-pub(crate) fn decompress_auto(bytes: &[u8]) -> Result<lwc_image::Image, ServerError> {
-    Ok(engine_for(bytes)?.decompress(bytes)?)
-}
-
-/// Single-threaded engine with the parameters of a parsed tiled header.
-/// The engine codec is lossless; near-lossless streams decode correctly
-/// anyway because the quantizer is honored from the per-tile stream headers
-/// and cross-checked against the container's delta field.
-fn tiled_engine(header: &TiledHeader) -> Result<TiledCompressor, ServerError> {
-    let codec = LosslessCodec::new(header.scales)?;
-    Ok(TiledCompressor::with_codec(codec, header.tile_width, header.tile_height, 1)?)
-}
-
-/// Single-threaded fixed-path engine with the parameters of a parsed `LWCF`
-/// header.
-fn fixed_engine(header: &FixedHeader) -> Result<TiledFixedCompressor, ServerError> {
-    Ok(TiledFixedCompressor::for_stream(header, 1)?)
-}
-
-/// Single-threaded volumetric engine with the parameters of a parsed `LWCV`
-/// header — decompression always follows the stream's own parameters, never
-/// the server's configured ones.
-fn volume_engine_for(header: &VolumeHeader) -> Result<VolumeCompressor, ServerError> {
-    let codec = LosslessCodec::new(header.scales)?;
-    Ok(VolumeCompressor::with_codec(
-        codec,
-        header.z_scales,
-        header.tile_width,
-        header.tile_height,
-        header.brick_depth,
-        1,
-    )?)
-}
-
-/// Refuses a volumetric decode whose raw-volume response could not fit one
-/// frame under the server's payload limit — checked from the header
-/// dimensions before any decode work, the 3-D analogue of
-/// [`ensure_response_fits`].
-fn ensure_volume_response_fits(
-    shared: &Shared,
-    width: usize,
-    height: usize,
-    depth: usize,
-    bit_depth: u32,
-) -> Result<(), (ErrorCode, String)> {
-    let need = raw_volume_len(width, height, depth, bit_depth);
-    if need > shared.config.max_payload_bytes as u128 {
-        return Err((
-            ErrorCode::FrameTooLarge,
-            format!(
-                "a {width}x{height}x{depth} {bit_depth}-bit volume decompresses to ~{need} \
-                 response bytes, beyond the {}-byte frame limit (raise --max-frame-mb, request \
-                 a region, or decode locally)",
-                shared.config.max_payload_bytes
-            ),
-        ));
-    }
-    Ok(())
-}
-
-/// Splits a `decompress-region` payload into the requested rectangle and the
-/// compressed stream. The 24-byte prefix is six `u32` big-endian fields:
+/// The box prefixing a `decompress-region` payload: six `u32` BE fields,
 /// x, y, z, width, height, depth.
-fn split_region_request(payload: &[u8]) -> Result<(BrickRect, &[u8]), (ErrorCode, String)> {
+fn region_of(payload: &[u8]) -> Result<BrickRect, Refusal> {
     let prefix: &[u8; 24] = payload.get(..24).and_then(|b| b.try_into().ok()).ok_or_else(|| {
         (
             ErrorCode::BadPayload,
@@ -1783,90 +1024,72 @@ fn split_region_request(payload: &[u8]) -> Result<(BrickRect, &[u8]), (ErrorCode
             ),
         ));
     }
-    Ok((rect, &payload[24..]))
-}
-
-/// Builds a single-threaded [`Codec`] matching the stream's own parameters —
-/// the three-way magic sniff (`LWCT` / `LWCF` / otherwise a single
-/// `LWC1`/`LWCQ` stream for the plain [`LosslessCodec`]) behind the
-/// decompression ops. All header reads reject empty/truncated buffers with
-/// typed errors, so sniffing never slices out of bounds.
-fn engine_for(bytes: &[u8]) -> Result<Box<dyn Codec>, ServerError> {
-    if is_tiled(bytes) {
-        Ok(Box::new(tiled_engine(TiledStream::parse(bytes)?.header())?))
-    } else if is_fixed(bytes) {
-        Ok(Box::new(fixed_engine(FixedStream::parse(bytes)?.header())?))
-    } else {
-        let header = StreamHeader::read(&mut BitReader::new(bytes))?;
-        Ok(Box::new(LosslessCodec::new(header.scales)?))
-    }
+    Ok(rect)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Client;
     use lwc_image::synth;
 
-    fn fixed_stream(image: &lwc_image::Image) -> Vec<u8> {
-        // The server crate has no lwc-filters dependency by design; a
-        // header-driven engine (the same path the sniff uses) builds the
-        // stream.
-        let header = FixedHeader {
-            width: image.width(),
-            height: image.height(),
-            bit_depth: image.bit_depth(),
-            scales: 3,
-            filter: 0,
-            tile_width: 32,
-            tile_height: 32,
-        };
-        TiledFixedCompressor::for_stream(&header, 1).unwrap().compress(image).unwrap()
-    }
+    /// A `compress` payload that plans [`PanicPlan`] instead of a PGM.
+    pub(super) const PANIC_PROBE: &[u8] = b"panic probe";
 
-    #[test]
-    fn decompress_auto_sniffs_all_three_formats_and_rejects_short_buffers() {
-        let image = synth::ct_phantom(70, 50, 12, 3);
-        let legacy = LosslessCodec::new(3).unwrap().compress(&image).unwrap();
-        let tiled = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
-        let fixed = fixed_stream(&synth::ct_phantom(64, 48, 12, 3));
-        assert!(is_tiled(&tiled) && !is_tiled(&legacy) && is_fixed(&fixed));
-        for stream in [&legacy, &tiled] {
-            let back = decompress_auto(stream).unwrap();
-            assert_eq!(back.samples(), image.samples());
-            // Every short prefix — including the empty buffer — must come
-            // back as a typed error, never a panic or slice failure.
-            for len in 0..8.min(stream.len()) {
-                assert!(decompress_auto(&stream[..len]).is_err(), "prefix of {len} bytes");
-            }
+    /// A two-part plan whose every part panics.
+    pub(super) struct PanicPlan;
+
+    impl Plan for PanicPlan {
+        type Part = ();
+        type Sink = ();
+        type Output = ();
+
+        fn parts(&self) -> usize {
+            2
         }
-        let back = decompress_auto(&fixed).unwrap();
-        assert_eq!(back.samples(), synth::ct_phantom(64, 48, 12, 3).samples());
-        for len in 0..8 {
-            assert!(decompress_auto(&fixed[..len]).is_err(), "fixed prefix of {len} bytes");
+
+        fn sink(&self) {}
+
+        fn run(&self, index: usize) -> Result<(), PipelineError> {
+            panic!("part {index} panics")
         }
-        // A near-lossless LWCQ stream decodes within its bound through the
-        // same sniff, and its short prefixes are typed errors too.
-        let quantized = LosslessCodec::near_lossless(3, 2).unwrap().compress(&image).unwrap();
-        assert!(!is_tiled(&quantized) && !is_fixed(&quantized));
-        let back = decompress_auto(&quantized).unwrap();
-        assert!(lwc_image::stats::max_abs_diff(&image, &back).unwrap() <= 2);
-        for len in 0..8 {
-            assert!(decompress_auto(&quantized[..len]).is_err(), "LWCQ prefix of {len} bytes");
+
+        fn place(&self, (): &mut (), _: usize, (): ()) {}
+
+        fn finish(&self, (): ()) -> Result<(), PipelineError> {
+            Ok(())
         }
     }
 
     #[test]
-    fn engine_sniffing_matches_the_stream_parameters() {
-        let image = synth::ct_phantom(70, 50, 12, 3);
-        let legacy = LosslessCodec::new(3).unwrap().compress(&image).unwrap();
-        let tiled = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
-        let fixed = fixed_stream(&synth::ct_phantom(64, 48, 12, 5));
-        assert_eq!(engine_for(&legacy).unwrap().name(), "lossless");
-        assert_eq!(engine_for(&tiled).unwrap().name(), "tiled");
-        let sniffed = engine_for(&fixed).unwrap();
-        assert_eq!(sniffed.name(), "tiled-fixed");
-        assert!(sniffed.capabilities().fixed_point);
-        assert!(engine_for(&[]).is_err());
-        assert!(engine_for(&[0x4C, 0x57]).is_err());
+    fn a_panicking_plan_answers_internal_once_and_the_server_keeps_serving() {
+        // One worker runs the plan inline inside the request task; two fan
+        // its parts out as tasks of their own.
+        for workers in [1, 2] {
+            let config = ServerConfig {
+                workers,
+                scales: 3,
+                tile_size: 32,
+                read_timeout: Duration::from_millis(20),
+                ..ServerConfig::default()
+            };
+            let mut server = Server::bind("127.0.0.1:0", config).expect("bind loopback");
+            let mut client = Client::connect(server.local_addr()).expect("connect");
+            let err = client.request(Op::Compress, PANIC_PROBE.to_vec()).unwrap_err();
+            assert!(
+                matches!(err, ServerError::Remote { code: ErrorCode::Internal, .. }),
+                "{workers} workers: {err}"
+            );
+            // A second reply to the panicking request would answer this one
+            // (a request-id mismatch) and count a second error.
+            let image = synth::ct_phantom(48, 40, 12, 1);
+            let stream = client.compress_image(&image).expect("compress after the panic");
+            assert_eq!(client.decompress(&stream).expect("decompress"), image);
+            let stats = client.stats().expect("stats");
+            assert!(stats.contains("\"error_replies\": 1,"), "{workers} workers: {stats}");
+            assert!(stats.contains("\"in_flight\": 0,"), "{workers} workers: {stats}");
+            // Every worker survived and went idle: shutdown drains and joins.
+            server.shutdown();
+        }
     }
 }

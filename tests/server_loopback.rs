@@ -523,3 +523,97 @@ fn near_lossless_ops_respect_the_bound_and_reject_forged_quantizers() {
     let err = client.decompress_volume(&mismatched).unwrap_err();
     assert!(matches!(err, ServerError::Remote { code: ErrorCode::BadPayload, .. }), "{err}");
 }
+
+/// A `decompress-region` payload: the box as six `u32` BE words (x, y, z,
+/// width, height, depth), then the stream.
+fn region_payload(rect: BrickRect, stream: &[u8]) -> Vec<u8> {
+    let words =
+        [rect.plane.x, rect.plane.y, rect.z, rect.plane.width, rect.plane.height, rect.depth];
+    let mut payload: Vec<u8> = words.iter().flat_map(|&w| (w as u32).to_be_bytes()).collect();
+    payload.extend_from_slice(stream);
+    payload
+}
+
+#[test]
+fn inline_and_fanned_decodes_reply_with_identical_bytes() {
+    // One worker runs every plan inline; two and four fan multi-part plans
+    // out part by part. The reply bytes must not tell them apart, for every
+    // format the decode ops read — regions of LWCT, LWCF, a legacy
+    // single-tile LWC1 stream and LWCV included.
+    let image = synth::ct_phantom(80, 60, 12, 17);
+    let lwct = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
+    let lwc1 = LosslessCodec::new(3).unwrap().compress(&image).unwrap();
+    let square = synth::mr_slice(64, 64, 12, 17);
+    let bank = FilterBank::table1(FilterId::F2);
+    let lwcf = TiledFixedCompressor::new(&bank, 3, 32, 1).unwrap().compress(&square).unwrap();
+    let stack = synth::ct_volume(48, 40, 12, 12, 17);
+    let lwcv = VolumeCompressor::new(3, 2, 32, 4, 1).unwrap().compress_stack(&stack).unwrap();
+    let plane =
+        |x, y, width, height| BrickRect { plane: TileRect { x, y, width, height }, z: 0, depth: 1 };
+    let cuboid =
+        BrickRect { plane: TileRect { x: 11, y: 7, width: 30, height: 25 }, z: 3, depth: 6 };
+    let requests = [
+        (Op::Decompress, lwct.clone()),
+        (Op::Decompress, lwcf.clone()),
+        (Op::Decompress, lwc1.clone()),
+        (Op::DecompressVolume, lwcv.clone()),
+        (Op::DecompressRegion, region_payload(plane(17, 9, 50, 40), &lwct)),
+        (Op::DecompressRegion, region_payload(plane(20, 10, 40, 30), &lwcf)),
+        (Op::DecompressRegion, region_payload(plane(17, 9, 50, 40), &lwc1)),
+        (Op::DecompressRegion, region_payload(cuboid, &lwcv)),
+    ];
+    let mut reference: Option<Vec<Vec<u8>>> = None;
+    for workers in [1usize, 2, 4] {
+        let server = test_server(workers, 16);
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let replies: Vec<Vec<u8>> = requests
+            .iter()
+            .map(|(op, payload)| client.request(*op, payload.clone()).expect("decode"))
+            .collect();
+        match &reference {
+            None => reference = Some(replies),
+            Some(bytes) => assert!(&replies == bytes, "replies changed with {workers} workers"),
+        }
+    }
+    // The shared replies are the right pixels too.
+    let replies = reference.expect("three runs");
+    let crop = |bytes: &[u8]| pgm::read_pgm(bytes).expect("PGM reply");
+    assert_eq!(crop(&replies[5]), square.crop(plane(20, 10, 40, 30).plane).unwrap());
+    assert_eq!(crop(&replies[6]), image.crop(plane(17, 9, 50, 40).plane).unwrap());
+    assert_eq!(crop(&replies[4]), crop(&replies[6]));
+    let volume = lwc_server::rawvol::read_raw_volume(&replies[7]).expect("raw volume reply");
+    assert_eq!(volume.get(0, 0, 0), stack.get(11, 7, 3));
+    assert_eq!(volume.get(29, 24, 5), stack.get(40, 31, 8));
+}
+
+#[test]
+fn a_corrupt_tile_fails_the_fanned_decode_with_bad_payload_and_settles_the_budget() {
+    // A valid LWCT header and directory around one corrupted tile payload:
+    // the fanned decode parts all run, one fails, and the request gets one
+    // typed refusal instead of a hang, a panic or a wrong image.
+    let image = synth::ct_phantom(80, 60, 12, 23);
+    let stream = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
+    let tile = lwc_coder::TiledStream::parse(&stream).unwrap().tile_bytes(4).as_ptr() as usize
+        - stream.as_ptr() as usize;
+    let mut corrupt = stream.clone();
+    corrupt[tile] ^= 0xFF; // the tile's stream magic
+    let server = test_server(2, 8);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let across_tile_4 =
+        BrickRect { plane: TileRect { x: 20, y: 20, width: 40, height: 30 }, z: 0, depth: 1 };
+    for (op, payload) in [
+        (Op::Decompress, corrupt.clone()),
+        (Op::DecompressRegion, region_payload(across_tile_4, &corrupt)),
+    ] {
+        let err = client.request(op, payload).unwrap_err();
+        assert!(
+            matches!(err, ServerError::Remote { code: ErrorCode::BadPayload, .. }),
+            "{op:?}: {err}"
+        );
+        // The connection stays usable.
+        assert_eq!(client.decompress(&stream).expect("valid stream after"), image);
+    }
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("\"in_flight\": 0,"), "{stats}");
+    assert!(stats.contains("\"error_replies\": 2,"), "{stats}");
+}
