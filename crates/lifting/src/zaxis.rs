@@ -159,6 +159,62 @@ mod tests {
         }
     }
 
+    /// Multi-level z pass computed the slow, obvious way: gather each
+    /// in-plane column, run the 1-D kernels level by level, scatter back.
+    fn columns_reference(
+        samples: &mut [i32],
+        plane_len: usize,
+        depth: usize,
+        z_scales: u32,
+        inverse: bool,
+    ) {
+        for i in 0..plane_len {
+            let mut column: Vec<i32> = (0..depth).map(|z| samples[z * plane_len + i]).collect();
+            let levels: Vec<usize> =
+                (0..z_scales).map(|s| scaled_dim(depth, s)).take_while(|&n| n >= 2).collect();
+            if inverse {
+                for &n in levels.iter().rev() {
+                    let a_len = approx_len(n);
+                    let x = inverse_53(&column[..a_len], &column[a_len..n]);
+                    column[..n].copy_from_slice(&x);
+                }
+            } else {
+                for &n in &levels {
+                    let (a, d) = forward_53(&column[..n]);
+                    column[..a.len()].copy_from_slice(&a);
+                    column[a.len()..n].copy_from_slice(&d);
+                }
+            }
+            for (z, &v) in column.iter().enumerate() {
+                samples[z * plane_len + i] = v;
+            }
+        }
+    }
+
+    #[test]
+    fn multi_level_passes_match_the_column_reference() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let bound = i32::MAX / 2;
+        for depth in 1usize..=20 {
+            for z_scales in 0u32..=5 {
+                for plane_len in [1usize, 3, 17, 64] {
+                    let original: Vec<i32> =
+                        (0..plane_len * depth).map(|_| rng.gen_range(-bound..=bound)).collect();
+                    let mut data = original.clone();
+                    let mut expect = original.clone();
+                    forward_z(&mut data, plane_len, depth, z_scales).unwrap();
+                    columns_reference(&mut expect, plane_len, depth, z_scales, false);
+                    let case = format!("depth={depth} z_scales={z_scales} plane_len={plane_len}");
+                    assert_eq!(data, expect, "forward, {case}");
+                    inverse_z(&mut data, plane_len, depth, z_scales).unwrap();
+                    columns_reference(&mut expect, plane_len, depth, z_scales, true);
+                    assert_eq!(data, expect, "inverse, {case}");
+                    assert_eq!(data, original, "round trip, {case}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn deep_decompositions_saturate_instead_of_failing() {
         let mut data = random_volume(5, 3, 9);

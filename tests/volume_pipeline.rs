@@ -255,3 +255,53 @@ fn large_volume_roundtrips_and_beats_per_slice_2d() {
         bytes.len()
     );
 }
+
+/// FNV-1a 64 over a byte stream: a stable, dependency-free fingerprint.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `LWCV` bytes of fixed stacks are pinned by digest, so a rewrite of
+/// any layer below the container (the z pass, the 2-D cascade, the coder)
+/// must reproduce them exactly. Covers a ragged odd-sided stack (bricks of
+/// 8 and 3 slices), a brick-aligned one and a single slice, at z depths 0–3
+/// (3 runs an 8-slice brick down to one approximation plane), with lossless
+/// and near-lossless (δ = 2) planes.
+#[test]
+fn lwcv_bytes_are_pinned() {
+    let stacks = [
+        synth::ct_volume(70, 50, 11, 12, 21),
+        synth::ct_volume(64, 64, 16, 12, 22),
+        synth::ct_volume(40, 30, 1, 12, 23),
+    ];
+    #[rustfmt::skip]
+    let expected: [[[u64; 4]; 2]; 3] = [
+        [
+            [0x3a9a_55d6_0a41_f354, 0xfd6d_4f5e_82cf_5c1b, 0xc912_245d_8838_ac67, 0xa66c_4521_505e_d864],
+            [0xea7e_f50b_8b40_7bd5, 0xcbec_c95e_b616_9702, 0x90e8_fb93_cd14_307f, 0x64c7_625d_2d44_ae8e],
+        ],
+        [
+            [0x1bf0_e0c6_fe41_2d34, 0x5f18_e822_208b_95b2, 0xb49b_9973_7284_0740, 0x1d65_652e_d81b_65be],
+            [0x8792_783a_ada7_eb27, 0xd8eb_afc1_6f8c_e4ba, 0x1dc8_fa6a_8dc8_cae0, 0xde54_c94e_112c_2120],
+        ],
+        [
+            [0x9484_0b6b_8fad_35f6, 0x020f_25d6_1fd9_23a1, 0x03a1_66f3_0b83_e7f4, 0x1f30_eec5_7160_3a97],
+            [0xcbcf_8466_88e5_4584, 0xb31d_3cf9_671c_721f, 0x2182_fb07_f40f_dad4, 0x3fd5_4676_3631_0df9],
+        ],
+    ];
+    let mut got = [[[0u64; 4]; 2]; 3];
+    for (s, stack) in stacks.iter().enumerate() {
+        for (d, delta) in [0u8, 2].into_iter().enumerate() {
+            for z_scales in 0..4u32 {
+                let codec = LosslessCodec::near_lossless(3, delta).expect("codec");
+                let engine = VolumeCompressor::with_codec(codec, z_scales, 32, 32, 8, 2)
+                    .expect("valid brick shape");
+                let bytes = engine.compress_stack(stack).expect("compress");
+                got[s][d][z_scales as usize] = fnv1a64(&bytes);
+            }
+        }
+    }
+    assert_eq!(got, expected, "LWCV bytes moved: {got:#018x?}");
+}
