@@ -14,6 +14,7 @@
 //! regressions are visible across PRs (`LWC_PERF_REPS` overrides the
 //! best-of-3 repetition count).
 
+use lwc_core::lwc_lifting::zaxis::{forward_z, forward_z_columns, inverse_z, inverse_z_columns};
 use lwc_core::prelude::*;
 use lwc_core::reproduction;
 
@@ -654,9 +655,9 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     for z in 0..vol_depth {
         per_slice_bytes += slice_engine.compress(&vol_stack.slice_image(z)?)?.len();
     }
-    let vol_reference =
-        VolumeCompressor::with_codec(sequential, vol_z_scales, vol_tile, vol_tile, 8, 1)?
-            .compress_stack(&vol_stack)?;
+    let vol_engine =
+        VolumeCompressor::with_codec(sequential, vol_z_scales, vol_tile, vol_tile, 8, 1)?;
+    let vol_reference = vol_engine.compress_stack(&vol_stack)?;
     json.push_str(&format!(
         "  \"volume\": {{\n    \"stack\": {{\"width\": {size}, \"height\": {size}, \"depth\": \
          {vol_depth}, \"bit_depth\": 12, \"scales\": {scales}, \"z_scales\": {vol_z_scales}, \
@@ -668,7 +669,7 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         vol_raw as f64 / per_slice_bytes as f64,
     ));
     let vol_workers = [1usize, 2, 4];
-    for (index, &workers) in vol_workers.iter().enumerate() {
+    for workers in vol_workers {
         let engine =
             VolumeCompressor::with_codec(sequential, vol_z_scales, vol_tile, vol_tile, 8, workers)?;
         let bytes = engine.compress_stack(&vol_stack)?;
@@ -681,11 +682,10 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
             std::hint::black_box(engine.decompress_stack(&bytes)?);
             Ok(())
         })?;
-        let comma = if index + 1 == vol_workers.len() { "" } else { "," };
         json.push_str(&format!(
             "    \"workers_{workers}\": {{\"compress\": {{\"seconds\": {compress_seconds:.6}, \
              \"msamples_per_s\": {:.3}}}, \"decompress\": {{\"seconds\": \
-             {decompress_seconds:.6}, \"msamples_per_s\": {:.3}}}}}{comma}\n",
+             {decompress_seconds:.6}, \"msamples_per_s\": {:.3}}}}},\n",
             vol_msamples / compress_seconds,
             vol_msamples / decompress_seconds,
         ));
@@ -700,6 +700,17 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         "volume ratio {:.3}:1 vs per-slice 2-D {:.3}:1 on the same voxels",
         vol_raw as f64 / vol_reference.len() as f64,
         vol_raw as f64 / per_slice_bytes as f64,
+    );
+    let z_ms = brick_transform_ms(&vol_engine, &vol_stack, reps)?;
+    json.push_str(&format!(
+        "    \"z_transform\": {{\"brick\": \"{}\", \"forward_z_ms\": {:.4}, \
+         \"inverse_z_ms\": {:.4}, \"forward_2d_ms\": {:.4}, \"inverse_2d_ms\": {:.4}}}\n",
+        z_ms.brick, z_ms.forward_z, z_ms.inverse_z, z_ms.forward_2d, z_ms.inverse_2d,
+    ));
+    println!(
+        "volume transform per {} brick: z forward {:.3} / inverse {:.3} ms, 2-D of its planes \
+         forward {:.3} / inverse {:.3} ms",
+        z_ms.brick, z_ms.forward_z, z_ms.inverse_z, z_ms.forward_2d, z_ms.inverse_2d,
     );
     json.push_str("  },\n");
 
@@ -901,8 +912,10 @@ fn serve(connections: usize) -> Result<(), Box<dyn std::error::Error>> {
 /// correlated synthetic CT stack. Asserts the three properties the subsystem
 /// promises — a lossless 3-D round trip, `LWCV` bytes independent of the
 /// worker count, and a 3-D ratio beating per-slice 2-D coding of the same
-/// voxels — and prints ratios plus Msamples/s for both paths. CI runs this
-/// on every push at a reduced size.
+/// voxels — and prints ratios plus Msamples/s for both paths. It also checks
+/// the plane-wise z pass against the column-by-column reference on the whole
+/// stack and prints the z pass's cost per brick next to the 2-D transform of
+/// the same planes. CI runs this on every push at a reduced size.
 fn volume(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     let depth = 16usize;
     heading(&format!("Volumetric engine — {size}x{size}x{depth} 12-bit correlated stack"));
@@ -998,7 +1011,100 @@ fn volume(size: usize) -> Result<(), Box<dyn std::error::Error>> {
          ({} vs {per_slice_bytes} bytes)",
         bytes.len()
     );
+
+    // The plane-wise z pass must be the 1-D kernel run down every column,
+    // bit for bit, over the whole stack.
+    let plane_len = size * size;
+    let mut planes = stack.samples().to_vec();
+    let mut columns = planes.clone();
+    forward_z(&mut planes, plane_len, depth, z_scales)?;
+    forward_z_columns(&mut columns, plane_len, depth, z_scales)?;
+    assert_eq!(planes, columns, "plane-wise forward z pass must equal the column reference");
+    inverse_z(&mut planes, plane_len, depth, z_scales)?;
+    inverse_z_columns(&mut columns, plane_len, depth, z_scales)?;
+    assert_eq!(planes, columns, "plane-wise inverse z pass must equal the column reference");
+    assert_eq!(planes, stack.samples(), "the z pass must round-trip");
+
+    let ms = brick_transform_ms(&engine, &stack, 3)?;
+    println!(
+        "z pass = column reference; per {} brick: z forward {:.3} ms / inverse {:.3} ms vs 2-D \
+         of its planes forward {:.3} ms / inverse {:.3} ms",
+        ms.brick, ms.forward_z, ms.inverse_z, ms.forward_2d, ms.inverse_2d,
+    );
+    if std::env::var_os("LWC_STRICT_PERF").is_some_and(|v| v == "1") {
+        assert!(
+            ms.inverse_z < ms.inverse_2d,
+            "the inverse z pass must cost less than the brick's 2-D inverse"
+        );
+    }
     Ok(())
+}
+
+/// Transform cost of one brick of the volumetric path, in ms per brick: the
+/// z pass next to the 2-D transform of the same brick's planes, so a
+/// measurement says which layer moved.
+struct BrickTransformMs {
+    /// Brick shape, `WxHxD`.
+    brick: String,
+    forward_z: f64,
+    inverse_z: f64,
+    forward_2d: f64,
+    inverse_2d: f64,
+}
+
+/// Times the transforms of brick 0 of `engine`'s grid over `stack` as the
+/// engine runs them: `forward_z`, the line cascade per z plane, the
+/// multi-pass inverse per plane, `inverse_z`. Each figure is the mean over
+/// 50 back-to-back bricks, best of `reps` rounds.
+fn brick_transform_ms(
+    engine: &VolumeCompressor,
+    stack: &ImageStack,
+    reps: u32,
+) -> Result<BrickTransformMs, Box<dyn std::error::Error>> {
+    const ITERS: u32 = 50;
+    let rect = engine.grid(stack.width(), stack.height(), stack.depth())?.rect(0);
+    let (width, height) = (rect.plane.width, rect.plane.height);
+    let plane_len = rect.plane.pixel_count();
+    let z_scales = engine.z_scales();
+    let codec = engine.codec();
+    let mut samples = stack.view_brick(rect)?.to_samples();
+    let mut best = [f64::INFINITY; 4];
+    for _ in 0..reps.max(1) {
+        let mut total = [0f64; 4];
+        for _ in 0..ITERS {
+            let start = std::time::Instant::now();
+            forward_z(&mut samples, plane_len, rect.depth, z_scales)?;
+            total[0] += start.elapsed().as_secs_f64();
+            let start = std::time::Instant::now();
+            let coeffs = samples
+                .chunks_exact(plane_len)
+                .map(|plane| {
+                    let view = ImageView::from_raw(plane, width, height, width, stack.bit_depth())?;
+                    Ok(LineDwt53::forward_view(&view, codec.scales())?)
+                })
+                .collect::<Result<Vec<_>, Box<dyn std::error::Error>>>()?;
+            total[1] += start.elapsed().as_secs_f64();
+            let start = std::time::Instant::now();
+            for plane in &coeffs {
+                std::hint::black_box(codec.transform().inverse_raw(plane)?);
+            }
+            total[2] += start.elapsed().as_secs_f64();
+            let start = std::time::Instant::now();
+            inverse_z(&mut samples, plane_len, rect.depth, z_scales)?;
+            total[3] += start.elapsed().as_secs_f64();
+        }
+        for (best, total) in best.iter_mut().zip(total) {
+            *best = best.min(total * 1e3 / f64::from(ITERS));
+        }
+    }
+    let [forward_z, forward_2d, inverse_2d, inverse_z] = best;
+    Ok(BrickTransformMs {
+        brick: format!("{width}x{height}x{}", rect.depth),
+        forward_z,
+        inverse_z,
+        forward_2d,
+        inverse_2d,
+    })
 }
 
 fn tiled(size: usize) -> Result<(), Box<dyn std::error::Error>> {

@@ -23,6 +23,12 @@
 //! taps at the first/last positions, mirroring PR 2's interior/boundary
 //! split of the fixed-point DWT loops. Only the two edge samples of each
 //! half ever pay for the mirror arithmetic.
+//!
+//! The same two steps over whole rows of samples (`predict_rows`,
+//! `update_rows` and their inverses) are the vertical steps of
+//! [`crate::LineDwt53`] and the z-axis steps of [`crate::zaxis`]. They
+//! compute the rounding terms exactly in `i32`, so they match the widened
+//! 1-D arithmetic bit for bit while staying vectorizable.
 
 /// Number of approximation (even-indexed) samples of an `n`-sample signal.
 #[must_use]
@@ -152,6 +158,60 @@ pub fn inverse_53(approx: &[i32], detail: &[i32]) -> Vec<i32> {
         out.push(even[half_a - 1] as i32);
     }
     out
+}
+
+/// `floor((a + b) / 2)` for any pair of `i32`s, without widening.
+#[inline]
+fn half_sum(a: i32, b: i32) -> i32 {
+    (a >> 1) + (b >> 1) + (a & b & 1)
+}
+
+/// `floor((a + b + 2) / 4)` for any pair of `i32`s, without widening.
+#[inline]
+fn quarter_sum(a: i32, b: i32) -> i32 {
+    (a >> 2) + (b >> 2) + (((a & 3) + (b & 3) + 2) >> 2)
+}
+
+/// One lifting step over whole rows: `out[i] = step(x[i], a[i], b[i])`.
+#[inline]
+fn lift_rows(
+    x: &[i32],
+    a: &[i32],
+    b: &[i32],
+    out: &mut [i32],
+    step: impl Fn(i32, i32, i32) -> i32,
+) {
+    assert!(x.len() == out.len() && a.len() == out.len() && b.len() == out.len());
+    for (((o, &x), &a), &b) in out.iter_mut().zip(x).zip(a).zip(b) {
+        *o = step(x, a, b);
+    }
+}
+
+/// Predict step over whole rows (the vertical and z-axis form of the 1-D
+/// predict): `out[i] = odd[i] - floor((left[i] + right[i]) / 2)`.
+///
+/// The rounding terms are exact in `i32` and the final subtraction wraps,
+/// so every output equals the 1-D kernel's widened `as i32` result while
+/// the loop stays at `i32` width and autovectorizes. The same holds for the
+/// three steps below.
+pub(crate) fn predict_rows(odd: &[i32], left: &[i32], right: &[i32], out: &mut [i32]) {
+    lift_rows(odd, left, right, out, |x, l, r| x.wrapping_sub(half_sum(l, r)));
+}
+
+/// Inverse of [`predict_rows`]: `out[i] = detail[i] + floor((left[i] + right[i]) / 2)`.
+pub(crate) fn unpredict_rows(detail: &[i32], left: &[i32], right: &[i32], out: &mut [i32]) {
+    lift_rows(detail, left, right, out, |d, l, r| d.wrapping_add(half_sum(l, r)));
+}
+
+/// Update step over whole rows: `out[i] = even[i] + floor((prev[i] + next[i] + 2) / 4)`,
+/// where `prev` and `next` are the detail rows on either side.
+pub(crate) fn update_rows(even: &[i32], prev: &[i32], next: &[i32], out: &mut [i32]) {
+    lift_rows(even, prev, next, out, |x, p, n| x.wrapping_add(quarter_sum(p, n)));
+}
+
+/// Inverse of [`update_rows`]: `out[i] = approx[i] - floor((prev[i] + next[i] + 2) / 4)`.
+pub(crate) fn unupdate_rows(approx: &[i32], prev: &[i32], next: &[i32], out: &mut [i32]) {
+    lift_rows(approx, prev, next, out, |a, p, n| a.wrapping_sub(quarter_sum(p, n)));
 }
 
 /// Symmetric (whole-sample mirror) index extension into `0..n`.
@@ -320,6 +380,34 @@ mod tests {
             let y = inverse_53(&a, &d);
             assert_eq!(x, y);
         }
+    }
+
+    #[test]
+    fn row_kernels_match_widened_arithmetic_on_every_sign_and_extreme() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let edges = [i32::MIN, i32::MIN + 1, -3, -2, -1, 0, 1, 2, 3, i32::MAX - 1, i32::MAX];
+        let pick = |rng: &mut StdRng| -> i32 {
+            if rng.gen_range(0..3) == 0 {
+                edges[rng.gen_range(0..edges.len())]
+            } else {
+                rng.gen_range(i32::MIN..=i32::MAX)
+            }
+        };
+        let n = 4096;
+        let x: Vec<i32> = (0..n).map(|_| pick(&mut rng)).collect();
+        let a: Vec<i32> = (0..n).map(|_| pick(&mut rng)).collect();
+        let b: Vec<i32> = (0..n).map(|_| pick(&mut rng)).collect();
+        let mut out = vec![0i32; n];
+        let half = |i: usize| (a[i] as i64 + b[i] as i64) >> 1;
+        let quarter = |i: usize| (a[i] as i64 + b[i] as i64 + 2) >> 2;
+        predict_rows(&x, &a, &b, &mut out);
+        assert!((0..n).all(|i| out[i] == (x[i] as i64 - half(i)) as i32));
+        unpredict_rows(&x, &a, &b, &mut out);
+        assert!((0..n).all(|i| out[i] == (x[i] as i64 + half(i)) as i32));
+        update_rows(&x, &a, &b, &mut out);
+        assert!((0..n).all(|i| out[i] == (x[i] as i64 + quarter(i)) as i32));
+        unupdate_rows(&x, &a, &b, &mut out);
+        assert!((0..n).all(|i| out[i] == (x[i] as i64 - quarter(i)) as i32));
     }
 
     #[test]

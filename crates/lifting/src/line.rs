@@ -28,7 +28,9 @@
 //! stays in-tree as the reference.
 
 use crate::geometry::{band_rect, scaled_dim};
-use crate::lifting1d::{approx_len, detail_len, forward_53_into, mirror};
+use crate::lifting1d::{
+    approx_len, detail_len, forward_53_into, mirror, predict_rows, update_rows,
+};
 use crate::transform::LiftingCoefficients;
 use crate::LiftingError;
 use lwc_image::ImageView;
@@ -206,10 +208,8 @@ impl Level {
                 let m = mirror(k as i64 + 1, self.a_h as i64) as usize;
                 self.row(2 * m)
             };
-            buf.extend(r1.iter().zip(r0.iter().zip(r2)).map(|(&odd, (&left, &right))| {
-                let predicted = (left as i64 + right as i64) >> 1;
-                (odd as i64 - predicted) as i32
-            }));
+            buf.resize(r1.len(), 0);
+            predict_rows(r1, r0, r2, &mut buf);
         }
         emit(CoeffRow { scale: self.scale, band: 2, y: k, samples: &buf[..self.a_w] });
         emit(CoeffRow { scale: self.scale, band: 3, y: k, samples: &buf[self.a_w..] });
@@ -256,10 +256,8 @@ impl Level {
                 (self.detail(j - 1), self.detail(m))
             };
             let r = self.row(2 * j);
-            buf.extend(r.iter().zip(dm1.iter().zip(d0)).map(|(&even, (&a, &b))| {
-                let update = (a as i64 + b as i64 + 2) >> 2;
-                (even as i64 + update) as i32
-            }));
+            buf.resize(r.len(), 0);
+            update_rows(r, dm1, d0, &mut buf);
         }
         emit(CoeffRow { scale: self.scale, band: 1, y: j, samples: &buf[self.a_w..] });
         if is_top {
