@@ -101,3 +101,35 @@ fn full_scale_lwcf_roundtrip() {
     assert!(stats::bit_exact(&frame.crop(grid.rect(last)).unwrap(), &tile).unwrap());
     assert!(stats::bit_exact(&frame, &trait_object.decompress(&bytes).unwrap()).unwrap());
 }
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `LWCF` bytes are pinned by digest for every Table I bank, so a
+/// rewrite of the transform or the tile driver under the container must
+/// reproduce them exactly. Covers a ragged multi-tile grid (96×80 over 32²
+/// tiles, a 16-row bottom band, 3 scales) and a single-tile 64² grid at 4
+/// scales.
+#[test]
+fn lwcf_bytes_are_pinned() {
+    #[rustfmt::skip]
+    let expected: [[u64; 2]; 6] = [
+        [0xa8a6_3c37_4ab4_37cb, 0xe3a1_1def_a1ad_41f1],
+        [0x5150_fb24_602a_9c4f, 0x70e7_3db0_dc13_cb6e],
+        [0xceeb_3855_1926_af0f, 0xb706_9b63_89e8_8f9e],
+        [0x97af_7c52_6d7c_122d, 0xf034_8938_f2a9_e12a],
+        [0x3a74_fc32_69df_9e9c, 0x555d_72af_cbe5_b181],
+        [0xaf52_22f0_b3c0_9407, 0x785f_514d_0ff0_c42f],
+    ];
+    let ragged = synth::ct_phantom(96, 80, 12, 31);
+    let single = synth::mr_slice(64, 64, 12, 32);
+    let mut got = [[0u64; 2]; 6];
+    for (f, row) in got.iter_mut().enumerate() {
+        row[0] = fnv1a64(&engine(f, 3, 32, 2).compress(&ragged).unwrap());
+        row[1] = fnv1a64(&engine(f, 4, 64, 2).compress(&single).unwrap());
+    }
+    assert_eq!(got, expected, "LWCF bytes moved: {got:#018x?}");
+}
