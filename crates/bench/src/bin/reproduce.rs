@@ -33,7 +33,6 @@ const ARTIFACTS: &[(&str, &str)] = &[
     ("conclusions", "simulated architecture + software engines [size]"),
     ("perfjson", "throughput trajectory -> BENCH_throughput.json [size]"),
     ("tiled", "tile-parallel engine smoke [size]"),
-    ("dwt-tiled", "tile-parallel fixed-point DWT vs monolithic [size]"),
     ("dwt-line", "line-based fused DWT bit-identity + codec vs multi-pass encode [size]"),
     ("fixed-codec", "paper-exact fixed-path codec smoke (LWCF) [size]"),
     ("serve", "loopback compression service + load generator [connections]"),
@@ -60,7 +59,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "conclusions" => conclusions(size)?,
         "perfjson" => perfjson(size)?,
         "tiled" => tiled(args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4096))?,
-        "dwt-tiled" => dwt_tiled(args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4096))?,
         "dwt-line" => dwt_line(args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4096))?,
         "fixed-codec" => fixed_codec(args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4096))?,
         "serve" => serve(args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4))?,
@@ -365,88 +363,19 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     }
     json.push_str("  },\n");
 
-    // Tile-parallel fixed-point DWT: the paper-exact datapath sharded by
-    // regions, swept over tile sizes against the monolithic single-thread
-    // transform on the same frame. Rates are in raw Msamples/s because the
-    // transform has no compressed output.
     let bank = FilterBank::table1(FilterId::F1);
-    let dwt_scales = 5u32;
-    let hw = FixedDwt2d::paper_default(&bank, dwt_scales)?;
-    let msamples = (large * large) as f64 / 1e6;
-    let mono_forward = {
-        let mut best_s = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let start = std::time::Instant::now();
-            std::hint::black_box(hw.forward(&large_image)?);
-            best_s = best_s.min(start.elapsed().as_secs_f64());
-        }
-        best_s
-    };
-    json.push_str(&format!(
-        "  \"dwt_tiled\": {{\n    \"frame\": {{\"width\": {large}, \"height\": {large}, \
-         \"bit_depth\": 12, \"scales\": {dwt_scales}, \"filter\": \"F1\"}},\n    \
-         \"monolithic\": {{\"seconds\": {mono_forward:.6}, \"msamples_per_s\": {:.3}}},\n",
-        msamples / mono_forward
-    ));
-    println!(
-        "monolithic fixed DWT forward ({large}x{large}): {:>8.1} Msamples/s",
-        msamples / mono_forward
-    );
-    for (index, &tile) in tile_sizes.iter().enumerate() {
-        let engine = TiledFixedDwt2d::with_transform(hw.clone(), tile, tile, 0)?;
-        let tiles = engine.grid(large, large)?.tile_count();
-        let mut forward_s = f64::INFINITY;
-        // As above: the report carries the worker count the sweep point
-        // actually used, which the pool size alone misstates.
-        let mut used_workers = engine.workers().min(tiles);
-        for _ in 0..reps.max(1) {
-            let (_, report) = engine.forward_with_report(&large_image)?;
-            forward_s = forward_s.min(report.wall.as_secs_f64());
-            used_workers = report.workers;
-        }
-        let coeffs = engine.forward(&large_image)?;
-        let mut inverse_s = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let start = std::time::Instant::now();
-            std::hint::black_box(engine.inverse(&coeffs)?);
-            inverse_s = inverse_s.min(start.elapsed().as_secs_f64());
-        }
-        let comma = if index + 1 == tile_sizes.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    \"tile_{tile}\": {{\"workers\": {}, \"tiles\": {tiles}, \"forward\": \
-             {{\"seconds\": {forward_s:.6}, \"msamples_per_s\": {:.3}, \"tiles_per_s\": \
-             {:.3}}}, \"inverse\": {{\"seconds\": {inverse_s:.6}, \"msamples_per_s\": \
-             {:.3}}}}}{comma}\n",
-            used_workers,
-            msamples / forward_s,
-            tiles as f64 / forward_s,
-            msamples / inverse_s,
-        ));
-        println!(
-            "dwt tiled tile={tile:<4} ({} workers, {tiles:>3} tiles): forward {:>8.1} \
-             Msamples/s, inverse {:>8.1} Msamples/s",
-            used_workers,
-            msamples / forward_s,
-            msamples / inverse_s,
-        );
-    }
-    json.push_str("  },\n");
-
     // Line-based fused DWT: the whole multi-scale fixed-point transform in
     // one streaming pass over the rows (O(width x levels) working set)
-    // against the multi-pass monolithic transform and the tile-parallel
-    // driver on the same frame, swept over decomposition depth. One pass
-    // over memory instead of one per scale is the locality win this section
-    // quantifies.
+    // against the multi-pass monolithic transform on the same frame, swept
+    // over decomposition depth. One pass over memory instead of one per
+    // scale is the locality win this section quantifies.
     let line_side = (16 * size).min(4096);
     let line_frame = synth::ct_phantom(line_side, line_side, 12, 99);
     let line_view = line_frame.view();
     let line_msamples = (line_side * line_side) as f64 / 1e6;
-    let line_tile = 256.min(line_side);
     json.push_str(&format!(
         "  \"dwt_line\": {{\n    \"frame\": {{\"width\": {line_side}, \"height\": \
-         {line_side}, \"bit_depth\": 12, \"filter\": \"F1\"}},\n    \"tiled_tile\": \
-         {line_tile},\n"
+         {line_side}, \"bit_depth\": 12, \"filter\": \"F1\"}},\n"
     ));
     // The lifting codec on the same frame: `fused_line` is
     // `LosslessCodec::compress` (the line cascade straight into the Rice
@@ -514,84 +443,106 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
             std::hint::black_box(hw_n.forward(&line_frame)?);
             multi_s = multi_s.min(start.elapsed().as_secs_f64());
         }
-        let line_tiled = TiledFixedDwt2d::with_transform(hw_n, line_tile, line_tile, 0)?;
-        let mut tiled_s = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let (_, report) = line_tiled.forward_with_report(&line_frame)?;
-            tiled_s = tiled_s.min(report.wall.as_secs_f64());
-        }
         let comma = if line_scales == 5 { "" } else { "," };
         json.push_str(&format!(
             "    \"scales_{line_scales}\": {{\"fused_line\": {{\"seconds\": {fused_s:.6}, \
              \"msamples_per_s\": {:.3}}}, \"fused_materialized\": {{\"seconds\": \
              {materialized_s:.6}, \"msamples_per_s\": {:.3}}}, \"multi_pass\": \
-             {{\"seconds\": {multi_s:.6}, \"msamples_per_s\": {:.3}}}, \"tiled\": \
-             {{\"seconds\": {tiled_s:.6}, \"msamples_per_s\": {:.3}}}, \
+             {{\"seconds\": {multi_s:.6}, \"msamples_per_s\": {:.3}}}, \
              \"fused_speedup_vs_multi_pass\": {:.3}}}{comma}\n",
             line_msamples / fused_s,
             line_msamples / materialized_s,
             line_msamples / multi_s,
-            line_msamples / tiled_s,
             multi_s / fused_s,
         ));
         println!(
             "dwt line {line_scales} scale(s) ({line_side}x{line_side}): fused {:>8.1} \
-             Msamples/s (materialized {:>8.1}), multi-pass {:>8.1} Msamples/s, tiled \
-             {:>8.1} Msamples/s (fused {:>5.2}x multi-pass)",
+             Msamples/s (materialized {:>8.1}), multi-pass {:>8.1} Msamples/s (fused \
+             {:>5.2}x multi-pass)",
             line_msamples / fused_s,
             line_msamples / materialized_s,
             line_msamples / multi_s,
-            line_msamples / tiled_s,
             multi_s / fused_s,
         );
     }
     json.push_str("  },\n");
 
     // Fixed-path codec: the paper-exact datapath plus its Rice entropy back
-    // end, end to end into an LWCF container on the same large frame. The
+    // end, end to end into an LWCF container on the same large frame, swept
+    // over the tiled engine's tile sizes. Each point also times the one
+    // forward transform the engine runs per tile (the line cascade) against
+    // the multi-pass reference, summed over the grid's tiles on one thread,
+    // so the record shows whether the cascade loses at any tile size. The
     // lifting codec's ratio on that frame sits next to it so the expansion
     // of the lossless fixed path stays quantified, not hidden.
-    let fixed = TiledFixedCompressor::with_dwt(TiledFixedDwt2d::with_transform(
-        hw.clone(),
-        128.min(large),
-        128.min(large),
-        0,
-    )?);
-    let fixed_stream = Codec::compress(&fixed, &large_image)?;
-    let fixed_compress = best(&|| {
-        std::hint::black_box(Codec::compress(&fixed, &large_image)?);
-        Ok(())
-    })?;
-    let fixed_decompress = best(&|| {
-        std::hint::black_box(Codec::decompress(&fixed, &fixed_stream)?);
-        Ok(())
-    })?;
+    let fixed_scales = 5u32;
     let large_raw = (large_image.pixel_count() * 12).div_ceil(8);
     let lifting_len = sequential.compress(&large_image)?.len();
     json.push_str(&format!(
-        "  \"fixed_codec\": {{\"filter\": \"F1\", \"scales\": {dwt_scales}, \"tile\": {}, \
-         \"workers\": {}, \"raw_bytes\": {large_raw}, \"compressed_bytes\": {}, \
-         \"ratio\": {:.4}, \"lifting_ratio\": {:.4}, \"compress\": {{\"seconds\": \
-         {fixed_compress:.6}, \"mb_per_s\": {:.3}}}, \"decompress\": {{\"seconds\": \
-         {fixed_decompress:.6}, \"mb_per_s\": {:.3}}}}},\n",
-        fixed.dwt().tile_width(),
-        fixed.workers(),
-        fixed_stream.len(),
-        large_raw as f64 / fixed_stream.len() as f64,
+        "  \"fixed_codec\": {{\n    \"filter\": \"F1\", \"scales\": {fixed_scales}, \
+         \"raw_bytes\": {large_raw}, \"lifting_ratio\": {:.4},\n",
         large_raw as f64 / lifting_len as f64,
-        large_mb / fixed_compress,
-        large_mb / fixed_decompress,
     ));
-    println!(
-        "fixed codec (LWCF, tile {}, {} workers): compress {:>8.1} MB/s, decompress \
-         {:>8.1} MB/s, ratio {:.2}:1 (lifting codec on the same frame: {:.2}:1)",
-        fixed.dwt().tile_width(),
-        fixed.workers(),
-        large_mb / fixed_compress,
-        large_mb / fixed_decompress,
-        large_raw as f64 / fixed_stream.len() as f64,
-        large_raw as f64 / lifting_len as f64,
-    );
+    for (index, &tile) in tile_sizes.iter().enumerate() {
+        let fixed = TiledFixedCompressor::new(&bank, fixed_scales, tile, 0)?;
+        let grid = fixed.grid(large, large)?;
+        let hw = fixed.transform();
+        let mut line_s = f64::INFINITY;
+        let mut multi_s = f64::INFINITY;
+        for _ in 0..reps.max(1) {
+            let start = std::time::Instant::now();
+            for i in 0..grid.tile_count() {
+                let window = large_image.view_rect(grid.rect(i))?;
+                std::hint::black_box(LineFixedDwt::forward_view(hw, &window)?);
+            }
+            line_s = line_s.min(start.elapsed().as_secs_f64());
+            let start = std::time::Instant::now();
+            for i in 0..grid.tile_count() {
+                std::hint::black_box(hw.forward_view(&large_image.view_rect(grid.rect(i))?)?);
+            }
+            multi_s = multi_s.min(start.elapsed().as_secs_f64());
+        }
+        let fixed_stream = Codec::compress(&fixed, &large_image)?;
+        let fixed_compress = best(&|| {
+            std::hint::black_box(Codec::compress(&fixed, &large_image)?);
+            Ok(())
+        })?;
+        let fixed_decompress = best(&|| {
+            std::hint::black_box(Codec::decompress(&fixed, &fixed_stream)?);
+            Ok(())
+        })?;
+        let comma = if index + 1 == tile_sizes.len() { "" } else { "," };
+        json.push_str(&format!(
+            "    \"tile_{tile}\": {{\"tiles\": {}, \"workers\": {}, \"compressed_bytes\": \
+             {}, \"ratio\": {:.4}, \"forward_ms\": {{\"line\": {:.3}, \"multi_pass\": \
+             {:.3}, \"line_speedup\": {:.3}}}, \"compress\": {{\"seconds\": \
+             {fixed_compress:.6}, \"mb_per_s\": {:.3}}}, \"decompress\": {{\"seconds\": \
+             {fixed_decompress:.6}, \"mb_per_s\": {:.3}}}}}{comma}\n",
+            grid.tile_count(),
+            fixed.workers().min(grid.tile_count()),
+            fixed_stream.len(),
+            large_raw as f64 / fixed_stream.len() as f64,
+            line_s * 1e3,
+            multi_s * 1e3,
+            multi_s / line_s,
+            large_mb / fixed_compress,
+            large_mb / fixed_decompress,
+        ));
+        println!(
+            "fixed codec tile={tile:<4} ({} tiles): forward line {:>8.2} ms vs multi-pass \
+             {:>8.2} ms ({:.2}x, 1 thread), compress {:>8.1} MB/s, decompress {:>8.1} MB/s, \
+             ratio {:.2}:1 (lifting {:.2}:1)",
+            grid.tile_count(),
+            line_s * 1e3,
+            multi_s * 1e3,
+            multi_s / line_s,
+            large_mb / fixed_compress,
+            large_mb / fixed_decompress,
+            large_raw as f64 / fixed_stream.len() as f64,
+            large_raw as f64 / lifting_len as f64,
+        );
+    }
+    json.push_str("  },\n");
 
     // Serving layer: a loopback LWCP server driven by the concurrent load
     // generator — requests/s and MB/s through real sockets, swept across
@@ -771,8 +722,8 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     json.push_str("}\n");
     std::fs::write("BENCH_throughput.json", &json)?;
     println!(
-        "wrote BENCH_throughput.json ({} modes + {} tiled sweeps + {} dwt_tiled sweeps + \
-         fixed codec + serve + volume + real corpus, best of {reps} reps)",
+        "wrote BENCH_throughput.json ({} modes + {} tiled sweeps + {} fixed codec sweeps + \
+         dwt line + serve + volume + real corpus, best of {reps} reps)",
         modes.len(),
         tile_sizes.len(),
         tile_sizes.len()
@@ -1155,74 +1106,6 @@ fn tiled(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Tile-parallel fixed-point DWT smoke on one large frame: the tiled driver
-/// must be bit-identical to the monolithic transform — a single-tile grid
-/// reproduces `FixedDwt2d::forward` exactly, every multi-tile region matches
-/// the monolithic transform of its crop, the words never depend on the
-/// worker count, and the round trip is lossless. CI runs this at 4096×4096.
-fn dwt_tiled(size: usize) -> Result<(), Box<dyn std::error::Error>> {
-    heading(&format!("Tile-parallel fixed-point DWT smoke — {size}x{size} 12-bit frame"));
-    let bank = FilterBank::table1(FilterId::F1);
-    let scales = 5u32;
-    let frame = synth::ct_phantom(size, size, 12, 42);
-    let engine = TiledFixedDwt2d::new(&bank, scales, DEFAULT_TILE_SIZE, 0)?;
-    let grid = engine.grid(size, size)?;
-    println!(
-        "tile grid: {}x{} tiles of {}x{} ({} tiles), {} workers, {scales} scales",
-        grid.tiles_x(),
-        grid.tiles_y(),
-        grid.tile_width(),
-        grid.tile_height(),
-        grid.tile_count(),
-        engine.workers()
-    );
-
-    let (coeffs, report) = engine.forward_with_report(&frame)?;
-    println!("tiled forward:      {report}");
-
-    // Worker-count independence: one worker must produce the same words.
-    let sequential = TiledFixedDwt2d::new(&bank, scales, DEFAULT_TILE_SIZE, 1)?;
-    let (seq_coeffs, seq_report) = sequential.forward_with_report(&frame)?;
-    assert!(coeffs == seq_coeffs, "tiled DWT words must not depend on the worker count");
-    println!(
-        "1-worker forward:   {seq_report} ({:.2}x parallel speedup, words identical)",
-        report.speedup_over(&seq_report)
-    );
-
-    // Tiled == monolithic, degenerate grid: one tile covering the frame is
-    // exactly the monolithic transform of the whole frame.
-    let monolithic = FixedDwt2d::paper_default(&bank, scales)?;
-    let single = TiledFixedDwt2d::with_transform(monolithic.clone(), size, size, 0)?;
-    let start = std::time::Instant::now();
-    let whole = monolithic.forward(&frame)?;
-    let mono_wall = start.elapsed().as_secs_f64();
-    let single_tiles = single.forward(&frame)?;
-    assert!(single_tiles.grid().is_single() && single_tiles.tile(0) == &whole);
-    println!(
-        "monolithic forward: {:.3} s ({:.1} Msamples/s); single-tile grid bit-identical",
-        mono_wall,
-        (size * size) as f64 / 1e6 / mono_wall.max(1e-9)
-    );
-
-    // Tiled == monolithic, per region: sampled tiles of the multi-tile grid
-    // match the monolithic transform of their crops word for word.
-    for index in [0, grid.tile_count() / 2, grid.tile_count() - 1] {
-        let crop = frame.crop(grid.rect(index))?;
-        assert!(
-            coeffs.tile(index) == &monolithic.forward(&crop)?,
-            "tile {index} must match the monolithic transform of its region"
-        );
-    }
-    println!("sampled tiles match the monolithic transform of their regions word for word");
-
-    // Lossless round trip through the tile-parallel inverse.
-    let back = engine.inverse(&coeffs)?;
-    let exact = stats::bit_exact(&frame, &back)?;
-    println!("tiled inverse round trip lossless: {}", if exact { "yes" } else { "NO" });
-    assert!(exact, "tiled fixed-point round trip must be bit exact");
-    Ok(())
-}
-
 /// Line-based fused DWT smoke: the one-pass streaming cascade is
 /// bit-identical to the multi-pass drivers on **both** datapaths (5/3
 /// lifting with mirror extension, paper-exact fixed point with periodic
@@ -1352,7 +1235,10 @@ fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
 /// `LWCF` bitstream. Dispatches through `&dyn Codec` — the same interface
 /// the server and batch engine use — and checks the round trip is bit
 /// exact, the bytes never depend on the worker count, and the container
-/// directory serves random tile access. CI runs this at 4096×4096.
+/// directory serves random tile access. The engine codes each tile through
+/// the line cascade, so sampled tiles' cascade words and a one-tile grid
+/// over the whole frame are checked against the multi-pass Table II
+/// reference. CI runs this at 4096×4096.
 fn fixed_codec(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     heading(&format!("Fixed-path codec smoke — {size}x{size} 12-bit frame -> LWCF"));
     let bank = FilterBank::table1(FilterId::F1);
@@ -1423,6 +1309,34 @@ fn fixed_codec(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!("sampled tile decodes match their regions pixel for pixel");
+
+    // The one forward transform the engine runs per tile is the line
+    // cascade: its words must equal the multi-pass reference of the tile's
+    // crop, and over a one-tile grid the reference of the whole frame.
+    let hw = concrete.transform();
+    for index in [0, grid.tile_count() / 2, grid.tile_count() - 1] {
+        let rect = grid.rect(index);
+        assert!(
+            LineFixedDwt::forward_view(hw, &frame.view_rect(rect)?)?
+                == hw.forward(&frame.crop(rect)?)?,
+            "tile {index}: line-cascade words must match the multi-pass transform of its crop"
+        );
+    }
+    println!("sampled tiles: line-cascade words match the multi-pass transform of their crops");
+    let single = TiledFixedCompressor::new(&bank, scales, size, 0)?;
+    let whole = single.grid(size, size)?;
+    assert!(whole.is_single(), "a frame-sized tile must give a one-tile grid");
+    let start = std::time::Instant::now();
+    let cascade = LineFixedDwt::forward_view(single.transform(), &frame.view_rect(whole.rect(0))?)?;
+    let line_s = start.elapsed().as_secs_f64();
+    let start = std::time::Instant::now();
+    let reference = hw.forward(&frame)?;
+    let multi_s = start.elapsed().as_secs_f64();
+    assert!(cascade == reference, "a one-tile grid must reproduce the whole-frame transform");
+    println!(
+        "one-tile grid: line cascade {line_s:.3} s vs multi-pass {multi_s:.3} s, words identical \
+         to the whole-frame transform"
+    );
     Ok(())
 }
 
@@ -1490,32 +1404,15 @@ fn conclusions(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     assert!(stats::bit_exact(single, &tiled_back)?, "tiled round trip must be lossless");
     println!("  tile-parallel ({}px tiles): {tiled_report}", tiled_engine.tile_width());
 
-    // Tile-parallel fixed-point DWT — the paper-exact datapath itself
-    // region-sharded across the pool, bit-identical per region to the
-    // monolithic transform. Skipped (with a note) when the size's tiles
-    // cannot halve to the configured depth.
-    let dwt_tile = (size / 4).max(32);
-    let hw = FixedDwt2d::paper_default(&bank, scales)?;
-    match parallel.tiled_dwt(hw, dwt_tile, dwt_tile) {
-        Ok(dwt_engine) if dwt_engine.grid(size, size).is_ok() => {
-            let (coeffs, fwd_report) = dwt_engine.forward_with_report(single)?;
-            let back = dwt_engine.inverse(&coeffs)?;
-            assert!(stats::bit_exact(single, &back)?, "tiled fixed DWT must be lossless");
-            println!("  tile-parallel fixed DWT ({dwt_tile}px tiles): {fwd_report}");
-        }
-        _ => println!(
-            "  tile-parallel fixed DWT: skipped ({dwt_tile}px tiles of a {size}px frame \
-             cannot halve {scales} times)"
-        ),
-    }
-
-    // Fixed-path codec — the same paper-exact datapath with its Rice entropy
-    // back end, producing a real decodable LWCF bitstream through the Codec
-    // trait. Losslessness keeps every Table II fractional bit, so the fixed
+    // Fixed-path codec — the paper-exact datapath, tile by tile through the
+    // line cascade, with its Rice entropy back end, producing a real
+    // decodable LWCF bitstream through the Codec trait. Skipped (with a
+    // note) when the size's tiles cannot halve to the configured depth. Losslessness keeps every Table II fractional bit, so the fixed
     // path *expands* (ratio below 1): the lifting engines above are the
     // compressing paths; this one makes the hardware datapath measurable end
     // to end.
-    match TiledFixedCompressor::new(&bank, scales, dwt_tile, 0) {
+    let fixed_tile = (size / 4).max(32);
+    match TiledFixedCompressor::new(&bank, scales, fixed_tile, 0) {
         Ok(fixed) if fixed.grid(size, size).is_ok() => {
             let engine: &dyn Codec = &fixed;
             let start = std::time::Instant::now();
@@ -1524,7 +1421,7 @@ fn conclusions(size: usize) -> Result<(), Box<dyn std::error::Error>> {
             let back = engine.decompress(&lwcf)?;
             assert!(stats::bit_exact(single, &back)?, "fixed-path round trip must be lossless");
             println!(
-                "  fixed-path codec (LWCF, {dwt_tile}px tiles, {} workers): {:.2}:1 \
+                "  fixed-path codec (LWCF, {fixed_tile}px tiles, {} workers): {:.2}:1 \
                  ({:.2} bpp) at {:.1} MB/s, round trip bit exact",
                 fixed.workers(),
                 fixed_report.ratio(),
@@ -1537,7 +1434,7 @@ fn conclusions(size: usize) -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         _ => println!(
-            "  fixed-path codec: skipped ({dwt_tile}px tiles of a {size}px frame cannot \
+            "  fixed-path codec: skipped ({fixed_tile}px tiles of a {size}px frame cannot \
              halve {scales} times)"
         ),
     }

@@ -27,7 +27,6 @@ fn unknown_subcommands_list_artifacts_and_exit_nonzero() {
         "conclusions",
         "perfjson",
         "tiled",
-        "dwt-tiled",
         "dwt-line",
         "fixed-codec",
         "serve",

@@ -41,8 +41,8 @@ pub use lwc_perf::hardware::{HardwareModel, ThroughputReport};
 pub use lwc_perf::software::SoftwareModel;
 pub use lwc_pipeline::{
     BatchCompressor, BatchReport, Codec, CodecCapabilities, PipelineError, RowBand,
-    TiledCompressor, TiledDecomposition, TiledDwtReport, TiledFixedCompressor, TiledFixedDwt2d,
-    TiledReport, VolumeCompressor, VolumeSlab, VolumeSlabs, DEFAULT_BRICK_DEPTH, DEFAULT_TILE_SIZE,
+    TiledCompressor, TiledFixedCompressor, TiledReport, VolumeCompressor, VolumeSlab, VolumeSlabs,
+    DEFAULT_BRICK_DEPTH, DEFAULT_TILE_SIZE,
 };
 pub use lwc_server::{
     loadgen, Client, LoadGenConfig, LoadReport, Server, ServerConfig, ServerError, ServerStats,

@@ -4,7 +4,7 @@ use crate::fixed1d::{analyze_periodic_fixed, synthesize_periodic_fixed, FixedSte
 use crate::{Decomposition, Dwt2d, DwtError};
 use lwc_filters::{FilterBank, QuantizedBank};
 use lwc_fixed::round_half_up_shift;
-use lwc_image::{Image, ImageView, ImageViewMut};
+use lwc_image::{Image, ImageView};
 use lwc_wordlen::WordLengthPlan;
 
 /// Number of columns gathered into the contiguous scratch buffer per block.
@@ -134,9 +134,10 @@ impl FixedDwt2d {
     }
 
     /// Forward transform of a borrowed (possibly strided) window of a larger
-    /// frame — the tile-parallel entry point: a tile is gathered straight out
-    /// of the frame with stride-aware row reads, so no copy of the full frame
-    /// (or even an owned tile image) is ever made.
+    /// frame, gathered with stride-aware row reads. This multi-pass form is
+    /// the Table II reference the tests and `reproduce` check the line
+    /// cascade ([`crate::LineFixedDwt`]) against; the `LWCF` codec encodes
+    /// through the cascade.
     ///
     /// ```
     /// use lwc_dwt::FixedDwt2d;
@@ -193,68 +194,6 @@ impl FixedDwt2d {
     ///   with a different filter or depth.
     /// * [`DwtError::Fixed`] if a word overflows during reconstruction.
     pub fn inverse(&self, decomposition: &Decomposition<i64>) -> Result<Image, DwtError> {
-        let data = self.inverse_core(decomposition)?;
-        // Final rounding from the scale-0 format back to integer pixels.
-        let frac0 = self.plan.frac_bits_for_scale(0);
-        let max = (1i32 << decomposition.input_bit_depth()) - 1;
-        let samples: Vec<i32> = data
-            .iter()
-            .map(|&raw| (round_half_up_shift(raw, frac0) as i32).clamp(0, max))
-            .collect();
-        Ok(Image::from_samples(
-            decomposition.width(),
-            decomposition.height(),
-            decomposition.input_bit_depth(),
-            samples,
-        )?)
-    }
-
-    /// Inverse transform scattered into a window of an existing frame — the
-    /// decode counterpart of [`FixedDwt2d::forward_view`]. The reconstructed
-    /// pixels are written row by row into `out`; nothing outside the window
-    /// is touched and no frame-sized intermediate is allocated.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`FixedDwt2d::inverse`] reports, plus
-    /// [`DwtError::ConfigurationMismatch`] if the window's shape or bit depth
-    /// differs from the decomposition's.
-    pub fn inverse_into(
-        &self,
-        decomposition: &Decomposition<i64>,
-        out: &mut ImageViewMut<'_>,
-    ) -> Result<(), DwtError> {
-        if out.width() != decomposition.width()
-            || out.height() != decomposition.height()
-            || out.bit_depth() != decomposition.input_bit_depth()
-        {
-            return Err(DwtError::ConfigurationMismatch(format!(
-                "decomposition is {}x{} at {} bits but the target window is {}x{} at {} bits",
-                decomposition.width(),
-                decomposition.height(),
-                decomposition.input_bit_depth(),
-                out.width(),
-                out.height(),
-                out.bit_depth()
-            )));
-        }
-        let data = self.inverse_core(decomposition)?;
-        let frac0 = self.plan.frac_bits_for_scale(0);
-        let max = (1i32 << decomposition.input_bit_depth()) - 1;
-        let width = decomposition.width();
-        for y in 0..decomposition.height() {
-            let row = &data[y * width..(y + 1) * width];
-            for (slot, &raw) in out.row_mut(y).iter_mut().zip(row) {
-                *slot = (round_half_up_shift(raw, frac0) as i32).clamp(0, max);
-            }
-        }
-        Ok(())
-    }
-
-    /// Shared driver of the inverse passes: configuration checks, the
-    /// reversed scale schedule, and the raw scale-0 words (before the final
-    /// rounding to pixels).
-    fn inverse_core(&self, decomposition: &Decomposition<i64>) -> Result<Vec<i64>, DwtError> {
         if decomposition.filter() != self.bank.id() {
             return Err(DwtError::ConfigurationMismatch(format!(
                 "decomposition was made with {} but the transform uses {}",
@@ -277,7 +216,14 @@ impl FixedDwt2d {
             let cur_h = height >> (s - 1);
             self.inverse_scale(&mut data, width, cur_w, cur_h, s)?;
         }
-        Ok(data)
+        // Final rounding from the scale-0 format back to integer pixels.
+        let frac0 = self.plan.frac_bits_for_scale(0);
+        let max = (1i32 << decomposition.input_bit_depth()) - 1;
+        let samples: Vec<i32> = data
+            .iter()
+            .map(|&raw| (round_half_up_shift(raw, frac0) as i32).clamp(0, max))
+            .collect();
+        Ok(Image::from_samples(width, height, decomposition.input_bit_depth(), samples)?)
     }
 
     /// Convenience helper: forward followed by inverse.
@@ -523,32 +469,8 @@ mod tests {
             let via_view = hw.forward_view(&frame.view_rect(rect).unwrap()).unwrap();
             let tile = frame.crop(rect).unwrap();
             assert_eq!(via_view, hw.forward(&tile).unwrap(), "{rect:?}");
-            // And the inverse scatters the tile back into a frame window.
-            let mut out = Image::zeros(128, 96, 12).unwrap();
-            hw.inverse_into(&via_view, &mut out.view_rect_mut(rect).unwrap()).unwrap();
-            assert!(stats::bit_exact(&out.crop(rect).unwrap(), &tile).unwrap());
+            assert!(stats::bit_exact(&hw.inverse(&via_view).unwrap(), &tile).unwrap());
         }
-    }
-
-    #[test]
-    fn inverse_into_rejects_mismatched_windows() {
-        let bank = FilterBank::table1(FilterId::F1);
-        let hw = FixedDwt2d::paper_default(&bank, 2).unwrap();
-        let image = synth::random_image(32, 32, 12, 3);
-        let d = hw.forward(&image).unwrap();
-        let mut wrong_shape = Image::zeros(16, 32, 12).unwrap();
-        assert!(matches!(
-            hw.inverse_into(&d, &mut wrong_shape.view_mut()),
-            Err(DwtError::ConfigurationMismatch(_))
-        ));
-        let mut wrong_depth = Image::zeros(32, 32, 8).unwrap();
-        assert!(matches!(
-            hw.inverse_into(&d, &mut wrong_depth.view_mut()),
-            Err(DwtError::ConfigurationMismatch(_))
-        ));
-        let mut ok = Image::zeros(32, 32, 12).unwrap();
-        hw.inverse_into(&d, &mut ok.view_mut()).unwrap();
-        assert!(stats::bit_exact(&ok, &image).unwrap());
     }
 
     #[test]

@@ -563,10 +563,10 @@ impl LineFixedDwt {
         }
     }
 
-    /// Convenience driver: runs a whole view through the streaming engine and
-    /// assembles the in-place Mallat layout — the exact product of
-    /// [`FixedDwt2d::forward_view`], used by the bit-identity tests and
-    /// benches.
+    /// Convenience driver: runs a whole (possibly strided) view through the
+    /// streaming engine and assembles the in-place Mallat layout — the exact
+    /// product of [`FixedDwt2d::forward_view`]. The `LWCF` codec encodes
+    /// every tile window of a frame through it.
     ///
     /// # Errors
     ///

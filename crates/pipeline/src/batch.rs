@@ -1,12 +1,11 @@
 //! Inter-image parallelism: the batch Rice-codec engine.
 
-use crate::pool::run_indexed;
+use crate::pool::{resolve_workers, run_indexed};
 use crate::report::BatchReport;
 use crate::stream::{spawn_ordered, OrderedStream};
 use crate::{PipelineError, TiledCompressor, TiledFixedCompressor};
 use lwc_coder::LosslessCodec;
 use lwc_image::Image;
-use std::thread;
 use std::time::Instant;
 
 /// Fans batches of images across worker threads, each running the
@@ -51,12 +50,7 @@ impl BatchCompressor {
     /// available parallelism.
     #[must_use]
     pub fn with_codec(codec: LosslessCodec, workers: usize) -> Self {
-        let workers = if workers == 0 {
-            thread::available_parallelism().map(usize::from).unwrap_or(1)
-        } else {
-            workers
-        };
-        Self { codec, workers }
+        Self { codec, workers: resolve_workers(workers) }
     }
 
     /// The codec every worker runs.
@@ -86,26 +80,9 @@ impl BatchCompressor {
         TiledCompressor::with_codec(self.codec, tile_width, tile_height, self.workers)
     }
 
-    /// The tile-parallel **fixed-point DWT** driver sharing this engine's
-    /// worker budget — the paper-exact datapath's answer to
-    /// [`BatchCompressor::tiled`], for workloads that need the raw Table II
-    /// coefficient words of a frame too large to transform monolithically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::PipelineError::Config`] for an invalid tile shape.
-    pub fn tiled_dwt(
-        &self,
-        transform: lwc_dwt::FixedDwt2d,
-        tile_width: usize,
-        tile_height: usize,
-    ) -> Result<crate::TiledFixedDwt2d, PipelineError> {
-        crate::TiledFixedDwt2d::with_transform(transform, tile_width, tile_height, self.workers)
-    }
-
     /// The complete paper-exact codec sharing this engine's depth and worker
-    /// budget: the tile-parallel fixed-point DWT feeding the fixed-word Rice
-    /// coder into `LWCF` containers.
+    /// budget: the tile-parallel fixed-point line cascade feeding the
+    /// fixed-word Rice coder into `LWCF` containers.
     ///
     /// # Errors
     ///

@@ -16,17 +16,15 @@
 //!   ([`lwc_coder::tiled`]), lifting the whole-image size limit, fanning one
 //!   large image across the pool, and enabling bounded-memory row-band
 //!   streaming decode ([`TiledCompressor::decompress_row_bands`]).
-//! * [`TiledFixedDwt2d`] — the same tile sharding applied to the
-//!   **paper-exact fixed-point** datapath: regions transform concurrently
-//!   through the unmodified [`lwc_dwt::FixedDwt2d`] region APIs, so every
-//!   tile's coefficients are bit-identical to the monolithic transform of
-//!   that region and independent of the worker count.
 //! * [`BatchCompressor::compress_iter`] / [`BatchCompressor::decompress_iter`]
 //!   — the streaming form: images flow through a bounded channel into the
 //!   worker pool and compressed streams come out in order, so an arbitrarily
 //!   long study never has to be resident in memory at once.
 //! * [`TiledFixedCompressor`] — the **complete paper-exact codec**: the
-//!   tile-parallel fixed-point DWT feeding the fixed-word Rice coder
+//!   same tile sharding applied to the fixed-point datapath. Every tile runs
+//!   through the line-buffer cascade [`lwc_dwt::LineFixedDwt`], whose words
+//!   are bit-identical to the multi-pass [`lwc_dwt::FixedDwt2d`] transform
+//!   of that region, into the fixed-word Rice coder
 //!   ([`lwc_coder::FixedSubbandCodec`]), wrapped in the versioned `LWCF`
 //!   container. This is the end-to-end realization of the paper's
 //!   architecture — Table I banks at Table II word lengths with an entropy
@@ -83,7 +81,6 @@ mod pool;
 mod report;
 mod stream;
 mod tiled;
-mod tileddwt;
 mod tiledfixed;
 mod volume;
 
@@ -91,10 +88,9 @@ pub use batch::BatchCompressor;
 pub use codec::{Codec, CodecCapabilities};
 pub use error::PipelineError;
 pub use plan::{decompress_auto, engine_for, DecodePlan, Plan};
-pub use report::{BatchReport, TiledDwtReport, TiledReport};
+pub use report::{BatchReport, TiledReport};
 pub use stream::OrderedStream;
 pub use tiled::{RowBand, RowBands, TileEncodePlan, TiledCompressor, DEFAULT_TILE_SIZE};
-pub use tileddwt::{TiledDecomposition, TiledFixedDwt2d};
 pub use tiledfixed::{FixedEncodePlan, TiledFixedCompressor};
 pub use volume::{
     scatter_region, BrickEncodePlan, VolumeCompressor, VolumeSlab, VolumeSlabs, DEFAULT_BRICK_DEPTH,

@@ -6,13 +6,23 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
+/// The worker count an engine runs with: `0` selects the machine's available
+/// parallelism, anything else is taken as given. Every engine constructor
+/// resolves its `workers` argument here.
+pub(crate) fn resolve_workers(workers: usize) -> usize {
+    if workers == 0 {
+        thread::available_parallelism().map(usize::from).unwrap_or(1)
+    } else {
+        workers
+    }
+}
+
 /// Runs `job(0..count)` across `workers` scoped threads with dynamic work
 /// stealing and returns the outputs in index order. Every parallel engine
 /// fans out through it: [`crate::Plan::execute`] — the encode and decode
 /// plans of [`crate::TiledCompressor`], [`crate::TiledFixedCompressor`] and
-/// [`crate::VolumeCompressor`], whose jobs run a part and place it — the
-/// tiles of [`crate::TiledFixedDwt2d`] and the images of
-/// [`crate::BatchCompressor::compress_batch`] (whose jobs fail with
+/// [`crate::VolumeCompressor`], whose jobs run a part and place it — and the
+/// images of [`crate::BatchCompressor::compress_batch`] (whose jobs fail with
 /// different error types, hence the generic `Err`).
 pub(crate) fn run_indexed<Out, Err, Job>(
     workers: usize,

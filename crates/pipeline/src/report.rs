@@ -61,58 +61,6 @@ impl fmt::Display for BatchReport {
     }
 }
 
-/// Throughput of one tile-parallel fixed-point transform (see
-/// [`crate::TiledFixedDwt2d::forward_with_report`]).
-///
-/// The transform has no compressed output, so the natural rates are samples
-/// and tiles per second rather than a compression ratio.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TiledDwtReport {
-    /// Number of tiles in the grid.
-    pub tiles: usize,
-    /// Pixels transformed (the frame's sample count).
-    pub samples: usize,
-    /// Worker threads that served the run.
-    pub workers: usize,
-    /// Wall-clock time of the whole frame.
-    pub wall: Duration,
-}
-
-impl TiledDwtReport {
-    /// Megasamples (10^6 pixels) transformed per second of wall time.
-    #[must_use]
-    pub fn megasamples_per_second(&self) -> f64 {
-        self.samples as f64 / 1e6 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Tiles completed per second of wall time.
-    #[must_use]
-    pub fn tiles_per_second(&self) -> f64 {
-        self.tiles as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Speedup of this run relative to `baseline` (same frame measured with
-    /// a different configuration, e.g. one worker).
-    #[must_use]
-    pub fn speedup_over(&self, baseline: &TiledDwtReport) -> f64 {
-        baseline.wall.as_secs_f64() / self.wall.as_secs_f64().max(1e-9)
-    }
-}
-
-impl fmt::Display for TiledDwtReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} tiles in {:.3} s on {} workers: {:.1} Msamples/s, {:.1} tiles/s",
-            self.tiles,
-            self.wall.as_secs_f64(),
-            self.workers,
-            self.megasamples_per_second(),
-            self.tiles_per_second()
-        )
-    }
-}
-
 /// Throughput of one tiled compression run (see
 /// [`crate::TiledCompressor::compress_with_report`]).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -19,6 +19,7 @@
 //!   walks the directory one tile-row at a time, so a consumer can stream a
 //!   huge image top to bottom without ever materializing all of it.
 
+use crate::pool::resolve_workers;
 use crate::report::TiledReport;
 use crate::{DecodePlan, PipelineError, Plan};
 use lwc_coder::bitio::BitReader;
@@ -26,7 +27,6 @@ use lwc_coder::tiled::{is_tiled, write_container, TiledHeader, TiledStream};
 use lwc_coder::{CoderError, LosslessCodec, StreamHeader};
 use lwc_image::{BrickRect, Image, TileGrid, TileRect};
 use std::borrow::Borrow;
-use std::thread;
 use std::time::Instant;
 
 /// Default nominal tile side: big enough to amortize per-tile headers and
@@ -97,11 +97,7 @@ impl TiledCompressor {
                  20-bit fields"
             )));
         }
-        let workers = if workers == 0 {
-            thread::available_parallelism().map(usize::from).unwrap_or(1)
-        } else {
-            workers
-        };
+        let workers = resolve_workers(workers);
         Ok(Self { codec, tile_width, tile_height, workers })
     }
 

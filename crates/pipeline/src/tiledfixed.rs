@@ -3,23 +3,26 @@
 //!
 //! [`TiledCompressor`](crate::TiledCompressor) pairs the lifting transform
 //! with the Rice coder; this module closes the same loop for the datapath the
-//! paper actually builds. A [`TiledFixedCompressor`] drives a
-//! [`TiledFixedDwt2d`] (tiles transformed bit-identically to the monolithic
-//! [`FixedDwt2d`]), Rice-codes every tile's `i64` transform words with
-//! [`FixedSubbandCodec`], and wraps the payloads in the versioned `LWCF`
-//! container ([`lwc_coder::fixedtiled`]).
+//! paper actually builds. A [`TiledFixedCompressor`] cuts the frame into a
+//! [`TileGrid`], runs every tile's strided window through the line-buffer
+//! cascade [`LineFixedDwt`] (bit-identical to the multi-pass
+//! [`FixedDwt2d::forward`] of that region), Rice-codes the tile's `i64`
+//! transform words with [`FixedSubbandCodec`], and wraps the payloads in the
+//! versioned `LWCF` container ([`lwc_coder::fixedtiled`]). Decode runs the
+//! multi-pass [`FixedDwt2d::inverse`] per tile.
 //!
 //! The stream is deterministic for a given tile shape — the worker count
 //! never changes a byte. Grids parallelize per **tile** (payloads are
 //! byte-aligned and concatenated by the shared directory writer); a
 //! single-tile grid codes its one payload sequentially.
 
+use crate::pool::resolve_workers;
 use crate::report::TiledReport;
-use crate::{DecodePlan, PipelineError, Plan, RowBands, TiledFixedDwt2d};
+use crate::{DecodePlan, PipelineError, Plan, RowBands};
 use lwc_coder::bitio::{BitReader, BitWriter};
 use lwc_coder::fixedtiled::{write_fixed_container, FixedHeader, FixedStream};
 use lwc_coder::{subband_order, CoderError, FixedSubbandCodec};
-use lwc_dwt::{Decomposition, DwtError, FixedDwt2d, Subband};
+use lwc_dwt::{Decomposition, Dwt2d, DwtError, FixedDwt2d, LineFixedDwt, Subband};
 use lwc_filters::{FilterBank, FilterId};
 use lwc_image::{Image, TileGrid, TileRect};
 use std::time::Instant;
@@ -36,7 +39,9 @@ fn band_of(index: usize) -> Subband {
 ///
 /// Every stream is an `LWCF` container (there is no legacy fixed format, so
 /// even a single-tile grid is wrapped); decode is pixel-exact by the paper's
-/// central losslessness claim, validated end to end here.
+/// central losslessness claim, validated end to end here. Pixels may be at
+/// most 12 bits deep: the Table II word plan sizes every scale for a 13-bit
+/// signed input word.
 ///
 /// ```
 /// use lwc_filters::{FilterBank, FilterId};
@@ -55,7 +60,10 @@ fn band_of(index: usize) -> Subband {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TiledFixedCompressor {
-    dwt: TiledFixedDwt2d,
+    transform: FixedDwt2d,
+    tile_width: usize,
+    tile_height: usize,
+    workers: usize,
     codec: FixedSubbandCodec,
 }
 
@@ -74,16 +82,7 @@ impl TiledFixedCompressor {
         tile_size: usize,
         workers: usize,
     ) -> Result<Self, PipelineError> {
-        Ok(Self {
-            dwt: TiledFixedDwt2d::new(bank, scales, tile_size, workers)?,
-            codec: FixedSubbandCodec::new(),
-        })
-    }
-
-    /// Wraps an existing tile-parallel transform.
-    #[must_use]
-    pub fn with_dwt(dwt: TiledFixedDwt2d) -> Self {
-        Self { dwt, codec: FixedSubbandCodec::new() }
+        Self::build(FixedDwt2d::paper_default(bank, scales)?, tile_size, tile_size, workers)
     }
 
     /// Builds the engine an `LWCF` stream's header calls for: the stored
@@ -94,54 +93,96 @@ impl TiledFixedCompressor {
     ///
     /// Returns an error for an unknown filter index or an unbuildable plan.
     pub fn for_stream(header: &FixedHeader, workers: usize) -> Result<Self, PipelineError> {
-        let id = *FilterId::ALL.get(header.filter as usize).ok_or_else(|| {
-            PipelineError::from(CoderError::UnsupportedFormat(format!(
-                "filter index {} is not a Table I bank",
-                header.filter
-            )))
-        })?;
-        let bank = FilterBank::table1(id);
-        let inner = FixedDwt2d::paper_default(&bank, header.scales)?;
-        Ok(Self::with_dwt(TiledFixedDwt2d::with_transform(
-            inner,
-            header.tile_width,
-            header.tile_height,
-            workers,
-        )?))
+        let bank = FilterBank::table1(filter_of(header)?);
+        let transform = FixedDwt2d::paper_default(&bank, header.scales)?;
+        Self::build(transform, header.tile_width, header.tile_height, workers)
     }
 
-    /// The tile-parallel transform driving the engine.
+    fn build(
+        transform: FixedDwt2d,
+        tile_width: usize,
+        tile_height: usize,
+        workers: usize,
+    ) -> Result<Self, PipelineError> {
+        if tile_width == 0 || tile_height == 0 {
+            return Err(PipelineError::Config("tile dimensions must be nonzero".into()));
+        }
+        let workers = resolve_workers(workers);
+        Ok(Self { transform, tile_width, tile_height, workers, codec: FixedSubbandCodec::new() })
+    }
+
+    /// The paper-exact transform configuration (bank, Table II word plan,
+    /// depth) every tile is coded with.
     #[must_use]
-    pub fn dwt(&self) -> &TiledFixedDwt2d {
-        &self.dwt
+    pub fn transform(&self) -> &FixedDwt2d {
+        &self.transform
     }
 
     /// The decomposition depth.
     #[must_use]
     pub fn scales(&self) -> u32 {
-        self.dwt.scales()
+        self.transform.scales()
     }
 
     /// The Table I filter bank of the transform.
     #[must_use]
     pub fn filter_id(&self) -> FilterId {
-        self.dwt.inner().bank().id()
+        self.transform.bank().id()
+    }
+
+    /// Nominal tile width.
+    #[must_use]
+    pub fn tile_width(&self) -> usize {
+        self.tile_width
+    }
+
+    /// Nominal tile height.
+    #[must_use]
+    pub fn tile_height(&self) -> usize {
+        self.tile_height
     }
 
     /// Worker threads used per image.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.dwt.workers()
+        self.workers
     }
 
-    /// The tile grid this engine would use for a `width x height` image
-    /// (every occurring tile shape checked for decomposability).
+    /// The tile grid this engine would use for a `width x height` image,
+    /// after checking that **every** tile shape that occurs in the grid
+    /// (nominal, ragged right, ragged bottom, ragged corner) supports the
+    /// configured decomposition depth.
     ///
     /// # Errors
     ///
-    /// See [`TiledFixedDwt2d::grid`].
+    /// * [`PipelineError::Config`] for zero frame dimensions.
+    /// * [`PipelineError::Dwt`] with [`DwtError::NotDecomposable`] naming the
+    ///   offending tile shape if any tile cannot be decomposed.
     pub fn grid(&self, width: usize, height: usize) -> Result<TileGrid, PipelineError> {
-        self.dwt.grid(width, height)
+        let grid = TileGrid::new(width, height, self.tile_width, self.tile_height)
+            .map_err(|e| PipelineError::Config(format!("invalid tile grid: {e}")))?;
+        let last_w = width - (grid.tiles_x() - 1) * grid.tile_width();
+        let last_h = height - (grid.tiles_y() - 1) * grid.tile_height();
+        for tw in [grid.tile_width(), last_w] {
+            for th in [grid.tile_height(), last_h] {
+                Dwt2d::check_decomposable(tw, th, self.scales())?;
+            }
+        }
+        Ok(grid)
+    }
+
+    /// Refuses pixels deeper than the word plan carries: its signed input
+    /// word holds `input_bits - 1` magnitude bits, so deeper samples would
+    /// overflow a word on decode (or the accumulator on encode).
+    fn check_bit_depth(&self, bit_depth: u32) -> Result<(), PipelineError> {
+        let max = self.transform.plan().input_bits() - 1;
+        if bit_depth > max {
+            return Err(CoderError::UnsupportedFormat(format!(
+                "{bit_depth}-bit pixels exceed the fixed datapath's {max}-bit input"
+            ))
+            .into());
+        }
+        Ok(())
     }
 
     /// The `LWCF` header this engine would write for an image of the given
@@ -197,18 +238,21 @@ impl TiledFixedCompressor {
     ///
     /// # Errors
     ///
-    /// See [`TiledFixedCompressor::grid`].
+    /// See [`TiledFixedCompressor::grid`]; additionally
+    /// [`CoderError::UnsupportedFormat`] for pixels deeper than 12 bits.
     pub fn encode_plan<'a>(
         &'a self,
         image: &'a Image,
     ) -> Result<FixedEncodePlan<'a>, PipelineError> {
         let grid = self.grid(image.width(), image.height())?;
+        self.check_bit_depth(image.bit_depth())?;
         Ok(FixedEncodePlan { engine: self, image, grid })
     }
 
     /// Compresses one tile of `image` (row-major `index` of `grid`) into
     /// its standalone `LWCF` tile payload — the unit a scheduler can fan
-    /// across workers. Byte-identical to the payload
+    /// across workers. The tile's strided window runs through the line
+    /// cascade straight out of the frame. Byte-identical to the payload
     /// [`TiledFixedCompressor::compress`] places at that directory slot, by
     /// construction: `compress` itself is built on this.
     ///
@@ -222,7 +266,7 @@ impl TiledFixedCompressor {
         index: usize,
     ) -> Result<Vec<u8>, PipelineError> {
         let view = image.view_rect(grid.rect(index)).map_err(DwtError::from)?;
-        let tile = self.dwt.inner().forward_view(&view)?;
+        let tile = LineFixedDwt::forward_view(&self.transform, &view)?;
         Ok(encode_tile_payload(self.codec, &tile))
     }
 
@@ -352,6 +396,7 @@ impl TiledFixedCompressor {
     }
 
     fn ensure_compatible(&self, header: &FixedHeader) -> Result<(), PipelineError> {
+        self.check_bit_depth(header.bit_depth)?;
         if header.scales != self.scales() {
             return Err(CoderError::UnsupportedFormat(format!(
                 "fixed stream uses {} scales but the engine is configured for {}",
@@ -379,7 +424,7 @@ impl TiledFixedCompressor {
         bytes: &[u8],
     ) -> Result<Image, PipelineError> {
         let tile = decode_tile_payload(self.codec, bytes, &rect, header)?;
-        Ok(self.dwt.inner().inverse(&tile)?)
+        Ok(self.transform.inverse(&tile)?)
     }
 }
 
@@ -417,6 +462,16 @@ impl Plan for FixedEncodePlan<'_> {
     }
 }
 
+/// The Table I bank an `LWCF` header names.
+fn filter_of(header: &FixedHeader) -> Result<FilterId, CoderError> {
+    FilterId::ALL.get(header.filter as usize).copied().ok_or_else(|| {
+        CoderError::UnsupportedFormat(format!(
+            "filter index {} is not a Table I bank",
+            header.filter
+        ))
+    })
+}
+
 /// Sequential per-tile encode: subbands in [`subband_order`], one
 /// concatenated fixed-subband stream.
 fn encode_tile_payload(codec: FixedSubbandCodec, tile: &Decomposition<i64>) -> Vec<u8> {
@@ -435,18 +490,12 @@ fn decode_tile_payload(
     rect: &TileRect,
     header: &FixedHeader,
 ) -> Result<Decomposition<i64>, PipelineError> {
-    let id = *FilterId::ALL.get(header.filter as usize).ok_or_else(|| {
-        CoderError::UnsupportedFormat(format!(
-            "filter index {} is not a Table I bank",
-            header.filter
-        ))
-    })?;
     let mut tile = Decomposition::from_raw(
         vec![0i64; rect.width * rect.height],
         rect.width,
         rect.height,
         header.scales,
-        id,
+        filter_of(header)?,
         header.bit_depth,
     );
     let mut reader = BitReader::new(payload);
@@ -541,12 +590,37 @@ mod tests {
         let eng = engine(3, 64, 4);
         let single = eng.compress(&image).unwrap();
         // Hand-build the sequential container.
-        let tile = eng.dwt().inner().forward(&image).unwrap();
+        let tile = eng.transform().forward(&image).unwrap();
         let payload = encode_tile_payload(FixedSubbandCodec::new(), &tile);
         let grid = eng.grid(64, 64).unwrap();
         let header = eng.header_for(&grid, image.bit_depth());
         let sequential = write_fixed_container(&header, &[payload]).unwrap();
         assert_eq!(single, sequential);
+    }
+
+    #[test]
+    fn multi_tile_payloads_compose_from_the_multi_pass_reference() {
+        // The engine codes every tile through the line cascade. Payloads
+        // hand-built from the multi-pass transform of each tile's crop must
+        // assemble into the very same container on ragged grids.
+        for (id, width, height, scales, tile) in [
+            (FilterId::F2, 96, 80, 3, 32),
+            (FilterId::F4, 72, 56, 2, 32),
+            (FilterId::F6, 40, 104, 3, 24),
+        ] {
+            let eng = TiledFixedCompressor::new(&FilterBank::table1(id), scales, tile, 3).unwrap();
+            let image = synth::mr_slice(width, height, 12, id.index() as u64);
+            let grid = eng.grid(width, height).unwrap();
+            let payloads: Vec<Vec<u8>> = (0..grid.tile_count())
+                .map(|i| {
+                    let crop = image.crop(grid.rect(i)).unwrap();
+                    encode_tile_payload(eng.codec, &eng.transform().forward(&crop).unwrap())
+                })
+                .collect();
+            let header = eng.header_for(&grid, image.bit_depth());
+            let reference = write_fixed_container(&header, &payloads).unwrap();
+            assert_eq!(eng.compress(&image).unwrap(), reference, "{id} {width}x{height}/{tile}");
+        }
     }
 
     #[test]
@@ -604,6 +678,8 @@ mod tests {
         // 3 scales demand tile sides divisible by 8; 100 is not.
         let eng = engine(3, 32, 2);
         assert!(eng.compress(&synth::flat(100, 96, 12, 0)).is_err());
+        let bank = FilterBank::table1(FilterId::F1);
+        assert!(matches!(TiledFixedCompressor::new(&bank, 2, 0, 1), Err(PipelineError::Config(_))));
     }
 
     #[test]

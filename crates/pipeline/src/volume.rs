@@ -23,6 +23,7 @@
 //!   `decompress_row_bands`, sound because z transforms never cross brick
 //!   boundaries.
 
+use crate::pool::resolve_workers;
 use crate::report::TiledReport;
 use crate::{DecodePlan, PipelineError, Plan};
 use lwc_coder::volume::{split_brick_payload, write_brick_payload, write_volume_container};
@@ -30,7 +31,6 @@ use lwc_coder::{plane_delta_for_volume, CoderError, LosslessCodec, VolumeHeader,
 use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, ImageView, TileRect};
 use lwc_lifting::{forward_z, inverse_z};
 use std::borrow::Borrow;
-use std::thread;
 use std::time::Instant;
 
 /// Default nominal brick depth in slices: deep enough that two z scales have
@@ -132,11 +132,7 @@ impl VolumeCompressor {
                 "{z_scales} z scales exceed the container format's 4-bit field"
             )));
         }
-        let workers = if workers == 0 {
-            thread::available_parallelism().map(usize::from).unwrap_or(1)
-        } else {
-            workers
-        };
+        let workers = resolve_workers(workers);
         let plane_codec = LosslessCodec::near_lossless(
             codec.scales(),
             plane_delta_for_volume(codec.delta(), z_scales),

@@ -4,7 +4,10 @@
 //! rejection of truncated or tampered containers, and byte-identical
 //! dispatch through `dyn Codec`.
 
-use lwc_core::lwc_coder::{is_fixed, FixedStream, FIXED_HEADER_BYTES};
+use lwc_core::lwc_coder::{
+    is_fixed, write_fixed_container, CoderError, FixedHeader, FixedStream, FIXED_HEADER_BYTES,
+};
+use lwc_core::lwc_pipeline::DecodePlan;
 use lwc_core::prelude::*;
 use proptest::prelude::*;
 
@@ -100,6 +103,39 @@ fn full_scale_lwcf_roundtrip() {
     let tile = trait_object.decompress_tile(&bytes, last).unwrap();
     assert!(stats::bit_exact(&frame.crop(grid.rect(last)).unwrap(), &tile).unwrap());
     assert!(stats::bit_exact(&frame, &trait_object.decompress(&bytes).unwrap()).unwrap());
+}
+
+/// The Table II word plan holds 13 signed input bits, so 12-bit pixels are
+/// the deepest the fixed datapath round-trips. Deeper images are refused
+/// with a typed error before any tile runs, and so is a container whose
+/// header claims them.
+#[test]
+fn pixels_deeper_than_the_word_plan_are_refused_both_ways() {
+    fn refused<T>(result: Result<T, PipelineError>) -> bool {
+        matches!(result, Err(PipelineError::Coder(CoderError::UnsupportedFormat(_))))
+    }
+    for f in 0..6 {
+        let codec = engine(f, 3, 32, 2);
+        for depth in [13, 16] {
+            let image = synth::random_image(64, 48, depth, f as u64);
+            assert!(refused(codec.compress(&image)), "{depth}-bit input, bank {f}");
+        }
+        let image = synth::random_image(64, 48, 12, f as u64);
+        let back = codec.decompress(&codec.compress(&image).unwrap()).unwrap();
+        assert!(stats::bit_exact(&image, &back).unwrap(), "12-bit round trip, bank {f}");
+    }
+    // Valid 12-bit payloads under a header that claims 13-bit pixels.
+    let codec = engine(0, 3, 32, 1);
+    let bytes = codec.compress(&synth::random_image(64, 48, 12, 7)).unwrap();
+    let stream = FixedStream::parse(&bytes).unwrap();
+    let header = FixedHeader { bit_depth: 13, ..*stream.header() };
+    let payloads: Vec<Vec<u8>> =
+        (0..stream.grid().unwrap().tile_count()).map(|i| stream.tile_bytes(i).to_vec()).collect();
+    let forged = write_fixed_container(&header, &payloads).unwrap();
+    assert!(refused(codec.decode_plan(forged.as_slice())));
+    assert!(refused(codec.decompress(&forged)));
+    assert!(refused(codec.decompress_tile(&forged, 0)));
+    assert!(refused(DecodePlan::sniff(forged.as_slice())));
 }
 
 fn fnv1a64(bytes: &[u8]) -> u64 {

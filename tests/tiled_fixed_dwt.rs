@@ -1,13 +1,13 @@
-//! Property tests for the SIMD-friendly MAC kernel and the tile-parallel
-//! fixed-point DWT driver:
+//! Property tests for the SIMD-friendly MAC kernel and the per-tile
+//! fixed-point transform of the `LWCF` engine:
 //!
 //! * `MacAccumulator::mac_slice` is **bit-identical** to folding the same
 //!   taps through the scalar MAC chain — for random operands at odd/prime
 //!   lengths straddling the lane width, and for every Table I filter bank's
 //!   quantized kernels (every tap count the datapath ever runs),
-//! * `TiledFixedDwt2d` produces, for every tile, exactly the words the
-//!   monolithic `FixedDwt2d` produces for that region, never depends on the
-//!   worker count, and round-trips losslessly,
+//! * the line cascade `LineFixedDwt` run over a tile's strided window of a
+//!   larger frame produces exactly the words the multi-pass `FixedDwt2d`
+//!   produces for the cropped region, on every tile of a ragged grid,
 //! * undecomposable tile shapes are rejected up front with a typed error.
 
 use lwc_core::lwc_fixed::MAC_LANES;
@@ -98,7 +98,6 @@ proptest! {
         tile_units in 1usize..=3,
         frame_units_x in 1usize..=6,
         frame_units_y in 1usize..=6,
-        workers in 1usize..=4,
         bank_index in 0usize..6,
     ) {
         // Dimensions in units of 2^scales keep every tile (ragged edges
@@ -108,49 +107,20 @@ proptest! {
         let width = frame_units_x * unit;
         let height = frame_units_y * unit;
         let bank = FilterBank::table1(FilterId::ALL[bank_index]);
-        let engine = TiledFixedDwt2d::new(&bank, scales, tile, workers).expect("valid config");
+        let hw = FixedDwt2d::paper_default(&bank, scales).expect("paper plan");
         let frame = synth::ct_phantom(width, height, 12, (width * 31 + height) as u64);
-        let tiles = engine.forward(&frame).expect("tiled forward");
-        let grid = engine.grid(width, height).expect("decomposable grid");
-        prop_assert_eq!(tiles.tiles().len(), grid.tile_count());
+        let grid = TileGrid::new(width, height, tile, tile).expect("valid grid");
         for index in 0..grid.tile_count() {
-            let crop = frame.crop(grid.rect(index)).expect("rect in bounds");
-            let monolithic = engine.inner().forward(&crop).expect("monolithic forward");
+            let rect = grid.rect(index);
+            let window = frame.view_rect(rect).expect("rect in bounds");
+            let cascade = LineFixedDwt::forward_view(&hw, &window).expect("line cascade");
+            let crop = frame.crop(rect).expect("rect in bounds");
+            let monolithic = hw.forward(&crop).expect("monolithic forward");
             prop_assert!(
-                tiles.tile(index) == &monolithic,
-                "tile {} of {}x{} (tile {}, {} scales, {} workers) diverged",
-                index, width, height, tile, scales, workers
+                cascade == monolithic,
+                "tile {} of {}x{} (tile {}, {} scales, {}) diverged",
+                index, width, height, tile, scales, bank.id()
             );
-        }
-        // And the tile-parallel inverse reassembles the frame exactly.
-        let back = engine.inverse(&tiles).expect("tiled inverse");
-        prop_assert!(stats::bit_exact(&frame, &back).expect("same shape"));
-    }
-
-    #[test]
-    fn tiled_fixed_dwt_words_are_independent_of_the_worker_count(
-        scales in 1u32..=3,
-        tile_units in 1usize..=2,
-        frame_units in 2usize..=5,
-        kind in 0usize..3,
-    ) {
-        let unit = 1usize << scales;
-        let tile = tile_units * unit;
-        let side = frame_units * unit;
-        let bank = FilterBank::table1(FilterId::F2);
-        let frame = match kind {
-            0 => synth::ct_phantom(side, side, 12, side as u64),
-            1 => synth::mr_slice(side, side, 12, side as u64),
-            _ => synth::random_image(side, side, 12, side as u64),
-        };
-        let reference = TiledFixedDwt2d::new(&bank, scales, tile, 1)
-            .expect("valid config")
-            .forward(&frame)
-            .expect("forward");
-        for workers in [2, 3, 7] {
-            let engine = TiledFixedDwt2d::new(&bank, scales, tile, workers).expect("valid config");
-            let words = engine.forward(&frame).expect("forward");
-            prop_assert!(words == reference, "{} workers diverged", workers);
         }
     }
 }
@@ -160,24 +130,17 @@ fn undecomposable_tile_shapes_are_typed_errors_not_panics() {
     let bank = FilterBank::table1(FilterId::F1);
     // 36-pixel tiles cannot halve three times; neither can the ragged
     // 10-pixel right edge of 74 = 2*32 + 10 over 32-pixel tiles.
-    let odd_tile = TiledFixedDwt2d::new(&bank, 3, 36, 2).unwrap();
-    assert!(matches!(odd_tile.grid(72, 72), Err(PipelineError::Dwt(_))));
-    let ragged = TiledFixedDwt2d::new(&bank, 3, 32, 2).unwrap();
-    assert!(matches!(ragged.grid(74, 64), Err(PipelineError::Dwt(_))));
-    assert!(ragged.forward(&synth::flat(74, 64, 12, 0)).is_err());
+    let odd_tile = TiledFixedCompressor::new(&bank, 3, 36, 2).unwrap();
+    assert!(matches!(
+        odd_tile.grid(72, 72),
+        Err(PipelineError::Dwt(DwtError::NotDecomposable { .. }))
+    ));
+    let ragged = TiledFixedCompressor::new(&bank, 3, 32, 2).unwrap();
+    assert!(matches!(
+        ragged.grid(74, 64),
+        Err(PipelineError::Dwt(DwtError::NotDecomposable { .. }))
+    ));
+    assert!(ragged.compress(&synth::flat(74, 64, 12, 0)).is_err());
     // Aligned ragged edges are fine: 96 = 2*32 + 32 exact, 80 = 2*32 + 16.
     assert!(ragged.grid(96, 80).is_ok());
-}
-
-#[test]
-fn batch_compressor_hands_out_a_tiled_dwt_with_its_worker_budget() {
-    let bank = FilterBank::table1(FilterId::F3);
-    let batch = BatchCompressor::new(4, 3).unwrap();
-    let transform = FixedDwt2d::paper_default(&bank, 3).unwrap();
-    let engine = batch.tiled_dwt(transform, 32, 32).unwrap();
-    assert_eq!(engine.workers(), 3);
-    assert_eq!(engine.scales(), 3);
-    let frame = synth::mr_slice(96, 64, 12, 4);
-    let back = engine.roundtrip(&frame).unwrap();
-    assert!(stats::bit_exact(&frame, &back).unwrap());
 }
