@@ -502,13 +502,13 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
             }
             multi_s = multi_s.min(start.elapsed().as_secs_f64());
         }
-        let fixed_stream = Codec::compress(&fixed, &large_image)?;
+        let fixed_stream = fixed.compress(&large_image)?;
         let fixed_compress = best(&|| {
-            std::hint::black_box(Codec::compress(&fixed, &large_image)?);
+            std::hint::black_box(fixed.compress(&large_image)?);
             Ok(())
         })?;
         let fixed_decompress = best(&|| {
-            std::hint::black_box(Codec::decompress(&fixed, &fixed_stream)?);
+            std::hint::black_box(fixed.decompress(&fixed_stream)?);
             Ok(())
         })?;
         let comma = if index + 1 == tile_sizes.len() { "" } else { "," };
@@ -1232,10 +1232,10 @@ fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
 
 /// End-to-end smoke of the paper-exact fixed-point codec: the Table I
 /// datapath plus the Rice entropy back end producing a real decodable
-/// `LWCF` bitstream. Dispatches through `&dyn Codec` — the same interface
-/// the server and batch engine use — and checks the round trip is bit
-/// exact, the bytes never depend on the worker count, and the container
-/// directory serves random tile access. The engine codes each tile through
+/// `LWCF` bitstream. Checks the round trip is bit exact, the bytes never
+/// depend on the worker count, and the container directory serves random
+/// tile access both through the engine and through a decode plan sniffed
+/// from the stream's own header. The engine codes each tile through
 /// the line cascade, so sampled tiles' cascade words and a one-tile grid
 /// over the whole frame are checked against the multi-pass Table II
 /// reference. CI runs this at 4096×4096.
@@ -1245,8 +1245,8 @@ fn fixed_codec(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     let scales = 5u32;
     let tile = DEFAULT_TILE_SIZE.min(size);
     let frame = synth::ct_phantom(size, size, 12, 42);
-    let concrete = TiledFixedCompressor::new(&bank, scales, tile, 0)?;
-    let grid = concrete.grid(size, size)?;
+    let engine = TiledFixedCompressor::new(&bank, scales, tile, 0)?;
+    let grid = engine.grid(size, size)?;
     println!(
         "tile grid: {}x{} tiles of {}x{} ({} tiles), {} workers, {scales} scales, bank F1",
         grid.tiles_x(),
@@ -1254,22 +1254,19 @@ fn fixed_codec(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         grid.tile_width(),
         grid.tile_height(),
         grid.tile_count(),
-        concrete.workers()
+        engine.workers()
     );
 
-    let engine: &dyn Codec = &concrete;
-    let start = std::time::Instant::now();
     let (bytes, report) = engine.compress_with_report(&frame)?;
-    let compress_wall = start.elapsed().as_secs_f64();
     println!(
-        "compress ({}): {} -> {} bytes in {:.3} s ({:.1} MB/s), ratio {:.2}:1 ({:.2} bpp)",
-        engine.name(),
+        "compress (tiled-fixed): {} -> {} bytes in {:.3} s ({:.1} MB/s), ratio {:.2}:1 \
+         ({:.2} bpp)",
         report.raw_bytes,
         report.compressed_bytes,
-        compress_wall,
-        report.raw_bytes as f64 / 1e6 / compress_wall.max(1e-9),
+        report.wall.as_secs_f64(),
+        report.megabytes_per_second(),
         report.ratio(),
-        report.bits_per_pixel
+        report.compressed_bytes as f64 * 8.0 / frame.pixel_count() as f64
     );
     println!(
         "(a ratio below 1 is the honest result: losslessness keeps every Table II \
@@ -1294,17 +1291,22 @@ fn fixed_codec(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     for workers in [1usize, 2, 5] {
         let other = TiledFixedCompressor::new(&bank, scales, tile, workers)?;
         assert!(
-            Codec::compress(&other, &frame)? == bytes,
+            other.compress(&frame)? == bytes,
             "LWCF bytes must not depend on the worker count ({workers} workers)"
         );
     }
     println!("streams byte-identical across 1/2/5 workers");
 
-    // Directory-driven random access through the trait.
+    // Directory-driven random access, through the engine and through the
+    // plan the stream's own header calls for.
     for index in [0, grid.tile_count() - 1] {
+        let rect = grid.rect(index);
         let tile_image = engine.decompress_tile(&bytes, index)?;
+        let mut plan = DecodePlan::sniff(bytes.as_slice())?;
+        plan.select(BrickRect { plane: rect, z: 0, depth: 1 })?;
+        let sniffed = plan.execute(1)?.into_image()?;
         assert!(
-            stats::bit_exact(&frame.crop(grid.rect(index))?, &tile_image)?,
+            stats::bit_exact(&frame.crop(rect)?, &tile_image)? && sniffed == tile_image,
             "tile {index} must decode to exactly its region"
         );
     }
@@ -1313,7 +1315,7 @@ fn fixed_codec(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     // The one forward transform the engine runs per tile is the line
     // cascade: its words must equal the multi-pass reference of the tile's
     // crop, and over a one-tile grid the reference of the whole frame.
-    let hw = concrete.transform();
+    let hw = engine.transform();
     for index in [0, grid.tile_count() / 2, grid.tile_count() - 1] {
         let rect = grid.rect(index);
         assert!(
@@ -1406,27 +1408,24 @@ fn conclusions(size: usize) -> Result<(), Box<dyn std::error::Error>> {
 
     // Fixed-path codec — the paper-exact datapath, tile by tile through the
     // line cascade, with its Rice entropy back end, producing a real
-    // decodable LWCF bitstream through the Codec trait. Skipped (with a
-    // note) when the size's tiles cannot halve to the configured depth. Losslessness keeps every Table II fractional bit, so the fixed
-    // path *expands* (ratio below 1): the lifting engines above are the
-    // compressing paths; this one makes the hardware datapath measurable end
-    // to end.
+    // decodable LWCF bitstream. Skipped (with a note) when the size's tiles
+    // cannot halve to the configured depth. Losslessness keeps every Table II
+    // fractional bit, so the fixed path *expands* (ratio below 1): the
+    // lifting engines above are the compressing paths; this one makes the
+    // hardware datapath measurable end to end.
     let fixed_tile = (size / 4).max(32);
     match TiledFixedCompressor::new(&bank, scales, fixed_tile, 0) {
         Ok(fixed) if fixed.grid(size, size).is_ok() => {
-            let engine: &dyn Codec = &fixed;
-            let start = std::time::Instant::now();
-            let (lwcf, fixed_report) = engine.compress_with_report(single)?;
-            let wall = start.elapsed().as_secs_f64();
-            let back = engine.decompress(&lwcf)?;
+            let (lwcf, fixed_report) = fixed.compress_with_report(single)?;
+            let back = fixed.decompress(&lwcf)?;
             assert!(stats::bit_exact(single, &back)?, "fixed-path round trip must be lossless");
             println!(
                 "  fixed-path codec (LWCF, {fixed_tile}px tiles, {} workers): {:.2}:1 \
                  ({:.2} bpp) at {:.1} MB/s, round trip bit exact",
                 fixed.workers(),
                 fixed_report.ratio(),
-                fixed_report.bits_per_pixel,
-                fixed_report.raw_bytes as f64 / 1e6 / wall.max(1e-9),
+                fixed_report.compressed_bytes as f64 * 8.0 / single.pixel_count() as f64,
+                fixed_report.megabytes_per_second(),
             );
             println!(
                 "    (a ratio below 1 is the honest result: lossless fixed-point words \

@@ -1,18 +1,20 @@
 //! Convenient re-exports of the types most programs need.
 //!
-//! The central abstraction is the [`Codec`] trait: every compression engine
-//! in the workspace — [`LosslessCodec`], [`TiledCompressor`], the
-//! paper-exact [`TiledFixedCompressor`] and the volumetric
-//! [`VolumeCompressor`] — implements it, so generic code holds a
-//! `&dyn Codec` and never enumerates engines.
+//! Each engine is a concrete type with inherent methods — [`LosslessCodec`],
+//! [`TiledCompressor`], the paper-exact [`TiledFixedCompressor`] and the
+//! volumetric [`VolumeCompressor`]. A reader that does not know how a stream
+//! was produced lets the stream's own header pick the decoder:
+//! [`DecodePlan::sniff`] builds the plan, [`decompress_auto`] runs it.
 //!
 //! ```
 //! use lwc_core::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let engine: Box<dyn Codec> = Box::new(TiledCompressor::new(3, 64, 2)?);
 //! let image = synth::mr_slice(64, 64, 12, 0);
-//! assert!(stats::bit_exact(&image, &engine.roundtrip(&image)?)?);
+//! let bytes = TiledCompressor::new(3, 32, 2)?.compress(&image)?;
+//! let plan = DecodePlan::sniff(bytes.as_slice())?;
+//! assert_eq!((plan.parts(), plan.is_volume()), (4, false));
+//! assert!(stats::bit_exact(&image, &decompress_auto(&bytes)?)?);
 //! # Ok(())
 //! # }
 //! ```
@@ -40,7 +42,7 @@ pub use lwc_metrics::{self as metrics, FidelityReport};
 pub use lwc_perf::hardware::{HardwareModel, ThroughputReport};
 pub use lwc_perf::software::SoftwareModel;
 pub use lwc_pipeline::{
-    BatchCompressor, BatchReport, Codec, CodecCapabilities, PipelineError, RowBand,
+    decompress_auto, BatchCompressor, BatchReport, DecodePlan, PipelineError, Plan, RowBand,
     TiledCompressor, TiledFixedCompressor, TiledReport, VolumeCompressor, VolumeSlab, VolumeSlabs,
     DEFAULT_BRICK_DEPTH, DEFAULT_TILE_SIZE,
 };

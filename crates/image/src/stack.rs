@@ -31,10 +31,10 @@ impl BrickRect {
         self.plane.pixel_count() * self.depth
     }
 
-    /// One past the last covered slice.
+    /// One past the last covered slice; saturates like [`TileRect::right`].
     #[must_use]
     pub fn back(&self) -> usize {
-        self.z + self.depth
+        self.z.saturating_add(self.depth)
     }
 }
 

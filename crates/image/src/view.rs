@@ -41,16 +41,17 @@ impl TileRect {
         self.width == 0 || self.height == 0
     }
 
-    /// One past the right edge.
+    /// One past the right edge. Saturates, so a rectangle whose edge
+    /// overflows `usize` fits no image instead of wrapping into one.
     #[must_use]
     pub fn right(&self) -> usize {
-        self.x + self.width
+        self.x.saturating_add(self.width)
     }
 
-    /// One past the bottom edge.
+    /// One past the bottom edge; saturates like [`TileRect::right`].
     #[must_use]
     pub fn bottom(&self) -> usize {
-        self.y + self.height
+        self.y.saturating_add(self.height)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::pool::{resolve_workers, run_indexed};
 use crate::report::BatchReport;
-use crate::stream::{spawn_ordered, OrderedStream};
+use crate::stream::OrderedStream;
 use crate::{PipelineError, TiledCompressor, TiledFixedCompressor};
 use lwc_coder::LosslessCodec;
 use lwc_image::Image;
@@ -149,16 +149,21 @@ impl BatchCompressor {
         Ok((images, report))
     }
 
-    /// Streaming compression: images are pulled from `images` as worker
-    /// capacity frees up and compressed streams are yielded in input order.
-    /// Peak memory is bounded by the worker count, not the batch length.
+    /// Streaming compression: images are pulled from `images` a window of
+    /// `workers × 2` at a time, each window is compressed on the worker pool,
+    /// and the streams are yielded in input order. Peak memory is bounded by
+    /// the worker count, not the batch length.
     pub fn compress_iter<I>(&self, images: I) -> OrderedStream<Vec<u8>>
     where
         I: IntoIterator<Item = Image>,
         I::IntoIter: Send + 'static,
     {
         let codec = self.codec;
-        spawn_ordered(self.workers, images.into_iter(), move |image| Ok(codec.compress(&image)?))
+        OrderedStream::new(
+            self.workers,
+            images.into_iter(),
+            move |image| Ok(codec.compress(image)?),
+        )
     }
 
     /// Streaming decompression, the inverse of
@@ -169,7 +174,9 @@ impl BatchCompressor {
         I::IntoIter: Send + 'static,
     {
         let codec = self.codec;
-        spawn_ordered(self.workers, streams.into_iter(), move |bytes| Ok(codec.decompress(&bytes)?))
+        OrderedStream::new(self.workers, streams.into_iter(), move |bytes| {
+            Ok(codec.decompress(bytes)?)
+        })
     }
 }
 

@@ -14,8 +14,8 @@ pub enum PipelineError {
     Dwt(DwtError),
     /// The underlying lifting transform failed.
     Lifting(LiftingError),
-    /// The pipeline itself was misconfigured (e.g. zero workers requested on
-    /// a platform that cannot report its parallelism).
+    /// The pipeline itself was misconfigured (e.g. an invalid tile shape),
+    /// or one of its jobs panicked.
     Config(String),
 }
 

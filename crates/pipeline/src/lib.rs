@@ -17,9 +17,10 @@
 //!   large image across the pool, and enabling bounded-memory row-band
 //!   streaming decode ([`TiledCompressor::decompress_row_bands`]).
 //! * [`BatchCompressor::compress_iter`] / [`BatchCompressor::decompress_iter`]
-//!   — the streaming form: images flow through a bounded channel into the
-//!   worker pool and compressed streams come out in order, so an arbitrarily
-//!   long study never has to be resident in memory at once.
+//!   — the streaming form: images are pulled from the source a bounded
+//!   window at a time, each window runs on the worker pool, and compressed
+//!   streams come out in order, so an arbitrarily long study never has to
+//!   be resident in memory at once.
 //! * [`TiledFixedCompressor`] — the **complete paper-exact codec**: the
 //!   same tile sharding applied to the fixed-point datapath. Every tile runs
 //!   through the line-buffer cascade [`lwc_dwt::LineFixedDwt`], whose words
@@ -38,11 +39,6 @@
 //!   worker-count-independent bytes, decode can stream one brick layer at a
 //!   time ([`VolumeCompressor::decompress_slabs`]), and at `z_scales = 0`
 //!   every plane substream is byte-identical to the 2-D tiled path.
-//! * [`Codec`] — the unified engine interface: every compressor above
-//!   implements one object-safe trait (compress / decompress / tile access /
-//!   row-band streaming, with capability reporting), so the batch engine,
-//!   the server and the reproduction binary dispatch over `&dyn Codec`
-//!   instead of enumerating engines.
 //! * **Near-lossless mode** — the lifting engines ([`TiledCompressor`],
 //!   [`VolumeCompressor`], [`BatchCompressor`]) accept
 //!   an [`lwc_coder::LosslessCodec::near_lossless`] configuration: detail
@@ -61,20 +57,21 @@
 //!   a requested box (whole image or volume, tile, band, slab, region) and
 //!   run them with [`Plan::execute`]; the server runs the same plans part
 //!   by part on its own scheduler. [`DecodePlan::sniff`] builds the plan a
-//!   stream's own header calls for.
+//!   stream's own header calls for, so format dispatch is one function
+//!   ([`decompress_auto`] for a whole 2-D stream), not a trait over engines.
 //!
 //! Tiles and bricks are the only *intra-image* parallel axis: a frame that
 //! fits one tile is coded by the sequential [`lwc_coder::LosslessCodec`]
 //! (splitting one frame by subband or by row measured slower than its
-//! single-pass line cascade), and every tile, brick and batch fan-out above
-//! runs on the same scoped work-stealing helper (the streaming iterators
-//! keep their own bounded pipeline).
+//! single-pass line cascade), and every tile, brick, batch and streaming
+//! fan-out above runs on the same scoped work-stealing helper, which turns a
+//! panicking job into a typed [`PipelineError`] instead of unwinding into
+//! the caller.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod batch;
-mod codec;
 mod error;
 mod plan;
 mod pool;
@@ -85,9 +82,8 @@ mod tiledfixed;
 mod volume;
 
 pub use batch::BatchCompressor;
-pub use codec::{Codec, CodecCapabilities};
 pub use error::PipelineError;
-pub use plan::{decompress_auto, engine_for, DecodePlan, Plan};
+pub use plan::{decompress_auto, DecodePlan, Plan};
 pub use report::{BatchReport, TiledReport};
 pub use stream::OrderedStream;
 pub use tiled::{RowBand, RowBands, TileEncodePlan, TiledCompressor, DEFAULT_TILE_SIZE};

@@ -11,7 +11,7 @@
 
 use crate::pool::run_indexed;
 use crate::{
-    scatter_region, Codec, PipelineError, TiledCompressor, TiledFixedCompressor, VolumeCompressor,
+    scatter_region, PipelineError, TiledCompressor, TiledFixedCompressor, VolumeCompressor,
 };
 use lwc_coder::bitio::BitReader;
 use lwc_coder::fixedtiled::is_fixed;
@@ -65,7 +65,9 @@ pub trait Plan: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns the first part error, or the assembly error.
+    /// Returns the first part error, or the assembly error. A part whose
+    /// `run` or `place` panics fails the plan with
+    /// [`PipelineError::Config`]; the panic does not reach the caller.
     fn execute(&self, workers: usize) -> Result<Self::Output, PipelineError> {
         let sink = Mutex::new(self.sink());
         run_indexed(workers, self.parts(), |index| {
@@ -340,21 +342,6 @@ impl<B: AsRef<[u8]> + Send + Sync> Plan for DecodePlan<B> {
     }
 }
 
-/// The single-threaded engine a stream's own header calls for (see
-/// [`DecodePlan::sniff`]).
-///
-/// # Errors
-///
-/// See [`DecodePlan::sniff`].
-pub fn engine_for(bytes: &[u8]) -> Result<Box<dyn Codec>, PipelineError> {
-    Ok(match DecodePlan::sniff(bytes)?.decoder {
-        PartDecoder::Legacy(codec) => Box::new(codec),
-        PartDecoder::Tiled(engine, _) => Box::new(engine),
-        PartDecoder::Fixed(engine, _) => engine,
-        PartDecoder::Volume(engine, _) => Box::new(engine),
-    })
-}
-
 /// Decodes any 2-D stream (`LWC1`/`LWCQ`, `LWCT`, `LWCF`, or a one-slice
 /// `LWCV` volume) with the parameters its header records.
 ///
@@ -421,12 +408,102 @@ mod tests {
         let legacy = LosslessCodec::new(3).unwrap().compress(&image).unwrap();
         let tiled = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
         let fixed = fixed_stream(&synth::ct_phantom(64, 48, 12, 5));
-        assert_eq!(engine_for(&legacy).unwrap().name(), "lossless");
-        assert_eq!(engine_for(&tiled).unwrap().name(), "tiled");
-        let sniffed = engine_for(&fixed).unwrap();
-        assert_eq!(sniffed.name(), "tiled-fixed");
-        assert!(sniffed.capabilities().fixed_point);
-        assert!(engine_for(&[]).is_err());
-        assert!(engine_for(&[0x4C, 0x57]).is_err());
+        let volume = VolumeCompressor::new(3, 1, 32, 4, 1)
+            .unwrap()
+            .compress_stack(&synth::ct_volume(40, 36, 6, 10, 5))
+            .unwrap();
+        let shape = |plan: &DecodePlan<&[u8]>| {
+            let grid = plan.grid();
+            let plane = grid.plane();
+            let tile = (plane.tile_width(), plane.tile_height(), grid.brick_depth());
+            (plane.image_width(), plane.image_height(), grid.image_depth(), tile)
+        };
+        let legacy_plan = DecodePlan::sniff(legacy.as_slice()).unwrap();
+        assert_eq!(shape(&legacy_plan), (70, 50, 1, (70, 50, 1)));
+        assert_eq!((legacy_plan.bit_depth(), legacy_plan.is_volume()), (12, false));
+        let tiled_plan = DecodePlan::sniff(tiled.as_slice()).unwrap();
+        assert_eq!(shape(&tiled_plan), (70, 50, 1, (32, 32, 1)));
+        assert_eq!((tiled_plan.bit_depth(), tiled_plan.is_volume()), (12, false));
+        let fixed_plan = DecodePlan::sniff(fixed.as_slice()).unwrap();
+        assert_eq!(shape(&fixed_plan), (64, 48, 1, (32, 32, 1)));
+        assert_eq!((fixed_plan.bit_depth(), fixed_plan.is_volume()), (12, false));
+        let volume_plan = DecodePlan::sniff(volume.as_slice()).unwrap();
+        assert_eq!(shape(&volume_plan), (40, 36, 6, (32, 32, 4)));
+        assert_eq!((volume_plan.bit_depth(), volume_plan.is_volume()), (10, true));
+        assert!(DecodePlan::sniff(&[][..]).is_err());
+        assert!(DecodePlan::sniff(&[0x4C, 0x57][..]).is_err());
+    }
+
+    #[test]
+    fn boxes_whose_end_overflows_are_typed_errors() {
+        let image = synth::ct_phantom(70, 50, 12, 4);
+        let bytes = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
+        let mut plan = DecodePlan::sniff(bytes.as_slice()).unwrap();
+        let plane = TileRect { x: usize::MAX, y: 0, width: 2, height: 1 };
+        assert!(plan.select(BrickRect { plane, z: 0, depth: 1 }).is_err());
+        assert!(image.crop(plane).is_err());
+        let plane = TileRect { x: 0, y: usize::MAX, width: 1, height: 2 };
+        assert!(plan.select(BrickRect { plane, z: 0, depth: 1 }).is_err());
+        assert_eq!(plan.parts(), 6, "a refused box leaves the plan unchanged");
+
+        let engine = VolumeCompressor::new(3, 1, 32, 4, 1).unwrap();
+        let volume = engine.compress_stack(&synth::ct_volume(40, 36, 6, 12, 4)).unwrap();
+        let plane = TileRect { x: 0, y: 0, width: 8, height: 8 };
+        let region = BrickRect { plane, z: usize::MAX, depth: 2 };
+        assert!(matches!(
+            engine.decompress_region(&volume, region),
+            Err(PipelineError::Coder(CoderError::MalformedStream(_)))
+        ));
+    }
+
+    /// Parts `0..parts`; part `panic_at` panics.
+    struct PanickingPlan {
+        parts: usize,
+        panic_at: usize,
+    }
+
+    impl Plan for PanickingPlan {
+        type Part = usize;
+        type Sink = usize;
+        type Output = usize;
+
+        fn parts(&self) -> usize {
+            self.parts
+        }
+
+        fn sink(&self) -> usize {
+            0
+        }
+
+        fn run(&self, index: usize) -> Result<usize, PipelineError> {
+            assert_ne!(index, self.panic_at, "injected part panic");
+            Ok(index)
+        }
+
+        fn place(&self, sink: &mut usize, _: usize, part: usize) {
+            *sink += part;
+        }
+
+        fn finish(&self, sink: usize) -> Result<usize, PipelineError> {
+            Ok(sink)
+        }
+    }
+
+    #[test]
+    fn a_panicking_part_fails_execute_with_a_typed_error() {
+        for workers in [1, 2] {
+            for panic_at in [0, 3, 7] {
+                let plan = PanickingPlan { parts: 8, panic_at };
+                match plan.execute(workers) {
+                    Err(PipelineError::Config(message)) => {
+                        assert!(message.contains("injected part panic"), "{message}");
+                    }
+                    other => panic!("{workers} workers, part {panic_at}: {other:?}"),
+                }
+            }
+            // The caller keeps running, and a sound plan still executes.
+            let sound = PanickingPlan { parts: 8, panic_at: usize::MAX };
+            assert_eq!(sound.execute(workers).unwrap(), 28);
+        }
     }
 }

@@ -1,146 +1,79 @@
-//! Order-preserving worker-pool plumbing shared by the streaming APIs.
+//! Order-preserving streaming over the pipeline's one fan-out.
 
+use crate::pool::{guarded, run_indexed};
 use crate::PipelineError;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::fmt;
+use std::vec;
 
-/// Sentinel for "the feeder has not finished counting the source yet".
-const UNKNOWN: usize = usize::MAX;
-
-/// How many in-flight items the feeder may run ahead of the workers, per
-/// worker. Bounds peak memory of the streaming APIs.
+/// How many items per worker one window pulls from the source. Bounds peak
+/// memory of the streaming APIs.
 const FEED_AHEAD: usize = 2;
 
-/// An iterator over pipeline results, restored to input order.
+/// Pulls the next window from the source and runs it; empty once the source
+/// is drained.
+type NextWindow<T> = Box<dyn FnMut() -> Vec<Result<T, PipelineError>> + Send>;
+
+/// An iterator over pipeline results, in input order.
 ///
 /// Produced by [`crate::BatchCompressor::compress_iter`] and
-/// [`crate::BatchCompressor::decompress_iter`]. Items come out in exactly the
-/// order their inputs went in, even though the worker pool completes them out
-/// of order; a small reorder buffer holds early finishers.
+/// [`crate::BatchCompressor::decompress_iter`]. The stream pulls a window of
+/// `workers × 2` items from its source on the caller's thread, runs the
+/// window across the worker pool, and yields the results in exactly the
+/// order their inputs went in. A failing or panicking item yields `Err` in
+/// its own position; every later item keeps its slot.
 ///
-/// Dropping the stream early shuts the pool down: workers fail to send their
-/// next result and exit, and the feeder fails to hand out further work.
-#[derive(Debug)]
+/// Nothing runs between calls to [`Iterator::next`]: dropping the stream
+/// early leaves no thread behind and pulls nothing more from the source.
 pub struct OrderedStream<T> {
-    results: mpsc::Receiver<(usize, Result<T, PipelineError>)>,
-    pending: BTreeMap<usize, Result<T, PipelineError>>,
-    next: usize,
-    /// Total item count, published by the feeder once the source is drained
-    /// ([`UNKNOWN`] until then). Lets the stream tell a clean end from a
-    /// trailing worker death.
-    total: Arc<AtomicUsize>,
+    next_window: NextWindow<T>,
+    ready: vec::IntoIter<Result<T, PipelineError>>,
+}
+
+impl<T> fmt::Debug for OrderedStream<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("OrderedStream").field("ready", &self.ready.len()).finish_non_exhaustive()
+    }
+}
+
+impl<T: Send + 'static> OrderedStream<T> {
+    /// A stream applying `job` to every item of `source`, a window of
+    /// `workers × 2` items at a time on `workers` threads.
+    pub(crate) fn new<In, Job>(
+        workers: usize,
+        mut source: impl Iterator<Item = In> + Send + 'static,
+        job: Job,
+    ) -> Self
+    where
+        In: Sync,
+        Job: Fn(&In) -> Result<T, PipelineError> + Send + Sync + 'static,
+    {
+        let workers = workers.max(1);
+        let next_window = move || {
+            let window: Vec<In> = source.by_ref().take(workers * FEED_AHEAD).collect();
+            // Each item is guarded on its own, so the window's run cannot
+            // fail; an item's failure is its result.
+            let results = run_indexed(workers, window.len(), |i| {
+                Ok::<_, PipelineError>(guarded(|| job(&window[i])))
+            });
+            results.unwrap_or_else(|error| {
+                let lost = format!("the window's run failed: {error}");
+                window.iter().map(|_| Err(PipelineError::Config(lost.clone()))).collect()
+            })
+        };
+        Self { next_window: Box::new(next_window), ready: Vec::new().into_iter() }
+    }
 }
 
 impl<T> Iterator for OrderedStream<T> {
     type Item = Result<T, PipelineError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(ready) = self.pending.remove(&self.next) {
-                self.next += 1;
-                return Some(ready);
-            }
-            match self.results.recv() {
-                Ok((index, result)) => {
-                    self.pending.insert(index, result);
-                }
-                // All workers are gone; anything not in the buffer will never
-                // arrive. A missing index means a worker died (e.g. the job
-                // panicked) without sending its result: surface that as an
-                // error in the gap's position rather than silently dropping
-                // the item or misaligning every later one.
-                Err(mpsc::RecvError) => {
-                    let end = match self.pending.first_key_value() {
-                        Some((&first, _)) => first,
-                        None => {
-                            let total = self.total.load(Ordering::Acquire);
-                            if total == UNKNOWN || self.next >= total {
-                                return None;
-                            }
-                            total
-                        }
-                    };
-                    if end != self.next {
-                        let error = PipelineError::Config(format!(
-                            "pipeline worker died; results {}..{end} were lost",
-                            self.next
-                        ));
-                        self.next = end;
-                        return Some(Err(error));
-                    }
-                    self.next += 1;
-                    return self.pending.remove(&end);
-                }
-            }
+        if let Some(result) = self.ready.next() {
+            return Some(result);
         }
+        self.ready = (self.next_window)().into_iter();
+        self.ready.next()
     }
-}
-
-/// Spawns a feeder thread plus `workers` worker threads applying `job` to
-/// every item of `source`, and returns the order-preserving result stream.
-pub(crate) fn spawn_ordered<In, Out, Job>(
-    workers: usize,
-    source: impl Iterator<Item = In> + Send + 'static,
-    job: Job,
-) -> OrderedStream<Out>
-where
-    In: Send + 'static,
-    Out: Send + 'static,
-    Job: Fn(In) -> Result<Out, PipelineError> + Send + Sync + 'static,
-{
-    let workers = workers.max(1);
-    let (feed_tx, feed_rx) = mpsc::sync_channel::<(usize, In)>(workers * FEED_AHEAD);
-    let (result_tx, result_rx) = mpsc::channel();
-    let total = Arc::new(AtomicUsize::new(UNKNOWN));
-
-    let fed_total = Arc::clone(&total);
-    // The feeder holds a clone of the result sender so the result channel
-    // cannot disconnect before the feeder has exited — which guarantees the
-    // consumer never observes RecvError without the published count.
-    let feeder_result_tx = result_tx.clone();
-    thread::spawn(move || {
-        let mut count = 0;
-        for item in source.enumerate() {
-            if feed_tx.send(item).is_err() {
-                // Every worker has exited: either the stream was dropped
-                // (nobody is reading) or every worker died. Publish what was
-                // actually handed out so a still-alive consumer can tell the
-                // fed-but-lost items from a clean end.
-                break;
-            }
-            count += 1;
-        }
-        fed_total.store(count, Ordering::Release);
-        drop(feeder_result_tx);
-    });
-
-    let feed_rx = Arc::new(Mutex::new(feed_rx));
-    let job = Arc::new(job);
-    for _ in 0..workers {
-        let feed_rx = Arc::clone(&feed_rx);
-        let result_tx = result_tx.clone();
-        let job = Arc::clone(&job);
-        thread::spawn(move || loop {
-            // Hold the lock only for the receive, never during the job.
-            let received = match feed_rx.lock() {
-                Ok(rx) => rx.recv(),
-                Err(_) => return,
-            };
-            match received {
-                Ok((index, input)) => {
-                    if result_tx.send((index, job(input))).is_err() {
-                        return;
-                    }
-                }
-                Err(mpsc::RecvError) => return,
-            }
-        });
-    }
-
-    OrderedStream { results: result_rx, pending: BTreeMap::new(), next: 0, total }
 }
 
 #[cfg(test)]
@@ -150,7 +83,7 @@ mod tests {
     #[test]
     fn results_come_back_in_input_order() {
         // Jitter completion times so later items often finish first.
-        let stream = spawn_ordered(4, 0..64usize, |n| {
+        let stream = OrderedStream::new(4, 0..64usize, |&n| {
             std::thread::sleep(std::time::Duration::from_micros(((64 - n) % 7) as u64 * 50));
             Ok(n * n)
         });
@@ -160,7 +93,7 @@ mod tests {
 
     #[test]
     fn errors_are_delivered_in_position() {
-        let stream = spawn_ordered(3, 0..10usize, |n| {
+        let stream = OrderedStream::new(3, 0..10usize, |&n| {
             if n == 5 {
                 Err(PipelineError::Config("boom".into()))
             } else {
@@ -175,10 +108,9 @@ mod tests {
 
     #[test]
     fn a_dead_worker_surfaces_an_error_instead_of_misaligning() {
-        // Item 3's job panics, killing its worker without a result being
-        // sent; the stream must report an error at position 3 and keep every
-        // later item in its right slot.
-        let stream = spawn_ordered(2, 0..6usize, |n| {
+        // Item 3's job panics; the stream must report an error at position 3
+        // and keep every later item in its right slot.
+        let stream = OrderedStream::new(2, 0..6usize, |&n| {
             assert_ne!(n, 3, "injected worker death");
             Ok(n * 10)
         });
@@ -195,9 +127,9 @@ mod tests {
 
     #[test]
     fn a_death_on_the_last_item_is_reported_not_truncated() {
-        // The sole worker dies on the final item; without the feeder's total
-        // count the stream would just end one item short.
-        let stream = spawn_ordered(1, 0..6usize, |n| {
+        // The sole worker's job panics on the final item; the stream must
+        // still yield six results, the last one an error.
+        let stream = OrderedStream::new(1, 0..6usize, |&n| {
             assert_ne!(n, 5, "injected worker death");
             Ok(n)
         });
@@ -209,10 +141,10 @@ mod tests {
 
     #[test]
     fn dropping_the_stream_early_does_not_hang() {
-        let stream = spawn_ordered(2, 0..1_000_000usize, Ok);
+        let stream = OrderedStream::new(2, 0..1_000_000usize, |&n| Ok(n));
         let first: Vec<usize> = stream.take(3).map(|r| r.unwrap()).collect();
         assert_eq!(first, vec![0, 1, 2]);
-        // The pool shuts down on its own; nothing to join, nothing leaks the
-        // full million items.
+        // Only the first window was ever pulled; nothing runs after the
+        // drop, so nothing walks the full million items.
     }
 }

@@ -325,43 +325,6 @@ impl TiledCompressor {
         Ok(self.decode_tile(stream.header(), index, grid.rect(index), stream.tile_bytes(index))?)
     }
 
-    /// Random tile access by coordinate: decodes the tile containing pixel
-    /// `(x, y)`, returning the tile's rectangle in image coordinates along
-    /// with its pixels (via [`TileGrid::tile_index_at`]). For a legacy
-    /// stream the whole image is the one tile.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledCompressor::decompress_tile`]; additionally errors if
-    /// `(x, y)` lies outside the image.
-    pub fn decompress_tile_at(
-        &self,
-        bytes: &[u8],
-        x: usize,
-        y: usize,
-    ) -> Result<(TileRect, Image), PipelineError> {
-        let locate = |grid: &TileGrid| {
-            grid.tile_index_at(x, y).ok_or_else(|| {
-                CoderError::MalformedStream(format!(
-                    "pixel ({x}, {y}) lies outside the {}x{} image",
-                    grid.image_width(),
-                    grid.image_height()
-                ))
-            })
-        };
-        if is_tiled(bytes) {
-            let stream = TiledStream::parse(bytes)?;
-            let grid = stream.grid()?;
-            let index = locate(&grid)?;
-            Ok((grid.rect(index), self.decompress_parsed_tile(&stream, index)?))
-        } else {
-            let header = StreamHeader::read(&mut BitReader::new(bytes))?;
-            let grid = TileGrid::single(header.width, header.height).map_err(CoderError::from)?;
-            let index = locate(&grid)?;
-            Ok((grid.rect(index), self.decompress_tile(bytes, index)?))
-        }
-    }
-
     /// Streaming decode: yields the image one tile-row **band** at a time
     /// (top to bottom), decoding each band's tiles on the worker pool. Peak
     /// memory is bounded by one band — the `image_width x tile_height` band
@@ -631,11 +594,6 @@ mod tests {
         }
         // Out-of-range indices are typed errors, not panics.
         assert!(engine.decompress_tile(&bytes, grid.tile_count()).is_err());
-        // By-coordinate lookup agrees with the row-major index.
-        let (rect, tile) = engine.decompress_tile_at(&bytes, 99, 59).unwrap();
-        assert_eq!(rect, grid.rect(grid.tile_count() - 1));
-        assert!(stats::bit_exact(&image.crop(rect).unwrap(), &tile).unwrap());
-        assert!(engine.decompress_tile_at(&bytes, 100, 0).is_err(), "x out of bounds");
     }
 
     #[test]
@@ -646,9 +604,6 @@ mod tests {
         let tile = engine.decompress_tile(&legacy, 0).unwrap();
         assert!(stats::bit_exact(&image, &tile).unwrap());
         assert!(engine.decompress_tile(&legacy, 1).is_err());
-        let (rect, whole) = engine.decompress_tile_at(&legacy, 63, 47).unwrap();
-        assert_eq!((rect.width, rect.height), (64, 48));
-        assert!(stats::bit_exact(&image, &whole).unwrap());
         // A flipped magic and a truncated stream are errors on every legacy
         // entry point.
         let mut bad_magic = legacy.clone();
@@ -675,7 +630,6 @@ mod tests {
                 let prefix = &stream[..len];
                 assert!(engine.decompress(prefix).is_err(), "decompress, prefix {len}");
                 assert!(engine.decompress_tile(prefix, 0).is_err(), "tile, prefix {len}");
-                assert!(engine.decompress_tile_at(prefix, 0, 0).is_err(), "at, prefix {len}");
                 // The row-band iterator may defer the failure to the first
                 // item (legacy sniff) — either way it must be an Err.
                 match engine.decompress_row_bands(prefix) {
@@ -778,8 +732,10 @@ mod tests {
         let engine = TiledCompressor::new(2, 16, 0).unwrap();
         assert!(engine.workers() >= 1);
         let image = synth::ct_phantom(48, 48, 12, 2);
-        let (_bytes, report) = engine.compress_with_report(&image).unwrap();
+        let (bytes, report) = engine.compress_with_report(&image).unwrap();
         assert_eq!(report.tiles, 9);
+        assert_eq!(report.compressed_bytes, bytes.len());
+        assert_eq!(report.raw_bytes, (48 * 48 * 12usize).div_ceil(8));
         assert!(report.tiles_per_second() > 0.0);
         assert!(report.ratio() > 0.0);
     }

@@ -329,21 +329,7 @@ impl TiledFixedCompressor {
     /// See [`TiledFixedCompressor::decompress`]; additionally errors for an
     /// `index` outside the container's grid.
     pub fn decompress_tile(&self, bytes: &[u8], index: usize) -> Result<Image, PipelineError> {
-        self.decompress_parsed_tile(&FixedStream::parse(bytes)?, index)
-    }
-
-    /// [`TiledFixedCompressor::decompress_tile`] over an already-parsed
-    /// container — for callers that must not pay a second directory parse
-    /// per tile.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledFixedCompressor::decompress_tile`].
-    pub fn decompress_parsed_tile(
-        &self,
-        stream: &FixedStream<'_>,
-        index: usize,
-    ) -> Result<Image, PipelineError> {
+        let stream = FixedStream::parse(bytes)?;
         self.ensure_compatible(stream.header())?;
         let grid = stream.grid()?;
         if index >= grid.tile_count() {
@@ -354,32 +340,6 @@ impl TiledFixedCompressor {
             .into());
         }
         self.decode_tile(stream.header(), grid.rect(index), stream.tile_bytes(index))
-    }
-
-    /// Random tile access by coordinate: decodes the tile containing pixel
-    /// `(x, y)`, returning the tile's rectangle in image coordinates along
-    /// with its pixels.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledFixedCompressor::decompress_tile`]; additionally errors if
-    /// `(x, y)` lies outside the image.
-    pub fn decompress_tile_at(
-        &self,
-        bytes: &[u8],
-        x: usize,
-        y: usize,
-    ) -> Result<(TileRect, Image), PipelineError> {
-        let stream = FixedStream::parse(bytes)?;
-        let grid = stream.grid()?;
-        let index = grid.tile_index_at(x, y).ok_or_else(|| {
-            CoderError::MalformedStream(format!(
-                "pixel ({x}, {y}) lies outside the {}x{} image",
-                grid.image_width(),
-                grid.image_height()
-            ))
-        })?;
-        Ok((grid.rect(index), self.decompress_parsed_tile(&stream, index)?))
     }
 
     /// Streaming decode: yields the image one tile-row **band** at a time
@@ -648,10 +608,6 @@ mod tests {
             assert!(stats::bit_exact(&expected, &tile).unwrap(), "tile {index}");
         }
         assert!(eng.decompress_tile(&bytes, grid.tile_count()).is_err());
-        let (rect, tile) = eng.decompress_tile_at(&bytes, 95, 63).unwrap();
-        assert_eq!(rect, grid.rect(grid.tile_count() - 1));
-        assert!(stats::bit_exact(&image.crop(rect).unwrap(), &tile).unwrap());
-        assert!(eng.decompress_tile_at(&bytes, 96, 0).is_err(), "x out of bounds");
     }
 
     #[test]
@@ -721,8 +677,10 @@ mod tests {
         let eng = engine(2, 16, 0);
         assert!(eng.workers() >= 1);
         let image = synth::ct_phantom(48, 48, 12, 2);
-        let (_bytes, report) = eng.compress_with_report(&image).unwrap();
+        let (bytes, report) = eng.compress_with_report(&image).unwrap();
         assert_eq!(report.tiles, 9);
+        assert_eq!(report.compressed_bytes, bytes.len());
+        assert_eq!(report.raw_bytes, (48 * 48 * 12usize).div_ceil(8));
         assert!(report.ratio() > 0.0);
     }
 }

@@ -28,7 +28,7 @@ use crate::report::TiledReport;
 use crate::{DecodePlan, PipelineError, Plan};
 use lwc_coder::volume::{split_brick_payload, write_brick_payload, write_volume_container};
 use lwc_coder::{plane_delta_for_volume, CoderError, LosslessCodec, VolumeHeader, VolumeStream};
-use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, ImageView, TileRect};
+use lwc_image::{BrickGrid, BrickRect, ImageStack, ImageView, TileRect};
 use lwc_lifting::{forward_z, inverse_z};
 use std::borrow::Borrow;
 use std::time::Instant;
@@ -380,51 +380,6 @@ impl VolumeCompressor {
         let mut plan = self.decode_plan(bytes)?;
         plan.select(rect)?;
         plan.execute(self.workers)
-    }
-
-    /// Decodes brick `index` (plane-major directory order) as a 2-D image —
-    /// the random-access unit behind [`crate::Codec::decompress_tile`] for
-    /// volumetric streams. Only single-slice bricks (`brick_depth == 1`, or
-    /// a ragged back layer one slice deep) reduce to an image; deeper bricks
-    /// are a typed error directing callers to
-    /// [`VolumeCompressor::decompress_region`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for malformed streams, an out-of-range index, or a
-    /// brick spanning more than one slice.
-    pub fn decompress_brick_image(
-        &self,
-        bytes: &[u8],
-        index: usize,
-    ) -> Result<Image, PipelineError> {
-        let stream = VolumeStream::parse(bytes)?;
-        self.ensure_scales(stream.header())?;
-        let grid = stream.grid()?;
-        if index >= grid.brick_count() {
-            return Err(CoderError::MalformedStream(format!(
-                "brick index {index} out of range: the directory holds {} bricks",
-                grid.brick_count()
-            ))
-            .into());
-        }
-        let rect = grid.rect(index);
-        if rect.depth != 1 {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "brick {index} spans {} slices and cannot reduce to a 2-D image; use \
-                 decompress_region",
-                rect.depth
-            ))
-            .into());
-        }
-        let samples = self.decode_brick(stream.header(), index, rect, stream.brick_bytes(index))?;
-        Ok(Image::from_samples(
-            rect.plane.width,
-            rect.plane.height,
-            stream.header().bit_depth,
-            samples,
-        )
-        .map_err(CoderError::from)?)
     }
 
     fn ensure_scales(&self, header: &VolumeHeader) -> Result<(), PipelineError> {

@@ -54,8 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n=== batch engine: whole study through the worker pool ===");
-    // The streaming API pulls images through a bounded channel as worker
-    // capacity frees up, so a long study never has to be resident at once.
+    // The streaming API pulls two images per worker at a time and runs them
+    // on the pool, so a long study never has to be resident at once.
     let engine = BatchCompressor::with_codec(codec, 0);
     let study: Vec<Image> = studies.iter().map(|s| s.image.clone()).collect();
     let (batch_streams, batch_report) = engine.compress_batch(&study)?;

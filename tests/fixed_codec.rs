@@ -2,12 +2,11 @@
 //! `LWCF` round trips across Table I banks × decomposition depths × tile
 //! shapes × worker counts, worker-count independence of the bytes, typed
 //! rejection of truncated or tampered containers, and byte-identical
-//! dispatch through `dyn Codec`.
+//! engine and plan paths.
 
 use lwc_core::lwc_coder::{
     is_fixed, write_fixed_container, CoderError, FixedHeader, FixedStream, FIXED_HEADER_BYTES,
 };
-use lwc_core::lwc_pipeline::DecodePlan;
 use lwc_core::prelude::*;
 use proptest::prelude::*;
 
@@ -65,29 +64,28 @@ proptest! {
         prop_assert!(codec.decompress(&forged).is_err());
     }
 
-    /// Dispatch through `dyn Codec` — the interface the server, batch engine
-    /// and reproduction binary use — is byte-identical to concrete calls.
+    /// The engine's own calls and the job plans they are built from give
+    /// the same bytes: a 2-worker `compress` equals its encode plan run on
+    /// one thread, and a sniffed decode plan reads the stream back.
     #[test]
-    fn dyn_codec_dispatch_is_byte_identical(seed in 0u64..10_000, filter_index in 0usize..6) {
+    fn engine_and_plan_paths_are_byte_identical(seed in 0u64..10_000, filter_index in 0usize..6) {
         let image = synth::random_image(48, 48, 12, seed);
         let concrete = engine(filter_index, 2, 16, 2);
-        let trait_object: &dyn Codec = &concrete;
-        let via_trait = trait_object.compress(&image).unwrap();
-        prop_assert_eq!(&via_trait, &concrete.compress(&image).unwrap());
-        prop_assert!(
-            stats::bit_exact(&image, &trait_object.decompress(&via_trait).unwrap()).unwrap()
-        );
-        // Tile access through the trait hits the directory-driven override.
+        let bytes = concrete.compress(&image).unwrap();
+        prop_assert_eq!(&bytes, &concrete.encode_plan(&image).unwrap().execute(1).unwrap());
+        prop_assert!(stats::bit_exact(&image, &concrete.decompress(&bytes).unwrap()).unwrap());
+        prop_assert!(stats::bit_exact(&image, &decompress_auto(&bytes).unwrap()).unwrap());
+        // Tile access hits the directory.
         let grid = concrete.grid(48, 48).unwrap();
         let last = grid.tile_count() - 1;
-        let tile = trait_object.decompress_tile(&via_trait, last).unwrap();
+        let tile = concrete.decompress_tile(&bytes, last).unwrap();
         prop_assert!(stats::bit_exact(&image.crop(grid.rect(last)).unwrap(), &tile).unwrap());
     }
 }
 
 /// Full-scale smoke: the CI frame size through compress, decompress and
-/// random tile access, all via `dyn Codec`. Debug builds skip it (the fixed
-/// datapath is far too slow unoptimized); CI covers the release run through
+/// random tile access. Debug builds skip it (the fixed datapath is far too
+/// slow unoptimized); CI covers the release run through
 /// `reproduce fixed-codec 4096` as well.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only: 4096x4096 frame")]
@@ -95,14 +93,13 @@ fn full_scale_lwcf_roundtrip() {
     let bank = FilterBank::table1(FilterId::F1);
     let engine = TiledFixedCompressor::new(&bank, 5, DEFAULT_TILE_SIZE, 0).unwrap();
     let frame = synth::ct_phantom(4096, 4096, 12, 42);
-    let trait_object: &dyn Codec = &engine;
-    let bytes = trait_object.compress(&frame).unwrap();
+    let bytes = engine.compress(&frame).unwrap();
     assert!(is_fixed(&bytes));
     let grid = engine.grid(4096, 4096).unwrap();
     let last = grid.tile_count() - 1;
-    let tile = trait_object.decompress_tile(&bytes, last).unwrap();
+    let tile = engine.decompress_tile(&bytes, last).unwrap();
     assert!(stats::bit_exact(&frame.crop(grid.rect(last)).unwrap(), &tile).unwrap());
-    assert!(stats::bit_exact(&frame, &trait_object.decompress(&bytes).unwrap()).unwrap());
+    assert!(stats::bit_exact(&frame, &engine.decompress(&bytes).unwrap()).unwrap());
 }
 
 /// The Table II word plan holds 13 signed input bits, so 12-bit pixels are
