@@ -181,3 +181,37 @@ fn large_image_roundtrips_through_the_tiled_path() {
     let back = engine.decompress(&bytes).unwrap();
     assert!(stats::bit_exact(&image, &back).unwrap());
 }
+
+/// FNV-1a 64 of a stream: a compact pin for whole byte sequences.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `LWCT` bytes are pinned by digest, so a rewrite of the container
+/// framing (header, directory, writer) must reproduce them exactly. Covers
+/// a ragged multi-tile frame (100×70 over 32² tiles) as version 1 (δ = 0)
+/// and version 2 (δ = 2), and a single-tile frame, which the engine emits as
+/// the legacy `LWC1` (δ = 0) or `LWCQ` (δ = 2) stream.
+#[test]
+fn lwct_bytes_are_pinned() {
+    let ragged = phantom(0, 100, 70, 41);
+    let single = phantom(1, 64, 48, 42);
+    let expected: [[u64; 2]; 2] = [
+        [0xff6d_b3b5_c28a_1163, 0x6bd7_4c39_0769_4389],
+        [0x5b5b_8a7e_6a11_bef8, 0x8ab0_f4f5_1995_5523],
+    ];
+    let mut got = [[0u64; 2]; 2];
+    for (d, (delta, legacy_magic)) in [(0u8, b"LWC1"), (2, b"LWCQ")].into_iter().enumerate() {
+        let codec = LosslessCodec::near_lossless(3, delta).unwrap();
+        let tiled =
+            TiledCompressor::with_codec(codec, 32, 32, 2).unwrap().compress(&ragged).unwrap();
+        let whole =
+            TiledCompressor::with_codec(codec, 64, 64, 2).unwrap().compress(&single).unwrap();
+        assert_eq!((&tiled[..4], tiled[4]), (&b"LWCT"[..], d as u8 + 1), "delta {delta}");
+        assert_eq!(&whole[..4], legacy_magic, "delta {delta}");
+        got[d] = [fnv1a64(&tiled), fnv1a64(&whole)];
+    }
+    assert_eq!(got, expected, "LWCT bytes moved: {got:#018x?}");
+}
