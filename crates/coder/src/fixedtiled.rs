@@ -1,9 +1,9 @@
 //! The versioned fixed-path container format (`LWCF`).
 //!
 //! `LWCF` is to the paper-exact fixed-point datapath what
-//! [`LWCT`](crate::tiled) is to the lifting codec: a fixed header, a per-tile
-//! 48-bit byte-offset directory (the identical directory machinery — both
-//! formats share one implementation), and one entropy-coded payload per tile
+//! [`LWCT`](crate::tiled) is to the lifting codec: the shared container
+//! framing ([`crate::container`]: magic and version, the 48-bit part
+//! directory and the one parser) around one entropy-coded payload per tile
 //! of a [`TileGrid`]. Each payload is the tile's `Decomposition<i64>`
 //! subbands in [`subband_order`](crate::subband_order), coded by
 //! [`FixedSubbandCodec`](crate::FixedSubbandCodec). Layout (all fields
@@ -38,16 +38,15 @@
 //! `2^scales`; the parser enforces this so a tampered scale count fails at
 //! parse time, not mid-inverse-transform.
 
-use crate::bitio::{BitReader, BitWriter};
-use crate::tiled::{append_directory_and_payloads, read_directory};
+use crate::bitio::BitWriter;
+use crate::container::{CommonFields, Container, ContainerHeader, FieldReader};
 use crate::CoderError;
 use lwc_image::TileGrid;
 
+pub use crate::container::LOSSLESS_VERSION as FIXED_VERSION;
+
 /// Magic number identifying a fixed-path `lwc` container ("LWCF").
 pub const FIXED_MAGIC: u32 = 0x4C57_4346;
-
-/// The newest `LWCF` version this build writes and reads.
-pub const FIXED_VERSION: u8 = 1;
 
 /// Serialized size of the fixed `LWCF` header, in bytes.
 pub const FIXED_HEADER_BYTES: usize = 24;
@@ -74,56 +73,57 @@ pub struct FixedHeader {
     pub tile_height: usize,
 }
 
-impl FixedHeader {
-    /// The tile grid this header describes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoderError::MalformedStream`] if the geometry is invalid
-    /// (zero dimensions).
-    pub fn grid(&self) -> Result<TileGrid, CoderError> {
-        TileGrid::new(self.width, self.height, self.tile_width, self.tile_height).map_err(|e| {
-            CoderError::MalformedStream(format!("invalid tile geometry in header: {e}"))
+impl ContainerHeader for FixedHeader {
+    const MAGIC: u32 = FIXED_MAGIC;
+    const NAME: &'static str = "fixed";
+    const BYTES: usize = FIXED_HEADER_BYTES;
+    const NEAR_LOSSLESS: bool = false;
+    type Grid = TileGrid;
+
+    fn common(&self) -> CommonFields {
+        CommonFields {
+            width: self.width,
+            height: self.height,
+            depth: 1,
+            tile_width: self.tile_width,
+            tile_height: self.tile_height,
+            brick_depth: 1,
+            bit_depth: self.bit_depth,
+            scales: self.scales,
+            delta: 0,
+        }
+    }
+
+    fn grid(&self) -> Result<TileGrid, CoderError> {
+        Ok(*self.bricks()?.plane())
+    }
+
+    fn write_fields(&self, writer: &mut BitWriter) {
+        writer.write_bits(self.width as u64, 32);
+        writer.write_bits(self.height as u64, 32);
+        writer.write_bits(u64::from(self.bit_depth), 8);
+        writer.write_bits(u64::from(self.scales), 8);
+        writer.write_bits(u64::from(self.filter), 8);
+        writer.write_bits(self.tile_width as u64, 32);
+        writer.write_bits(self.tile_height as u64, 32);
+    }
+
+    fn read_fields(fields: &mut FieldReader<'_, '_>) -> Result<Self, CoderError> {
+        Ok(Self {
+            width: fields.read(32, "width")? as usize,
+            height: fields.read(32, "height")? as usize,
+            bit_depth: fields.read(8, "bit depth")? as u32,
+            scales: fields.read(8, "scale count")? as u32,
+            filter: fields.read(8, "filter index")? as u8,
+            tile_width: fields.read(32, "tile width")? as usize,
+            tile_height: fields.read(32, "tile height")? as usize,
         })
     }
 
-    /// Validates the field ranges the writer enforces, including the
-    /// fixed-path geometry rule: every tile shape occurring in the grid
-    /// (nominal, ragged right/bottom/corner) must be divisible by
+    /// The filter index names a Table I bank, and every tile shape occurring
+    /// in the grid (nominal, ragged right/bottom/corner) is divisible by
     /// `2^scales`, because the fixed-point pyramid halves dimensions exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoderError::MalformedStream`] or
-    /// [`CoderError::UnsupportedFormat`] for out-of-range fields.
-    pub fn validate(&self) -> Result<(), CoderError> {
-        if self.width == 0 || self.height == 0 {
-            return Err(CoderError::MalformedStream(format!(
-                "implausible image dimensions {}x{}",
-                self.width, self.height
-            )));
-        }
-        if self.tile_width == 0 || self.tile_height == 0 {
-            return Err(CoderError::MalformedStream("zero tile dimensions".to_owned()));
-        }
-        if self.tile_width >= (1 << 20) || self.tile_height >= (1 << 20) {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "tile dimensions {}x{} exceed the container's 20-bit tile bound",
-                self.tile_width, self.tile_height
-            )));
-        }
-        if self.bit_depth == 0 || self.bit_depth > 16 {
-            return Err(CoderError::MalformedStream(format!(
-                "unsupported bit depth {}",
-                self.bit_depth
-            )));
-        }
-        if self.scales == 0 || self.scales >= (1 << 4) {
-            return Err(CoderError::MalformedStream(format!(
-                "unsupported scale count {}",
-                self.scales
-            )));
-        }
+    fn check_format(&self) -> Result<(), CoderError> {
         if self.filter >= FIXED_FILTER_BANKS {
             return Err(CoderError::UnsupportedFormat(format!(
                 "filter index {} is not a Table I bank (0..={})",
@@ -148,191 +148,17 @@ impl FixedHeader {
         }
         Ok(())
     }
-
-    /// Serializes the header (fails validation first, so a malformed header
-    /// can never be written).
-    ///
-    /// # Errors
-    ///
-    /// See [`FixedHeader::validate`]; additionally rejects images whose
-    /// dimensions exceed the 32-bit header fields.
-    pub fn write(&self, writer: &mut BitWriter) -> Result<(), CoderError> {
-        self.validate()?;
-        if self.width > u32::MAX as usize || self.height > u32::MAX as usize {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "image dimensions {}x{} exceed the container's 32-bit fields",
-                self.width, self.height
-            )));
-        }
-        writer.write_bits(u64::from(FIXED_MAGIC), 32);
-        writer.write_bits(u64::from(FIXED_VERSION), 8);
-        writer.write_bits(self.width as u64, 32);
-        writer.write_bits(self.height as u64, 32);
-        writer.write_bits(u64::from(self.bit_depth), 8);
-        writer.write_bits(u64::from(self.scales), 8);
-        writer.write_bits(u64::from(self.filter), 8);
-        writer.write_bits(self.tile_width as u64, 32);
-        writer.write_bits(self.tile_height as u64, 32);
-        Ok(())
-    }
-
-    /// Reads and validates a header.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoderError::MalformedStream`] if the stream ends inside the header
-    ///   or a field is out of range.
-    /// * [`CoderError::UnsupportedFormat`] for a wrong magic number or an
-    ///   unknown (newer) container version.
-    pub fn read(reader: &mut BitReader<'_>) -> Result<Self, CoderError> {
-        let mut field = |bits: u32, name: &str| {
-            reader.read_bits(bits).map_err(|_| {
-                CoderError::MalformedStream(format!("truncated fixed header: missing {name}"))
-            })
-        };
-        let magic = field(32, "magic")?;
-        if magic as u32 != FIXED_MAGIC {
-            return Err(CoderError::UnsupportedFormat("bad fixed-container magic number".into()));
-        }
-        let version = field(8, "version")? as u8;
-        if version != FIXED_VERSION {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "fixed container version {version} is not supported (this build reads \
-                 {FIXED_VERSION})"
-            )));
-        }
-        let header = Self {
-            width: field(32, "width")? as usize,
-            height: field(32, "height")? as usize,
-            bit_depth: field(8, "bit depth")? as u32,
-            scales: field(8, "scale count")? as u32,
-            filter: field(8, "filter index")? as u8,
-            tile_width: field(32, "tile width")? as usize,
-            tile_height: field(32, "tile height")? as usize,
-        };
-        header.validate()?;
-        Ok(header)
-    }
 }
 
-/// `true` if `bytes` starts with the fixed-path container magic — the third
-/// arm of the format sniff (`LWC1` / `LWCT` / `LWCF`).
-#[must_use]
-pub fn is_fixed(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && bytes[..4] == FIXED_MAGIC.to_be_bytes()
-}
-
-/// Assembles an `LWCF` container from a header and the per-tile payloads
-/// (one fixed-subband stream per tile, in row-major tile order).
-///
-/// # Errors
-///
-/// Returns an error if the header is invalid or the payload count does not
-/// match the header's grid.
-pub fn write_fixed_container(
-    header: &FixedHeader,
-    payloads: &[Vec<u8>],
-) -> Result<Vec<u8>, CoderError> {
-    let grid = header.grid()?;
-    if payloads.len() != grid.tile_count() {
-        return Err(CoderError::MalformedStream(format!(
-            "{} tile payloads supplied but the grid has {}",
-            payloads.len(),
-            grid.tile_count()
-        )));
-    }
-    let mut writer = BitWriter::new();
-    header.write(&mut writer)?;
-    Ok(append_directory_and_payloads(writer, FIXED_HEADER_BYTES, payloads))
-}
-
-/// A parsed (but not yet decoded) `LWCF` container: the header, the validated
-/// tile directory and a borrow of the raw bytes.
-#[derive(Debug, Clone)]
-pub struct FixedStream<'a> {
-    header: FixedHeader,
-    offsets: Vec<u64>,
-    bytes: &'a [u8],
-}
-
-impl<'a> FixedStream<'a> {
-    /// Parses and validates the header and directory of an `LWCF` container,
-    /// with the same defenses as the `LWCT` parser: the decompression-bomb
-    /// plausibility guard (a stream must carry at least one coded bit per
-    /// sample) runs before any allocation is sized from the 32-bit header
-    /// fields, the directory entry count is bounded by the stream length, and
-    /// the offsets must start right after the directory, never decrease, and
-    /// end exactly at the stream's last byte.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoderError::UnsupportedFormat`] for a wrong magic or version.
-    /// * [`CoderError::MalformedStream`] for invalid header fields, a
-    ///   truncated directory, or inconsistent offsets.
-    pub fn parse(bytes: &'a [u8]) -> Result<Self, CoderError> {
-        let mut reader = BitReader::new(bytes);
-        let header = FixedHeader::read(&mut reader)?;
-        let grid = header.grid()?;
-        let pixels = header.width as u128 * header.height as u128;
-        if pixels > bytes.len() as u128 * 8 {
-            return Err(CoderError::MalformedStream(format!(
-                "header declares {}x{} pixels but the {}-byte container cannot encode even one \
-                 bit per sample",
-                header.width,
-                header.height,
-                bytes.len()
-            )));
-        }
-        let claimed = grid.tiles_x() as u128 * grid.tiles_y() as u128;
-        let offsets = read_directory(&mut reader, bytes.len(), FIXED_HEADER_BYTES, claimed)?;
-        Ok(Self { header, offsets, bytes })
-    }
-
-    /// The container header.
-    #[must_use]
-    pub fn header(&self) -> &FixedHeader {
-        &self.header
-    }
-
-    /// The tile grid of the container.
-    ///
-    /// # Errors
-    ///
-    /// See [`FixedHeader::grid`] (cannot fail after a successful parse).
-    pub fn grid(&self) -> Result<TileGrid, CoderError> {
-        self.header.grid()
-    }
-
-    /// Number of tiles in the container.
-    #[must_use]
-    pub fn tile_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Consumes the parsed stream into its validated directory: `tile_count() + 1`
-    /// byte offsets into the container, ascending, the last one its length —
-    /// for owners of the bytes that keep the parse and drop the borrow.
-    #[must_use]
-    pub fn into_offsets(self) -> Vec<u64> {
-        self.offsets
-    }
-
-    /// The raw payload (a fixed-subband stream) of tile `index`, in row-major
-    /// tile order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= tile_count()`.
-    #[must_use]
-    pub fn tile_bytes(&self, index: usize) -> &'a [u8] {
-        assert!(index < self.tile_count(), "tile index {index} out of bounds");
-        &self.bytes[self.offsets[index] as usize..self.offsets[index + 1] as usize]
-    }
-}
+/// A parsed (but not yet decoded) `LWCF` container; its parts are the
+/// per-tile fixed-subband streams in row-major tile order.
+pub type FixedStream<'a> = Container<'a, FixedHeader>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitio::BitReader;
+    use crate::container::write_container;
 
     fn sample_header() -> FixedHeader {
         FixedHeader {
@@ -356,7 +182,7 @@ mod tests {
         // costs at least its one-bit unary terminator).
         let payloads: Vec<Vec<u8>> =
             (0..grid.tile_count()).map(|i| vec![i as u8 + 1; 200 + i]).collect();
-        let bytes = write_fixed_container(&header, &payloads).unwrap();
+        let bytes = write_container(&header, &payloads).unwrap();
         (header, payloads, bytes)
     }
 
@@ -375,21 +201,21 @@ mod tests {
     #[test]
     fn container_slices_tiles_back_out() {
         let (header, payloads, bytes) = sample_container();
-        assert!(is_fixed(&bytes));
+        assert!(FixedStream::sniff(&bytes));
         let stream = FixedStream::parse(&bytes).unwrap();
         assert_eq!(stream.header(), &header);
-        assert_eq!(stream.tile_count(), payloads.len());
+        assert_eq!(stream.part_count(), payloads.len());
         for (index, payload) in payloads.iter().enumerate() {
-            assert_eq!(stream.tile_bytes(index), payload.as_slice(), "tile {index}");
+            assert_eq!(stream.part_bytes(index), payload.as_slice(), "tile {index}");
         }
     }
 
     #[test]
     fn other_formats_are_not_fixed() {
-        assert!(!is_fixed(&[]));
-        assert!(!is_fixed(&[0x4C, 0x57, 0x43]));
-        assert!(!is_fixed(&0x4C57_4354u32.to_be_bytes())); // LWCT
-        assert!(!is_fixed(&0x4C57_4331u32.to_be_bytes())); // LWC1
+        assert!(!FixedStream::sniff(&[]));
+        assert!(!FixedStream::sniff(&[0x4C, 0x57, 0x43]));
+        assert!(!FixedStream::sniff(&0x4C57_4354u32.to_be_bytes())); // LWCT
+        assert!(!FixedStream::sniff(&0x4C57_4331u32.to_be_bytes())); // LWC1
         assert!(matches!(
             FixedStream::parse(&0x4C57_4354u32.to_be_bytes()),
             Err(CoderError::UnsupportedFormat(_))
@@ -487,7 +313,7 @@ mod tests {
         };
         let grid = header.grid().unwrap();
         let payloads = vec![Vec::new(); grid.tile_count()];
-        let bytes = write_fixed_container(&header, &payloads).unwrap();
+        let bytes = write_container(&header, &payloads).unwrap();
         match FixedStream::parse(&bytes) {
             Err(CoderError::MalformedStream(msg)) => {
                 assert!(msg.contains("cannot encode"), "{msg}");
@@ -500,7 +326,7 @@ mod tests {
     fn payload_count_must_match_the_grid() {
         let header = sample_header();
         assert!(matches!(
-            write_fixed_container(&header, &[vec![1, 2, 3]]),
+            write_container(&header, &[vec![1, 2, 3]]),
             Err(CoderError::MalformedStream(_))
         ));
     }

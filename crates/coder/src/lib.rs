@@ -18,16 +18,19 @@
 //!   the 5/3 synthesis gain, carried in the `LWCQ` stream header
 //!   ([`LosslessCodec::near_lossless`]; `δ = 0` stays bit-identical to
 //!   the lossless streams),
+//! * [`container`] — the framing every multi-part container shares: magic
+//!   and version, the common field checks, the decompression-bomb guard,
+//!   the 48-bit part directory, one writer and one parser ([`Container`]),
 //! * [`tiled`] — the versioned tiled container format (`LWCT`): a tile-grid
-//!   header plus a per-tile byte-offset directory wrapping independent
-//!   per-tile streams, the format behind the tile-parallel engine in
-//!   `lwc-pipeline`,
+//!   header wrapping independent per-tile streams, the format behind the
+//!   tile-parallel engine in `lwc-pipeline`,
 //! * [`fixedband`] — the fixed-word Rice coder for the paper's own datapath:
 //!   [`FixedSubbandCodec`] block-adaptively codes the `i64` transform words
 //!   the fixed-point DWT produces at the Table II word lengths,
 //! * [`fixedtiled`] — the versioned fixed-path container format (`LWCF`)
-//!   that wraps per-tile fixed-subband payloads behind the same 48-bit
-//!   offset-directory machinery as `LWCT`.
+//!   that wraps per-tile fixed-subband payloads in the same framing,
+//! * [`volume`] — the versioned volumetric container format (`LWCV`): the
+//!   tile framing plus a z axis, one payload per brick.
 //!
 //! The fixed-point transform of the paper is validated for losslessness in
 //! `lwc-dwt`; historically the end-to-end compression numbers used only the
@@ -54,6 +57,7 @@
 
 pub mod bitio;
 mod codec;
+pub mod container;
 mod error;
 pub mod fixedband;
 pub mod fixedtiled;
@@ -65,20 +69,18 @@ pub mod tiled;
 pub mod volume;
 
 pub use codec::{subband_order, CompressionReport, LosslessCodec, StreamHeader};
+pub use container::{
+    check_tile_sides, write_container, write_container as write_volume_container, Container,
+    ContainerHeader,
+};
 pub use error::CoderError;
 pub use fixedband::{FixedSubbandCodec, FIXED_PARAMETER_BITS, MAX_FIXED_RICE_PARAMETER};
-pub use fixedtiled::{
-    is_fixed, write_fixed_container, FixedHeader, FixedStream, FIXED_HEADER_BYTES, FIXED_MAGIC,
-    FIXED_VERSION,
-};
+pub use fixedtiled::{FixedHeader, FixedStream, FIXED_HEADER_BYTES, FIXED_MAGIC};
 pub use line::RowEncoder;
 pub use quant::{plane_delta_for_volume, QuantSchedule};
 pub use subband::{StreamingSubbandEncoder, SubbandCodec, BLOCK_SIZE, MAX_UNARY_RUN_BITS};
 pub use tiled::{TiledHeader, TiledStream};
-pub use volume::{
-    is_volume, write_volume_container, VolumeHeader, VolumeStream, VOLUME_HEADER_BYTES,
-    VOLUME_MAGIC, VOLUME_QUANT_VERSION, VOLUME_VERSION,
-};
+pub use volume::{VolumeHeader, VolumeStream, VOLUME_HEADER_BYTES, VOLUME_MAGIC};
 
 #[cfg(test)]
 mod crate_tests {

@@ -1,11 +1,12 @@
 //! The versioned volumetric container format (`LWCV`).
 //!
-//! A volume stream wraps one payload per brick of a
-//! [`BrickGrid`] behind a fixed header and the same
-//! 48-bit byte-offset directory machinery as the tiled `LWCT` container, so
-//! bricks can be encoded, decoded and seeked independently — the format
-//! backbone of the brick-parallel volume engine in `lwc-pipeline`. Layout
-//! (all fields most-significant-bit first, written with [`BitWriter`]):
+//! A volume stream wraps one payload per brick of a [`BrickGrid`] in the
+//! shared container framing ([`crate::container`]: magic and version, the
+//! near-lossless delta byte, the 48-bit part directory and the one parser) —
+//! the 2-D tile framing of `LWCT` plus a z axis — so bricks can be encoded,
+//! decoded and seeked independently: the format backbone of the
+//! brick-parallel volume engine in `lwc-pipeline`. Layout (all fields
+//! most-significant-bit first, written with [`BitWriter`]):
 //!
 //! ```text
 //! offset  field
@@ -25,16 +26,10 @@
 //! ...     payloads       brick_count brick payloads
 //! ```
 //!
-//! The version byte selects the layout: a lossless (`δ = 0`) volume is
-//! written as version 1 with no delta byte — byte-identical to every
-//! pre-near-lossless container — so a version-2 header whose delta is zero
-//! is a forgery and is rejected as malformed.
-//!
-//! `brick_count` is derived from the grid geometry, never stored; bricks are
-//! ordered plane-major (all tiles of z-layer 0, then z-layer 1, ...). Each
-//! brick payload is self-describing: the brick's z-transformed coefficient
-//! planes are 2-D coded as one `LWC1` stream each, prefixed by a table of
-//! `brick_depth` big-endian `u32` substream lengths:
+//! Bricks are ordered plane-major (all tiles of z-layer 0, then z-layer 1,
+//! ...). Each brick payload is self-describing: the brick's z-transformed
+//! coefficient planes are 2-D coded as one `LWC1` stream each, prefixed by
+//! a table of `brick_depth` big-endian `u32` substream lengths:
 //!
 //! ```text
 //! plane lengths   brick_depth x 32-bit byte lengths
@@ -46,24 +41,19 @@
 //! tile of the same slice — the property that pins the two datapaths
 //! together (see the tests in `tests/volume_pipeline.rs`).
 
-use crate::bitio::{BitReader, BitWriter};
-use crate::tiled::{append_directory_and_payloads, read_directory};
+use crate::bitio::BitWriter;
+use crate::container::{CommonFields, Container, ContainerHeader, FieldReader};
 use crate::CoderError;
 use lwc_image::BrickGrid;
+
+pub use crate::container::NEAR_LOSSLESS_VERSION as VOLUME_QUANT_VERSION;
 
 /// Magic number identifying a volumetric `lwc` container ("LWCV").
 pub const VOLUME_MAGIC: u32 = 0x4C57_4356;
 
-/// The lossless (version-1) volume container version.
-pub const VOLUME_VERSION: u8 = 1;
-
-/// The near-lossless (version-2) volume container version: the version-1
-/// layout plus one quantizer delta byte.
-pub const VOLUME_QUANT_VERSION: u8 = 2;
-
 /// Serialized size of the fixed version-1 volume header, in bytes. A
 /// version-2 header is one byte longer — see
-/// [`VolumeHeader::serialized_bytes`].
+/// [`ContainerHeader::serialized_bytes`].
 pub const VOLUME_HEADER_BYTES: usize = 32;
 
 /// Parsed fixed-size header of a volumetric container.
@@ -92,102 +82,32 @@ pub struct VolumeHeader {
     pub delta: u8,
 }
 
-impl VolumeHeader {
-    /// Serialized header size in bytes: [`VOLUME_HEADER_BYTES`] for a
-    /// lossless (version-1) header, one more for the near-lossless
-    /// (version-2) delta byte.
-    #[must_use]
-    pub fn serialized_bytes(&self) -> usize {
-        if self.delta == 0 {
-            VOLUME_HEADER_BYTES
-        } else {
-            VOLUME_HEADER_BYTES + 1
+impl ContainerHeader for VolumeHeader {
+    const MAGIC: u32 = VOLUME_MAGIC;
+    const NAME: &'static str = "volume";
+    const BYTES: usize = VOLUME_HEADER_BYTES;
+    const NEAR_LOSSLESS: bool = true;
+    type Grid = BrickGrid;
+
+    fn common(&self) -> CommonFields {
+        CommonFields {
+            width: self.width,
+            height: self.height,
+            depth: self.depth,
+            tile_width: self.tile_width,
+            tile_height: self.tile_height,
+            brick_depth: self.brick_depth,
+            bit_depth: self.bit_depth,
+            scales: self.scales,
+            delta: self.delta,
         }
     }
 
-    /// The brick grid this header describes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoderError::MalformedStream`] if the geometry is invalid
-    /// (zero dimensions).
-    pub fn grid(&self) -> Result<BrickGrid, CoderError> {
-        BrickGrid::new(
-            self.width,
-            self.height,
-            self.depth,
-            self.tile_width,
-            self.tile_height,
-            self.brick_depth,
-        )
-        .map_err(|e| CoderError::MalformedStream(format!("invalid brick geometry in header: {e}")))
+    fn grid(&self) -> Result<BrickGrid, CoderError> {
+        self.bricks()
     }
 
-    /// Validates the field ranges the writer enforces.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoderError::MalformedStream`] or
-    /// [`CoderError::UnsupportedFormat`] for out-of-range fields.
-    pub fn validate(&self) -> Result<(), CoderError> {
-        if self.width == 0 || self.height == 0 || self.depth == 0 {
-            return Err(CoderError::MalformedStream(format!(
-                "implausible volume dimensions {}x{}x{}",
-                self.width, self.height, self.depth
-            )));
-        }
-        if self.tile_width == 0 || self.tile_height == 0 || self.brick_depth == 0 {
-            return Err(CoderError::MalformedStream("zero brick dimensions".to_owned()));
-        }
-        if self.tile_width >= (1 << 20) || self.tile_height >= (1 << 20) {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "tile dimensions {}x{} exceed the per-plane stream format's 20-bit fields",
-                self.tile_width, self.tile_height
-            )));
-        }
-        if self.bit_depth == 0 || self.bit_depth > 16 {
-            return Err(CoderError::MalformedStream(format!(
-                "unsupported bit depth {}",
-                self.bit_depth
-            )));
-        }
-        if self.scales == 0 || self.scales >= (1 << 4) {
-            return Err(CoderError::MalformedStream(format!(
-                "unsupported scale count {}",
-                self.scales
-            )));
-        }
-        if self.z_scales >= (1 << 4) {
-            return Err(CoderError::MalformedStream(format!(
-                "unsupported z scale count {}",
-                self.z_scales
-            )));
-        }
-        Ok(())
-    }
-
-    /// Serializes the header (fails validation first, so a malformed header
-    /// can never be written).
-    ///
-    /// # Errors
-    ///
-    /// See [`VolumeHeader::validate`]; additionally rejects volumes whose
-    /// dimensions exceed the 32-bit header fields.
-    pub fn write(&self, writer: &mut BitWriter) -> Result<(), CoderError> {
-        self.validate()?;
-        if self.width > u32::MAX as usize
-            || self.height > u32::MAX as usize
-            || self.depth > u32::MAX as usize
-            || self.brick_depth > u32::MAX as usize
-        {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "volume dimensions {}x{}x{} exceed the container's 32-bit fields",
-                self.width, self.height, self.depth
-            )));
-        }
-        let version = if self.delta == 0 { VOLUME_VERSION } else { VOLUME_QUANT_VERSION };
-        writer.write_bits(u64::from(VOLUME_MAGIC), 32);
-        writer.write_bits(u64::from(version), 8);
+    fn write_fields(&self, writer: &mut BitWriter) {
         writer.write_bits(self.width as u64, 32);
         writer.write_bits(self.height as u64, 32);
         writer.write_bits(self.depth as u64, 32);
@@ -197,92 +117,33 @@ impl VolumeHeader {
         writer.write_bits(self.tile_width as u64, 32);
         writer.write_bits(self.tile_height as u64, 32);
         writer.write_bits(self.brick_depth as u64, 32);
-        if self.delta != 0 {
-            writer.write_bits(u64::from(self.delta), 8);
+    }
+
+    fn read_fields(fields: &mut FieldReader<'_, '_>) -> Result<Self, CoderError> {
+        Ok(Self {
+            width: fields.read(32, "width")? as usize,
+            height: fields.read(32, "height")? as usize,
+            depth: fields.read(32, "depth")? as usize,
+            bit_depth: fields.read(8, "bit depth")? as u32,
+            scales: fields.read(8, "scale count")? as u32,
+            z_scales: fields.read(8, "z scale count")? as u32,
+            tile_width: fields.read(32, "tile width")? as usize,
+            tile_height: fields.read(32, "tile height")? as usize,
+            brick_depth: fields.read(32, "brick depth")? as usize,
+            delta: fields.delta()?,
+        })
+    }
+
+    /// The z scale count fits its 4-bit field (0 is the pure 2-D case).
+    fn check_format(&self) -> Result<(), CoderError> {
+        if self.z_scales >= 1 << 4 {
+            return Err(CoderError::MalformedStream(format!(
+                "unsupported z scale count {}",
+                self.z_scales
+            )));
         }
         Ok(())
     }
-
-    /// Reads and validates a header.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoderError::MalformedStream`] if the stream ends inside the header
-    ///   or a field is out of range.
-    /// * [`CoderError::UnsupportedFormat`] for a wrong magic number or an
-    ///   unknown (newer) container version.
-    pub fn read(reader: &mut BitReader<'_>) -> Result<Self, CoderError> {
-        let mut field = |bits: u32, name: &str| {
-            reader.read_bits(bits).map_err(|_| {
-                CoderError::MalformedStream(format!("truncated volume header: missing {name}"))
-            })
-        };
-        let magic = field(32, "magic")?;
-        if magic as u32 != VOLUME_MAGIC {
-            return Err(CoderError::UnsupportedFormat("bad volume magic number".to_owned()));
-        }
-        let version = field(8, "version")? as u8;
-        if version != VOLUME_VERSION && version != VOLUME_QUANT_VERSION {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "volume container version {version} is not supported (this build reads \
-                 {VOLUME_VERSION} and {VOLUME_QUANT_VERSION})"
-            )));
-        }
-        let mut header = Self {
-            width: field(32, "width")? as usize,
-            height: field(32, "height")? as usize,
-            depth: field(32, "depth")? as usize,
-            bit_depth: field(8, "bit depth")? as u32,
-            scales: field(8, "scale count")? as u32,
-            z_scales: field(8, "z scale count")? as u32,
-            tile_width: field(32, "tile width")? as usize,
-            tile_height: field(32, "tile height")? as usize,
-            brick_depth: field(32, "brick depth")? as usize,
-            delta: 0,
-        };
-        if version == VOLUME_QUANT_VERSION {
-            header.delta = field(8, "quantizer delta")? as u8;
-            if header.delta == 0 {
-                return Err(CoderError::MalformedStream(
-                    "malformed quantizer header: near-lossless container version with zero delta"
-                        .to_owned(),
-                ));
-            }
-        }
-        header.validate()?;
-        Ok(header)
-    }
-}
-
-/// `true` if `bytes` starts with the volume container magic (the router
-/// between the 2-D decoders and the volumetric one).
-#[must_use]
-pub fn is_volume(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && bytes[..4] == VOLUME_MAGIC.to_be_bytes()
-}
-
-/// Assembles a volumetric container from a header and the per-brick payloads
-/// (plane-major brick order).
-///
-/// # Errors
-///
-/// Returns an error if the header is invalid or the payload count does not
-/// match the header's grid.
-pub fn write_volume_container(
-    header: &VolumeHeader,
-    payloads: &[Vec<u8>],
-) -> Result<Vec<u8>, CoderError> {
-    let grid = header.grid()?;
-    if payloads.len() != grid.brick_count() {
-        return Err(CoderError::MalformedStream(format!(
-            "{} brick payloads supplied but the grid has {}",
-            payloads.len(),
-            grid.brick_count()
-        )));
-    }
-    let mut writer = BitWriter::new();
-    header.write(&mut writer)?;
-    Ok(append_directory_and_payloads(writer, header.serialized_bytes(), payloads))
 }
 
 /// Serializes one brick payload: the length table followed by the
@@ -339,100 +200,23 @@ pub fn split_brick_payload(payload: &[u8], plane_count: usize) -> Result<Vec<&[u
     Ok(planes)
 }
 
-/// A parsed (but not yet decoded) volumetric container: the header, the
-/// validated brick directory and a borrow of the raw bytes. Bricks can be
-/// sliced out individually — this is what the brick-parallel decoder hands
-/// to its workers and what the slab-streaming decoder seeks through.
-#[derive(Debug, Clone)]
-pub struct VolumeStream<'a> {
-    header: VolumeHeader,
-    offsets: Vec<u64>,
-    bytes: &'a [u8],
-}
+/// A parsed (but not yet decoded) volumetric container; its parts are the
+/// brick payloads in plane-major brick order.
+pub type VolumeStream<'a> = Container<'a, VolumeHeader>;
 
 impl<'a> VolumeStream<'a> {
-    /// Parses and validates the header and directory of a volume container.
-    ///
-    /// The same decompression-bomb guard as the 2-D containers applies to
-    /// the voxel count **before any allocation is sized from the header**:
-    /// every voxel costs at least one payload bit across the per-plane
-    /// streams, so a declared `width x height x depth` beyond the stream's
-    /// bit count is forged or corrupt. The directory is then checked for
-    /// monotonically non-decreasing offsets that start right after the
-    /// directory and end exactly at the stream's last byte.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoderError::UnsupportedFormat`] for a wrong magic or version.
-    /// * [`CoderError::MalformedStream`] for invalid header fields, an
-    ///   implausible voxel count, a truncated directory, or inconsistent
-    ///   offsets.
-    pub fn parse(bytes: &'a [u8]) -> Result<Self, CoderError> {
-        let mut reader = BitReader::new(bytes);
-        let header = VolumeHeader::read(&mut reader)?;
-        let voxels = header.width as u128 * header.height as u128 * header.depth as u128;
-        if voxels > bytes.len() as u128 * 8 {
-            return Err(CoderError::MalformedStream(format!(
-                "header declares {}x{}x{} voxels but the {}-byte container cannot encode even \
-                 one bit per sample",
-                header.width,
-                header.height,
-                header.depth,
-                bytes.len()
-            )));
-        }
-        let grid = header.grid()?;
-        let claimed = grid.plane().tiles_x() as u128
-            * grid.plane().tiles_y() as u128
-            * grid.bricks_z() as u128;
-        let offsets = read_directory(&mut reader, bytes.len(), header.serialized_bytes(), claimed)?;
-        Ok(Self { header, offsets, bytes })
-    }
-
-    /// The container header.
-    #[must_use]
-    pub fn header(&self) -> &VolumeHeader {
-        &self.header
-    }
-
-    /// The brick grid of the container.
-    ///
-    /// # Errors
-    ///
-    /// See [`VolumeHeader::grid`] (cannot fail after a successful parse).
-    pub fn grid(&self) -> Result<BrickGrid, CoderError> {
-        self.header.grid()
-    }
-
-    /// Number of bricks in the container.
-    #[must_use]
-    pub fn brick_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Consumes the parsed stream into its validated directory: `brick_count() + 1`
-    /// byte offsets into the container, ascending, the last one its length —
-    /// for owners of the bytes that keep the parse and drop the borrow.
-    #[must_use]
-    pub fn into_offsets(self) -> Vec<u64> {
-        self.offsets
-    }
-
-    /// The raw payload of brick `index`, in plane-major brick order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= brick_count()`.
+    /// The payload of brick `index`: [`Container::part_bytes`] by its brick name.
     #[must_use]
     pub fn brick_bytes(&self, index: usize) -> &'a [u8] {
-        assert!(index < self.brick_count(), "brick index {index} out of bounds");
-        &self.bytes[self.offsets[index] as usize..self.offsets[index + 1] as usize]
+        self.part_bytes(index)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitio::BitReader;
+    use crate::container::write_container;
 
     fn sample_header() -> VolumeHeader {
         VolumeHeader {
@@ -465,7 +249,7 @@ mod tests {
                 write_brick_payload(&planes)
             })
             .collect();
-        let bytes = write_volume_container(&header, &payloads).unwrap();
+        let bytes = write_container(&header, &payloads).unwrap();
         (header, payloads, bytes)
     }
 
@@ -484,10 +268,10 @@ mod tests {
     #[test]
     fn container_slices_bricks_back_out() {
         let (header, payloads, bytes) = sample_container();
-        assert!(is_volume(&bytes));
+        assert!(VolumeStream::sniff(&bytes));
         let stream = VolumeStream::parse(&bytes).unwrap();
         assert_eq!(stream.header(), &header);
-        assert_eq!(stream.brick_count(), payloads.len());
+        assert_eq!(stream.part_count(), payloads.len());
         for (index, payload) in payloads.iter().enumerate() {
             assert_eq!(stream.brick_bytes(index), payload.as_slice(), "brick {index}");
         }
@@ -516,8 +300,8 @@ mod tests {
 
     #[test]
     fn other_magics_are_not_volumes() {
-        assert!(!is_volume(&[]));
-        assert!(!is_volume(&crate::tiled::TILED_MAGIC.to_be_bytes()));
+        assert!(!VolumeStream::sniff(&[]));
+        assert!(!VolumeStream::sniff(&crate::tiled::TILED_MAGIC.to_be_bytes()));
         assert!(matches!(
             VolumeStream::parse(&crate::tiled::TILED_MAGIC.to_be_bytes()),
             Err(CoderError::UnsupportedFormat(_))
@@ -557,7 +341,7 @@ mod tests {
                 write_brick_payload(&planes)
             })
             .collect();
-        let bytes = write_volume_container(&header, &payloads).unwrap();
+        let bytes = write_container(&header, &payloads).unwrap();
         let stream = VolumeStream::parse(&bytes).unwrap();
         assert_eq!(stream.header(), &header);
         for (index, payload) in payloads.iter().enumerate() {
@@ -692,7 +476,7 @@ mod tests {
     fn payload_count_must_match_the_grid() {
         let header = sample_header();
         assert!(matches!(
-            write_volume_container(&header, &[vec![1, 2, 3]]),
+            write_container(&header, &[vec![1, 2, 3]]),
             Err(CoderError::MalformedStream(_))
         ));
     }

@@ -14,12 +14,11 @@ use crate::{
     scatter_region, PipelineError, TiledCompressor, TiledFixedCompressor, VolumeCompressor,
 };
 use lwc_coder::bitio::BitReader;
-use lwc_coder::fixedtiled::is_fixed;
-use lwc_coder::tiled::is_tiled;
 use lwc_coder::{
-    is_volume, CoderError, FixedHeader, LosslessCodec, StreamHeader, TiledHeader, VolumeHeader,
+    CoderError, Container, ContainerHeader, FixedHeader, FixedStream, LosslessCodec, StreamHeader,
+    TiledHeader, TiledStream, VolumeHeader, VolumeStream,
 };
-use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, TileGrid, TileRect};
+use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, TileRect};
 use std::sync::Mutex;
 
 /// `n` independent parts of one operation and the step that places them.
@@ -81,7 +80,7 @@ pub trait Plan: Send + Sync {
 
 /// How a [`DecodePlan`] decodes one part: the engine and the parsed header
 /// of the stream's format.
-enum PartDecoder {
+pub(crate) enum PartDecoder {
     /// A legacy `LWC1`/`LWCQ` stream: one part, the whole stream.
     Legacy(LosslessCodec),
     Tiled(TiledCompressor, TiledHeader),
@@ -142,15 +141,15 @@ impl<B: AsRef<[u8]>> DecodePlan<B> {
     /// every header read is bounds-checked, so sniffing never panics.
     pub fn sniff(bytes: B) -> Result<Self, PipelineError> {
         let mut reader = BitReader::new(bytes.as_ref());
-        if is_tiled(bytes.as_ref()) {
+        if TiledStream::sniff(bytes.as_ref()) {
             let header = TiledHeader::read(&mut reader)?;
             let codec = LosslessCodec::new(header.scales)?;
             TiledCompressor::with_codec(codec, header.tile_width, header.tile_height, 1)?
                 .decode_plan(bytes)
-        } else if is_fixed(bytes.as_ref()) {
+        } else if FixedStream::sniff(bytes.as_ref()) {
             TiledFixedCompressor::for_stream(&FixedHeader::read(&mut reader)?, 1)?
                 .decode_plan(bytes)
-        } else if is_volume(bytes.as_ref()) {
+        } else if VolumeStream::sniff(bytes.as_ref()) {
             let header = VolumeHeader::read(&mut reader)?;
             VolumeCompressor::with_codec(
                 LosslessCodec::new(header.scales)?,
@@ -178,40 +177,18 @@ impl<B: AsRef<[u8]>> DecodePlan<B> {
         Ok(Self::new(bytes, offsets, PartDecoder::Legacy(codec), grid, header.bit_depth))
     }
 
-    pub(crate) fn tiled(
-        engine: TiledCompressor,
-        header: TiledHeader,
+    /// The plan of an `H` container, parsed and validated here once;
+    /// `decoder` checks the header against the engine and builds the part
+    /// decoder.
+    pub(crate) fn container<H: ContainerHeader>(
         bytes: B,
-        offsets: Vec<u64>,
+        decoder: impl FnOnce(H) -> Result<PartDecoder, PipelineError>,
     ) -> Result<Self, PipelineError> {
-        let grid = one_slice(&header.grid()?)?;
-        Ok(Self::new(bytes, offsets, PartDecoder::Tiled(engine, header), grid, header.bit_depth))
-    }
-
-    pub(crate) fn fixed(
-        engine: TiledFixedCompressor,
-        header: FixedHeader,
-        bytes: B,
-        offsets: Vec<u64>,
-    ) -> Result<Self, PipelineError> {
-        let grid = one_slice(&header.grid()?)?;
-        Ok(Self::new(
-            bytes,
-            offsets,
-            PartDecoder::Fixed(Box::new(engine), header),
-            grid,
-            header.bit_depth,
-        ))
-    }
-
-    pub(crate) fn volume(
-        engine: VolumeCompressor,
-        header: VolumeHeader,
-        bytes: B,
-        offsets: Vec<u64>,
-    ) -> Result<Self, PipelineError> {
-        let grid = header.grid()?;
-        Ok(Self::new(bytes, offsets, PartDecoder::Volume(engine, header), grid, header.bit_depth))
+        let stream = Container::<H>::parse(bytes.as_ref())?;
+        let header = *stream.header();
+        let decoder = decoder(header)?;
+        let offsets = stream.into_offsets();
+        Ok(Self::new(bytes, offsets, decoder, header.bricks()?, header.common().bit_depth))
     }
 
     /// A plan over the whole stream.
@@ -232,13 +209,6 @@ impl<B: AsRef<[u8]>> DecodePlan<B> {
         let indices = (0..grid.brick_count()).collect();
         Self { bytes, offsets, decoder, grid, bit_depth, region, indices }
     }
-}
-
-/// A 2-D part grid as one-slice bricks.
-fn one_slice(grid: &TileGrid) -> Result<BrickGrid, PipelineError> {
-    let (width, height) = (grid.image_width(), grid.image_height());
-    Ok(BrickGrid::new(width, height, 1, grid.tile_width(), grid.tile_height(), 1)
-        .map_err(CoderError::from)?)
 }
 
 impl<B> DecodePlan<B> {
@@ -376,7 +346,11 @@ mod tests {
         let legacy = LosslessCodec::new(3).unwrap().compress(&image).unwrap();
         let tiled = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
         let fixed = fixed_stream(&synth::ct_phantom(64, 48, 12, 3));
-        assert!(is_tiled(&tiled) && !is_tiled(&legacy) && is_fixed(&fixed));
+        assert!(
+            TiledStream::sniff(&tiled)
+                && !TiledStream::sniff(&legacy)
+                && FixedStream::sniff(&fixed)
+        );
         for stream in [&legacy, &tiled] {
             let back = decompress_auto(stream).unwrap();
             assert_eq!(back.samples(), image.samples());
@@ -394,7 +368,7 @@ mod tests {
         // A near-lossless LWCQ stream decodes within its bound through the
         // same sniff, and its short prefixes are typed errors too.
         let quantized = LosslessCodec::near_lossless(3, 2).unwrap().compress(&image).unwrap();
-        assert!(!is_tiled(&quantized) && !is_fixed(&quantized));
+        assert!(!TiledStream::sniff(&quantized) && !FixedStream::sniff(&quantized));
         let back = decompress_auto(&quantized).unwrap();
         assert!(lwc_image::stats::max_abs_diff(&image, &back).unwrap() <= 2);
         for len in 0..8 {

@@ -19,12 +19,15 @@
 //!   walks the directory one tile-row at a time, so a consumer can stream a
 //!   huge image top to bottom without ever materializing all of it.
 
+use crate::plan::PartDecoder;
 use crate::pool::resolve_workers;
 use crate::report::TiledReport;
 use crate::{DecodePlan, PipelineError, Plan};
 use lwc_coder::bitio::BitReader;
-use lwc_coder::tiled::{is_tiled, write_container, TiledHeader, TiledStream};
-use lwc_coder::{CoderError, LosslessCodec, StreamHeader};
+use lwc_coder::{
+    check_tile_sides, write_container, CoderError, LosslessCodec, StreamHeader, TiledHeader,
+    TiledStream,
+};
 use lwc_image::{BrickRect, Image, TileGrid, TileRect};
 use std::borrow::Borrow;
 use std::time::Instant;
@@ -88,15 +91,7 @@ impl TiledCompressor {
         tile_height: usize,
         workers: usize,
     ) -> Result<Self, PipelineError> {
-        if tile_width == 0 || tile_height == 0 {
-            return Err(PipelineError::Config("tile dimensions must be nonzero".into()));
-        }
-        if tile_width >= (1 << 20) || tile_height >= (1 << 20) {
-            return Err(PipelineError::Config(format!(
-                "tile dimensions {tile_width}x{tile_height} exceed the per-tile stream format's \
-                 20-bit fields"
-            )));
-        }
+        check_tile_shape(tile_width, tile_height)?;
         let workers = resolve_workers(workers);
         Ok(Self { codec, tile_width, tile_height, workers })
     }
@@ -264,14 +259,13 @@ impl TiledCompressor {
     /// Returns an error for a malformed header or directory, or a container
     /// coded at a different depth than this engine's codec.
     pub fn decode_plan<B: AsRef<[u8]>>(&self, bytes: B) -> Result<DecodePlan<B>, PipelineError> {
-        if !is_tiled(bytes.as_ref()) {
+        if !TiledStream::sniff(bytes.as_ref()) {
             return DecodePlan::legacy(self.codec, bytes);
         }
-        let stream = TiledStream::parse(bytes.as_ref())?;
-        let header = *stream.header();
-        self.ensure_scales(&header)?;
-        let offsets = stream.into_offsets();
-        DecodePlan::tiled(*self, header, bytes, offsets)
+        DecodePlan::container(bytes, |header: TiledHeader| {
+            self.ensure_scales(&header)?;
+            Ok(PartDecoder::Tiled(*self, header))
+        })
     }
 
     /// Random tile access: decodes exactly one tile (row-major `index`) of a
@@ -288,7 +282,7 @@ impl TiledCompressor {
     /// Returns an error for malformed streams, mismatched configuration, or
     /// an `index` outside the container's tile grid.
     pub fn decompress_tile(&self, bytes: &[u8], index: usize) -> Result<Image, PipelineError> {
-        if !is_tiled(bytes) {
+        if !TiledStream::sniff(bytes) {
             if index != 0 {
                 return Err(CoderError::MalformedStream(format!(
                     "tile index {index} out of range: a legacy stream is a single tile"
@@ -322,7 +316,7 @@ impl TiledCompressor {
             ))
             .into());
         }
-        Ok(self.decode_tile(stream.header(), index, grid.rect(index), stream.tile_bytes(index))?)
+        Ok(self.decode_tile(stream.header(), index, grid.rect(index), stream.part_bytes(index))?)
     }
 
     /// Streaming decode: yields the image one tile-row **band** at a time
@@ -340,7 +334,7 @@ impl TiledCompressor {
         let plan = match self.decode_plan(bytes) {
             // A legacy stream's header errors surface through its one band,
             // as its decode errors do.
-            Err(error) if !is_tiled(bytes) => Err(Some(error)),
+            Err(error) if !TiledStream::sniff(bytes) => Err(Some(error)),
             plan => Ok(plan?),
         };
         Ok(RowBands { plan, workers: self.workers, next_row: 0 })
@@ -393,6 +387,16 @@ impl TiledCompressor {
         }
         Ok(tile)
     }
+}
+
+/// Refuses a tile shape no container can carry: a zero side, or one the
+/// coder's tile-side rule ([`check_tile_sides`]) rejects. Every engine
+/// constructor checks its tiles here.
+pub(crate) fn check_tile_shape(tile_width: usize, tile_height: usize) -> Result<(), PipelineError> {
+    if tile_width == 0 || tile_height == 0 {
+        return Err(PipelineError::Config("tile dimensions must be nonzero".into()));
+    }
+    check_tile_sides(tile_width, tile_height).map_err(|e| PipelineError::Config(e.to_string()))
 }
 
 /// The encode plan of a [`TiledCompressor`]: one part per tile, assembled
@@ -526,7 +530,7 @@ mod tests {
         let tiled = engine.compress(&image).unwrap();
         let legacy = engine.codec().compress(&image).unwrap();
         assert_eq!(tiled, legacy);
-        assert!(!is_tiled(&tiled));
+        assert!(!TiledStream::sniff(&tiled));
         // And the engine decodes plain legacy streams.
         let back = engine.decompress(&legacy).unwrap();
         assert!(stats::bit_exact(&image, &back).unwrap());
@@ -668,7 +672,7 @@ mod tests {
             let codec = LosslessCodec::near_lossless(3, delta).unwrap();
             let engine = TiledCompressor::with_codec(codec, 32, 32, 2).unwrap();
             let bytes = engine.compress(&image).unwrap();
-            assert!(is_tiled(&bytes));
+            assert!(TiledStream::sniff(&bytes));
             assert!(engine.decompress_row_bands(&bytes).is_ok());
             let back = engine.decompress(&bytes).unwrap();
             let err = stats::max_abs_diff(&image, &back).unwrap();

@@ -16,12 +16,15 @@
 //! byte-aligned and concatenated by the shared directory writer); a
 //! single-tile grid codes its one payload sequentially.
 
+use crate::plan::PartDecoder;
 use crate::pool::resolve_workers;
 use crate::report::TiledReport;
+use crate::tiled::check_tile_shape;
 use crate::{DecodePlan, PipelineError, Plan, RowBands};
 use lwc_coder::bitio::{BitReader, BitWriter};
-use lwc_coder::fixedtiled::{write_fixed_container, FixedHeader, FixedStream};
-use lwc_coder::{subband_order, CoderError, FixedSubbandCodec};
+use lwc_coder::{
+    subband_order, write_container, CoderError, FixedHeader, FixedStream, FixedSubbandCodec,
+};
 use lwc_dwt::{Decomposition, Dwt2d, DwtError, FixedDwt2d, LineFixedDwt, Subband};
 use lwc_filters::{FilterBank, FilterId};
 use lwc_image::{Image, TileGrid, TileRect};
@@ -74,8 +77,9 @@ impl TiledFixedCompressor {
     ///
     /// # Errors
     ///
-    /// Returns an error if the word-length plan cannot be built or the tile
-    /// size is zero.
+    /// Returns an error if the word-length plan cannot be built, or
+    /// [`PipelineError::Config`] if the tile size is zero or does not fit the
+    /// container's 20-bit tile sides.
     pub fn new(
         bank: &FilterBank,
         scales: u32,
@@ -104,9 +108,7 @@ impl TiledFixedCompressor {
         tile_height: usize,
         workers: usize,
     ) -> Result<Self, PipelineError> {
-        if tile_width == 0 || tile_height == 0 {
-            return Err(PipelineError::Config("tile dimensions must be nonzero".into()));
-        }
+        check_tile_shape(tile_width, tile_height)?;
         let workers = resolve_workers(workers);
         Ok(Self { transform, tile_width, tile_height, workers, codec: FixedSubbandCodec::new() })
     }
@@ -284,7 +286,7 @@ impl TiledFixedCompressor {
         bit_depth: u32,
         payloads: &[Vec<u8>],
     ) -> Result<Vec<u8>, PipelineError> {
-        Ok(write_fixed_container(&self.header_for(grid, bit_depth), payloads)?)
+        Ok(write_container(&self.header_for(grid, bit_depth), payloads)?)
     }
 
     /// Reconstructs the image from an `LWCF` container. The result is
@@ -313,11 +315,10 @@ impl TiledFixedCompressor {
     /// Returns an error for a malformed header or directory, or a container
     /// whose filter or depth disagree with this engine's transform.
     pub fn decode_plan<B: AsRef<[u8]>>(&self, bytes: B) -> Result<DecodePlan<B>, PipelineError> {
-        let stream = FixedStream::parse(bytes.as_ref())?;
-        let header = *stream.header();
-        self.ensure_compatible(&header)?;
-        let offsets = stream.into_offsets();
-        DecodePlan::fixed(self.clone(), header, bytes, offsets)
+        DecodePlan::container(bytes, |header: FixedHeader| {
+            self.ensure_compatible(&header)?;
+            Ok(PartDecoder::Fixed(Box::new(self.clone()), header))
+        })
     }
 
     /// Random tile access: decodes exactly one tile (row-major `index`)
@@ -339,7 +340,7 @@ impl TiledFixedCompressor {
             ))
             .into());
         }
-        self.decode_tile(stream.header(), grid.rect(index), stream.tile_bytes(index))
+        self.decode_tile(stream.header(), grid.rect(index), stream.part_bytes(index))
     }
 
     /// Streaming decode: yields the image one tile-row **band** at a time
@@ -483,7 +484,7 @@ fn decode_tile_payload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lwc_coder::fixedtiled::{is_fixed, FIXED_HEADER_BYTES};
+    use lwc_coder::FIXED_HEADER_BYTES;
     use lwc_image::{stats, synth};
 
     fn engine(scales: u32, tile: usize, workers: usize) -> TiledFixedCompressor {
@@ -500,7 +501,7 @@ mod tests {
             synth::mr_slice(32, 96, 12, 3),
         ] {
             let bytes = engine.compress(&image).unwrap();
-            assert!(is_fixed(&bytes));
+            assert!(FixedStream::sniff(&bytes));
             let back = engine.decompress(&bytes).unwrap();
             assert!(stats::bit_exact(&image, &back).unwrap());
         }
@@ -554,7 +555,7 @@ mod tests {
         let payload = encode_tile_payload(FixedSubbandCodec::new(), &tile);
         let grid = eng.grid(64, 64).unwrap();
         let header = eng.header_for(&grid, image.bit_depth());
-        let sequential = write_fixed_container(&header, &[payload]).unwrap();
+        let sequential = write_container(&header, &[payload]).unwrap();
         assert_eq!(single, sequential);
     }
 
@@ -578,7 +579,7 @@ mod tests {
                 })
                 .collect();
             let header = eng.header_for(&grid, image.bit_depth());
-            let reference = write_fixed_container(&header, &payloads).unwrap();
+            let reference = write_container(&header, &payloads).unwrap();
             assert_eq!(eng.compress(&image).unwrap(), reference, "{id} {width}x{height}/{tile}");
         }
     }
@@ -636,6 +637,16 @@ mod tests {
         assert!(eng.compress(&synth::flat(100, 96, 12, 0)).is_err());
         let bank = FilterBank::table1(FilterId::F1);
         assert!(matches!(TiledFixedCompressor::new(&bank, 2, 0, 1), Err(PipelineError::Config(_))));
+    }
+
+    #[test]
+    fn tile_sides_beyond_the_container_rule_are_refused_up_front() {
+        // Refused at construction, not after every tile has been encoded.
+        let bank = FilterBank::table1(FilterId::F1);
+        for side in [1 << 20, usize::MAX] {
+            let engine = TiledFixedCompressor::new(&bank, 2, side, 1);
+            assert!(matches!(engine, Err(PipelineError::Config(_))), "tile side {side}");
+        }
     }
 
     #[test]

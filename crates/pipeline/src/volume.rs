@@ -23,11 +23,13 @@
 //!   `decompress_row_bands`, sound because z transforms never cross brick
 //!   boundaries.
 
+use crate::plan::PartDecoder;
 use crate::pool::resolve_workers;
 use crate::report::TiledReport;
+use crate::tiled::check_tile_shape;
 use crate::{DecodePlan, PipelineError, Plan};
-use lwc_coder::volume::{split_brick_payload, write_brick_payload, write_volume_container};
-use lwc_coder::{plane_delta_for_volume, CoderError, LosslessCodec, VolumeHeader, VolumeStream};
+use lwc_coder::volume::{split_brick_payload, write_brick_payload};
+use lwc_coder::{plane_delta_for_volume, write_container, CoderError, LosslessCodec, VolumeHeader};
 use lwc_image::{BrickGrid, BrickRect, ImageStack, ImageView, TileRect};
 use lwc_lifting::{forward_z, inverse_z};
 use std::borrow::Borrow;
@@ -118,15 +120,10 @@ impl VolumeCompressor {
         brick_depth: usize,
         workers: usize,
     ) -> Result<Self, PipelineError> {
-        if tile_width == 0 || tile_height == 0 || brick_depth == 0 {
+        if brick_depth == 0 {
             return Err(PipelineError::Config("brick dimensions must be nonzero".into()));
         }
-        if tile_width >= (1 << 20) || tile_height >= (1 << 20) {
-            return Err(PipelineError::Config(format!(
-                "tile dimensions {tile_width}x{tile_height} exceed the per-plane stream format's \
-                 20-bit fields"
-            )));
-        }
+        check_tile_shape(tile_width, tile_height)?;
         if z_scales >= (1 << 4) {
             return Err(PipelineError::Config(format!(
                 "{z_scales} z scales exceed the container format's 4-bit field"
@@ -310,7 +307,7 @@ impl VolumeCompressor {
             brick_depth: grid.brick_depth(),
             delta: self.codec.delta(),
         };
-        Ok(write_volume_container(&header, payloads)?)
+        Ok(write_container(&header, payloads)?)
     }
 
     /// Reconstructs the volume from an `LWCV` container — voxel-exact for
@@ -340,11 +337,10 @@ impl VolumeCompressor {
     /// Returns an error for a malformed header or directory, or a container
     /// coded at a different 2-D depth than this engine's codec.
     pub fn decode_plan<B: AsRef<[u8]>>(&self, bytes: B) -> Result<DecodePlan<B>, PipelineError> {
-        let stream = VolumeStream::parse(bytes.as_ref())?;
-        let header = *stream.header();
-        self.ensure_scales(&header)?;
-        let offsets = stream.into_offsets();
-        DecodePlan::volume(*self, header, bytes, offsets)
+        DecodePlan::container(bytes, |header: VolumeHeader| {
+            self.ensure_scales(&header)?;
+            Ok(PartDecoder::Volume(*self, header))
+        })
     }
 
     /// Streaming decode: yields the volume one brick-layer **slab** at a
@@ -557,7 +553,7 @@ impl Iterator for VolumeSlabs<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lwc_coder::is_volume;
+    use lwc_coder::VolumeStream;
     use lwc_image::{synth, TileRect};
 
     #[test]
@@ -569,7 +565,7 @@ mod tests {
             synth::ct_volume(33, 97, 3, 8, 3),   // odd dims, shallow stack
         ] {
             let bytes = engine.compress_stack(&volume).unwrap();
-            assert!(is_volume(&bytes));
+            assert!(VolumeStream::sniff(&bytes));
             let back = engine.decompress_stack(&bytes).unwrap();
             assert_eq!(volume, back);
         }
@@ -741,7 +737,7 @@ mod tests {
             brick_depth: grid.brick_depth(),
             delta: 2,
         };
-        let forged = write_volume_container(&header, &payloads).unwrap();
+        let forged = write_container(&header, &payloads).unwrap();
         match engine.decompress_stack(&forged) {
             Err(PipelineError::Coder(CoderError::MalformedStream(msg))) => {
                 assert!(msg.contains("quantizer delta"), "{msg}");
@@ -777,7 +773,7 @@ mod tests {
         // payload must fail that brick's decode. (The payload starts with a
         // u32 length per plane; the substream header follows the table.)
         let stream = VolumeStream::parse(&bytes).unwrap();
-        let brick0 = stream.brick_bytes(0);
+        let brick0 = stream.part_bytes(0);
         let grid = engine.grid(48, 40, 5).unwrap();
         let table_bytes = 4 * grid.rect(0).depth;
         let offset = brick0.as_ptr() as usize - bytes.as_ptr() as usize + table_bytes;

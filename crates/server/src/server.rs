@@ -35,7 +35,7 @@ use crate::protocol::{
 use crate::rawvol::{raw_volume_len, read_raw_volume, write_raw_volume};
 use crate::sched::WorkStealing;
 use crate::stats::{Metrics, SchedSnapshot, ServerStats};
-use lwc_coder::{is_volume, LosslessCodec};
+use lwc_coder::{LosslessCodec, VolumeStream};
 use lwc_image::pgm;
 use lwc_image::{BrickRect, ImageStack, TileRect};
 use lwc_pipeline::{
@@ -864,7 +864,7 @@ fn plan_request(shared: &Shared, op: Op, payload: Vec<u8>) -> Result<Box<dyn Wor
             return Ok(Planned::boxed(plan, ENCODE, |_, bytes| Ok(bytes)));
         }
         Op::Decompress => {
-            if is_volume(&payload) {
+            if VolumeStream::sniff(&payload) {
                 return Err((
                     ErrorCode::BadPayload,
                     "stream is a volumetric LWCV container: use decompress-volume".to_owned(),
@@ -873,7 +873,7 @@ fn plan_request(shared: &Shared, op: Op, payload: Vec<u8>) -> Result<Box<dyn Wor
             DecodePlan::sniff(payload).map_err(bad)?
         }
         Op::DecompressVolume => {
-            if !is_volume(&payload) {
+            if !VolumeStream::sniff(&payload) {
                 return Err((
                     ErrorCode::BadPayload,
                     "invalid compressed payload: not an LWCV container".to_owned(),
@@ -885,7 +885,7 @@ fn plan_request(shared: &Shared, op: Op, payload: Vec<u8>) -> Result<Box<dyn Wor
             let index = tile_index(&payload)?;
             let mut stream = payload;
             stream.drain(..4);
-            if is_volume(&stream) {
+            if VolumeStream::sniff(&stream) {
                 return Err((
                     ErrorCode::BadPayload,
                     "stream is a volumetric LWCV container: use decompress-region".to_owned(),

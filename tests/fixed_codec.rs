@@ -5,7 +5,7 @@
 //! engine and plan paths.
 
 use lwc_core::lwc_coder::{
-    is_fixed, write_fixed_container, CoderError, FixedHeader, FixedStream, FIXED_HEADER_BYTES,
+    write_container, CoderError, FixedHeader, FixedStream, FIXED_HEADER_BYTES,
 };
 use lwc_core::prelude::*;
 use proptest::prelude::*;
@@ -39,7 +39,7 @@ proptest! {
             synth::random_image(width_multiplier * unit, height_multiplier * unit, 12, seed);
         let parallel = engine(filter_index, scales, tile, workers);
         let bytes = parallel.compress(&image).unwrap();
-        prop_assert!(is_fixed(&bytes));
+        prop_assert!(FixedStream::sniff(&bytes));
         let sequential = engine(filter_index, scales, tile, 1);
         prop_assert_eq!(&bytes, &sequential.compress(&image).unwrap());
         prop_assert!(stats::bit_exact(&image, &parallel.decompress(&bytes).unwrap()).unwrap());
@@ -52,7 +52,7 @@ proptest! {
         let image = synth::random_image(64, 64, 12, seed);
         let codec = engine(0, 3, 32, 1);
         let bytes = codec.compress(&image).unwrap();
-        prop_assert!(is_fixed(&bytes));
+        prop_assert!(FixedStream::sniff(&bytes));
         // The directory's final entry must equal the container length, so
         // dropping any suffix is a parse error before a slice is taken.
         let truncated = &bytes[..bytes.len() - cut.min(bytes.len() - 4)];
@@ -94,7 +94,7 @@ fn full_scale_lwcf_roundtrip() {
     let engine = TiledFixedCompressor::new(&bank, 5, DEFAULT_TILE_SIZE, 0).unwrap();
     let frame = synth::ct_phantom(4096, 4096, 12, 42);
     let bytes = engine.compress(&frame).unwrap();
-    assert!(is_fixed(&bytes));
+    assert!(FixedStream::sniff(&bytes));
     let grid = engine.grid(4096, 4096).unwrap();
     let last = grid.tile_count() - 1;
     let tile = engine.decompress_tile(&bytes, last).unwrap();
@@ -127,8 +127,8 @@ fn pixels_deeper_than_the_word_plan_are_refused_both_ways() {
     let stream = FixedStream::parse(&bytes).unwrap();
     let header = FixedHeader { bit_depth: 13, ..*stream.header() };
     let payloads: Vec<Vec<u8>> =
-        (0..stream.grid().unwrap().tile_count()).map(|i| stream.tile_bytes(i).to_vec()).collect();
-    let forged = write_fixed_container(&header, &payloads).unwrap();
+        (0..stream.grid().unwrap().tile_count()).map(|i| stream.part_bytes(i).to_vec()).collect();
+    let forged = write_container(&header, &payloads).unwrap();
     assert!(refused(codec.decode_plan(forged.as_slice())));
     assert!(refused(codec.decompress(&forged)));
     assert!(refused(codec.decompress_tile(&forged, 0)));

@@ -48,7 +48,7 @@ proptest! {
         let stream = engine.compress(&image).unwrap();
         let back = engine.decompress(&stream).unwrap();
         prop_assert!(stats::max_abs_diff(&image, &back).unwrap() <= i32::from(delta));
-        if lwc_core::lwc_coder::tiled::is_tiled(&stream) {
+        if lwc_core::lwc_coder::TiledStream::sniff(&stream) {
             let grid = engine.grid(70, 55).unwrap();
             for index in [0, grid.tile_count() - 1] {
                 let tile = engine.decompress_tile(&stream, index).unwrap();
