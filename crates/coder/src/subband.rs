@@ -161,12 +161,6 @@ impl StreamingSubbandEncoder {
         self.pending.len()
     }
 
-    /// Bits emitted so far (excluding the buffered partial block).
-    #[must_use]
-    pub fn encoded_bits(&self) -> u64 {
-        self.writer.bit_len()
-    }
-
     /// Encodes the final partial block, if any, and returns the subband's
     /// bitstream as `(bytes, exact bit length)` — ready for
     /// [`BitWriter::append`]-style splicing into a stream.

@@ -440,12 +440,6 @@ impl LineFixedDwt {
         self.scales
     }
 
-    /// Rows pushed so far.
-    #[must_use]
-    pub fn rows_pushed(&self) -> usize {
-        self.rows_in
-    }
-
     /// Samples currently buffered across every level (sliding windows,
     /// retained prefixes and scratch) — bounded by the filter support times
     /// the level widths, independent of the frame height.

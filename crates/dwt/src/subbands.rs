@@ -154,12 +154,6 @@ impl<T: Copy> Decomposition<T> {
         &mut self.data
     }
 
-    /// Consumes the decomposition, returning the raw buffer.
-    #[must_use]
-    pub fn into_data(self) -> Vec<T> {
-        self.data
-    }
-
     /// Region of the layout occupied by `band` at `scale` (1-based).
     ///
     /// For [`Subband::Approx`] only `scale == scales()` is meaningful (the

@@ -10,7 +10,7 @@
 //! of the tile partition the 2-D engines are built on.
 
 use crate::view::check_rect;
-use crate::{Image, ImageError, ImageView, ImageViewMut, TileGrid, TileRect};
+use crate::{Image, ImageError, ImageView, TileGrid, TileRect};
 
 /// A rectangular box inside a volume, in voxel coordinates — the 3-D
 /// counterpart of [`TileRect`].
@@ -240,28 +240,6 @@ impl ImageStack {
             });
         }
         Ok(Image::from_checked_parts(self.width, self.height, self.bit_depth, self.samples))
-    }
-
-    /// Borrows slice `z` mutably — the scatter target for decoded bricks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImageError::RegionOutOfBounds`] if `z >= depth`.
-    pub fn slice_mut(&mut self, z: usize) -> Result<ImageViewMut<'_>, ImageError> {
-        if z >= self.depth {
-            return Err(ImageError::RegionOutOfBounds {
-                rect: (0, z, self.width, self.height),
-                image: (self.width, self.height),
-            });
-        }
-        let plane = self.width * self.height;
-        ImageViewMut::from_raw(
-            &mut self.samples[z * plane..(z + 1) * plane],
-            self.width,
-            self.height,
-            self.width,
-            self.bit_depth,
-        )
     }
 
     /// The read-only view of the whole volume.

@@ -267,18 +267,6 @@ impl<'a> ImageViewMut<'a> {
         &mut self.samples[y * self.stride..y * self.stride + self.width]
     }
 
-    /// A read-only reborrow of the same window.
-    #[must_use]
-    pub fn as_view(&self) -> ImageView<'_> {
-        ImageView {
-            samples: self.samples,
-            width: self.width,
-            height: self.height,
-            stride: self.stride,
-            bit_depth: self.bit_depth,
-        }
-    }
-
     /// Copies `source` (same shape) into this window, row by row.
     ///
     /// # Errors

@@ -372,12 +372,6 @@ impl LineDwt53 {
         self.scales
     }
 
-    /// Rows pushed so far.
-    #[must_use]
-    pub fn rows_pushed(&self) -> usize {
-        self.rows_in
-    }
-
     /// Samples currently buffered across every level's ring (including
     /// recycled spares) — the engine's coefficient working set. Bounded by
     /// the filter support times the level widths, independent of the image
