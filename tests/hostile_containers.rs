@@ -11,9 +11,20 @@ use lwc_core::lwc_coder::{Container, ContainerHeader, StreamHeader, TiledHeader}
 use lwc_core::prelude::*;
 use std::panic::{self, AssertUnwindSafe};
 
-/// Where the payloads of a container start: the end of its directory.
-fn payload_start<H: ContainerHeader>(bytes: &[u8]) -> usize {
-    Container::<H>::parse(bytes).expect("clean stream parses").into_offsets()[0] as usize
+/// Where a stream's payloads start: the end of a container's directory, or
+/// of a legacy stream's header.
+fn framing_bytes(bytes: &[u8]) -> usize {
+    fn payload_start<H: ContainerHeader>(bytes: &[u8]) -> Option<usize> {
+        Some(Container::<H>::parse(bytes).ok()?.into_offsets()[0] as usize)
+    }
+    payload_start::<TiledHeader>(bytes)
+        .or_else(|| payload_start::<FixedHeader>(bytes))
+        .or_else(|| payload_start::<VolumeHeader>(bytes))
+        .unwrap_or_else(|| {
+            let mut reader = BitReader::new(bytes);
+            StreamHeader::read(&mut reader).expect("a legacy stream");
+            (reader.bits_read() as usize).div_ceil(8)
+        })
 }
 
 /// Sniffs and executes `bytes`; `Err` describes a panic, anywhere.
@@ -39,10 +50,6 @@ fn flipped_and_truncated_containers_never_panic() {
     let lwcv = |codec| {
         VolumeCompressor::with_codec(codec, 1, 16, 16, 2, 1).unwrap().compress_stack(&stack)
     };
-    let legacy = lossless.compress(&image).unwrap();
-    let mut reader = BitReader::new(&legacy);
-    StreamHeader::read(&mut reader).unwrap();
-    let legacy_header = (reader.bits_read() as usize).div_ceil(8);
     let fixed = TiledFixedCompressor::new(&bank, 2, 16, 1).unwrap();
     let streams = [
         ("LWCT v1", lwct(lossless).unwrap()),
@@ -50,15 +57,11 @@ fn flipped_and_truncated_containers_never_panic() {
         ("LWCF", fixed.compress(&synth::ct_phantom(32, 32, 12, 3)).unwrap()),
         ("LWCV v1", lwcv(lossless).unwrap()),
         ("LWCV v2", lwcv(near).unwrap()),
-        ("LWC1", legacy),
+        ("LWC1", lossless.compress(&image).unwrap()),
     ];
     for (name, bytes) in &streams {
-        let framing = match *name {
-            "LWCT v1" | "LWCT v2" => payload_start::<TiledHeader>(bytes),
-            "LWCF" => payload_start::<FixedHeader>(bytes),
-            "LWCV v1" | "LWCV v2" => payload_start::<VolumeHeader>(bytes),
-            _ => legacy_header,
-        };
+        assert_eq!(bytes[..4], name.as_bytes()[..4], "{name} magic");
+        let framing = framing_bytes(bytes);
         assert!(DecodePlan::sniff(bytes.as_slice()).unwrap().execute(1).is_ok(), "{name}");
         let mut flipped = bytes.clone();
         for bit in 0..8 * (framing + 64).min(bytes.len()) {
