@@ -14,6 +14,7 @@
 //! regressions are visible across PRs (`LWC_PERF_REPS` overrides the
 //! best-of-3 repetition count).
 
+use lwc_core::lwc_coder::subband_order;
 use lwc_core::lwc_lifting::zaxis::{forward_z, forward_z_columns, inverse_z, inverse_z_columns};
 use lwc_core::prelude::*;
 use lwc_core::reproduction;
@@ -33,7 +34,7 @@ const ARTIFACTS: &[(&str, &str)] = &[
     ("conclusions", "simulated architecture + software engines [size]"),
     ("perfjson", "throughput trajectory -> BENCH_throughput.json [size]"),
     ("tiled", "tile-parallel engine smoke [size]"),
-    ("dwt-line", "line-based fused DWT bit-identity + codec vs multi-pass encode [size]"),
+    ("dwt-line", "line-based fused DWT bit-identity + codec vs multi-pass encode/decode [size]"),
     ("fixed-codec", "paper-exact fixed-path codec smoke (LWCF) [size]"),
     ("serve", "loopback compression service + load generator [connections]"),
     ("volume", "volumetric 3-D engine vs per-slice 2-D coding [size]"),
@@ -397,14 +398,38 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         std::hint::black_box(lwc_bench::multi_pass_compress(&line_codec, &line_view)?);
         Ok(())
     })?;
+    // The decode pair on the same stream: `cascade` is
+    // `LosslessCodec::decompress_raw` (the inverse line cascade pulling rows
+    // from the decoded subbands), `multi_pass` the reference composition it
+    // replaced — the Mallat scatter, then the whole-frame multi-pass inverse.
+    let line_stream = line_codec.compress(&line_frame)?;
+    assert_eq!(
+        line_codec.decompress_raw(&line_stream)?.1,
+        lwc_bench::multi_pass_decompress(&line_codec, &line_stream)?,
+        "the codec's decode must reproduce the multi-pass composition sample for sample"
+    );
+    let decode_cascade_s = best(&|| {
+        std::hint::black_box(line_codec.decompress_raw(&line_stream)?);
+        Ok(())
+    })?;
+    let decode_multi_s = best(&|| {
+        std::hint::black_box(lwc_bench::multi_pass_decompress(&line_codec, &line_stream)?);
+        Ok(())
+    })?;
     json.push_str(&format!(
         "    \"codec\": {{\"transform\": \"5/3 lifting\", \"scales\": {codec_scales}, \
          \"fused_line\": {{\"seconds\": {codec_fused_s:.6}, \"msamples_per_s\": {:.3}}}, \
          \"multi_pass\": {{\"seconds\": {codec_multi_s:.6}, \"msamples_per_s\": {:.3}}}, \
-         \"fused_speedup_vs_multi_pass\": {:.3}}},\n",
+         \"fused_speedup_vs_multi_pass\": {:.3}, \"decode\": {{\"cascade\": {{\"seconds\": \
+         {decode_cascade_s:.6}, \"msamples_per_s\": {:.3}}}, \"multi_pass\": {{\"seconds\": \
+         {decode_multi_s:.6}, \"msamples_per_s\": {:.3}}}, \"cascade_speedup_vs_multi_pass\": \
+         {:.3}}}}},\n",
         line_msamples / codec_fused_s,
         line_msamples / codec_multi_s,
         codec_multi_s / codec_fused_s,
+        line_msamples / decode_cascade_s,
+        line_msamples / decode_multi_s,
+        decode_multi_s / decode_cascade_s,
     ));
     println!(
         "codec compress {codec_scales} scales ({line_side}x{line_side}): line cascade {:>8.1} \
@@ -412,6 +437,14 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         line_msamples / codec_fused_s,
         line_msamples / codec_multi_s,
         codec_multi_s / codec_fused_s,
+    );
+    println!(
+        "codec decompress {codec_scales} scales ({line_side}x{line_side}): inverse cascade \
+         {:>8.1} Msamples/s, multi-pass reference {:>8.1} Msamples/s ({:>5.2}x, samples \
+         identical)",
+        line_msamples / decode_cascade_s,
+        line_msamples / decode_multi_s,
+        decode_multi_s / decode_cascade_s,
     );
     for line_scales in 1..=5u32 {
         let hw_n = FixedDwt2d::paper_default(&bank, line_scales)?;
@@ -1004,9 +1037,10 @@ struct BrickTransformMs {
 }
 
 /// Times the transforms of brick 0 of `engine`'s grid over `stack` as the
-/// engine runs them: `forward_z`, the line cascade per z plane, the
-/// multi-pass inverse per plane, `inverse_z`. Each figure is the mean over
-/// 50 back-to-back bricks, best of `reps` rounds.
+/// engine runs them: `forward_z`, the line cascade per z plane, the inverse
+/// cascade per plane from its subbands into the brick buffer
+/// (`LosslessCodec::reassemble_into`), `inverse_z`. Each figure is the mean
+/// over 50 back-to-back bricks, best of `reps` rounds.
 fn brick_transform_ms(
     engine: &VolumeCompressor,
     stack: &ImageStack,
@@ -1018,6 +1052,7 @@ fn brick_transform_ms(
     let plane_len = rect.plane.pixel_count();
     let z_scales = engine.z_scales();
     let codec = engine.codec();
+    let header = codec.header_for_dims(width, height, stack.bit_depth())?;
     let mut samples = stack.view_brick(rect)?.to_samples();
     let mut best = [f64::INFINITY; 4];
     for _ in 0..reps.max(1) {
@@ -1035,9 +1070,13 @@ fn brick_transform_ms(
                 })
                 .collect::<Result<Vec<_>, Box<dyn std::error::Error>>>()?;
             total[1] += start.elapsed().as_secs_f64();
+            let subbands: Vec<Vec<Vec<i32>>> = coeffs
+                .iter()
+                .map(|c| subband_order(codec.scales()).map(|(s, b)| c.subband(s, b)).collect())
+                .collect();
             let start = std::time::Instant::now();
-            for plane in &coeffs {
-                std::hint::black_box(codec.transform().inverse_raw(plane)?);
+            for (plane, slot) in subbands.iter().zip(samples.chunks_exact_mut(plane_len)) {
+                codec.reassemble_into(&header, plane, slot)?;
             }
             total[2] += start.elapsed().as_secs_f64();
             let start = std::time::Instant::now();
@@ -1109,11 +1148,12 @@ fn tiled(size: usize) -> Result<(), Box<dyn std::error::Error>> {
 /// Line-based fused DWT smoke: the one-pass streaming cascade is
 /// bit-identical to the multi-pass drivers on **both** datapaths (5/3
 /// lifting with mirror extension, paper-exact fixed point with periodic
-/// extension), the codec (which encodes through the cascade) reproduces the
-/// multi-pass reference composition byte for byte, lossless and
-/// near-lossless, and its push-style session holds an `O(width x levels)`
-/// coefficient working set, round tripping through the pull-style row-band
-/// decode. CI runs this at 4096x4096.
+/// extension), and so is the inverse cascade to the multi-pass 5/3 inverse;
+/// the codec (which encodes and decodes through the cascades) reproduces the
+/// multi-pass reference compositions byte for byte and sample for sample,
+/// lossless and near-lossless, and its push-style session holds an
+/// `O(width x levels)` coefficient working set, round tripping through the
+/// pull-style row-band decode. CI runs this at 4096x4096.
 fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     heading(&format!("Line-based fused DWT smoke — {size}x{size} 12-bit frame"));
     let frame = synth::ct_phantom(size, size, 12, 33);
@@ -1136,15 +1176,37 @@ fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         msamples / fused_s.max(1e-9),
         msamples / multi_s.max(1e-9)
     );
+    let start = std::time::Instant::now();
+    let multi_back = lifting.inverse_raw(&multi)?;
+    let multi_back_s = start.elapsed().as_secs_f64();
+    let start = std::time::Instant::now();
+    let cascade_back = LineIdwt53::inverse_raw(&multi)?;
+    let cascade_back_s = start.elapsed().as_secs_f64();
+    assert!(
+        cascade_back == multi_back,
+        "inverse lifting cascade must be bit-identical to the multi-pass inverse"
+    );
+    assert_eq!(cascade_back, frame.samples(), "the inverse cascade must restore the frame");
+    println!(
+        "lifting 5/3 inverse cascade: {:>8.1} Msamples/s (multi-pass {:>8.1}), samples identical",
+        msamples / cascade_back_s.max(1e-9),
+        msamples / multi_back_s.max(1e-9)
+    );
     if size > 8 {
         let rect = TileRect { x: 1, y: 2, width: size - 3, height: size - 5 };
         let ragged = frame.crop(rect)?;
+        let ragged_coeffs = lifting.forward(&ragged)?;
         assert!(
-            LineDwt53::forward_view(&ragged.view(), scales)? == lifting.forward(&ragged)?,
+            LineDwt53::forward_view(&ragged.view(), scales)? == ragged_coeffs,
             "fused lifting cascade must match on ragged odd dimensions"
         );
+        assert!(
+            LineIdwt53::inverse_raw(&ragged_coeffs)? == lifting.inverse_raw(&ragged_coeffs)?,
+            "inverse lifting cascade must match on ragged odd dimensions"
+        );
         println!(
-            "ragged {}x{} crop: fused coefficients identical across the odd-dimension pyramid",
+            "ragged {}x{} crop: fused and inverse cascades identical across the odd-dimension \
+             pyramid",
             rect.width, rect.height
         );
     }
@@ -1186,6 +1248,22 @@ fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
             "codec compress δ={delta}: {:>8.1} Msamples/s (multi-pass reference {:>8.1}), \
              bytes identical",
             msamples / line_s.max(1e-9),
+            msamples / reference_s.max(1e-9)
+        );
+        // The decode: the inverse cascade (dequantizing an LWCQ stream's rows
+        // as it pulls them) against the Mallat scatter plus multi-pass
+        // inverse.
+        let start = std::time::Instant::now();
+        let (_, back) = codec.decompress_raw(&bytes)?;
+        let cascade_s = start.elapsed().as_secs_f64();
+        let start = std::time::Instant::now();
+        let reference = lwc_bench::multi_pass_decompress(&codec, &bytes)?;
+        let reference_s = start.elapsed().as_secs_f64();
+        assert!(back == reference, "delta {delta}: decode must match the multi-pass reference");
+        println!(
+            "codec decompress δ={delta}: {:>8.1} Msamples/s (multi-pass reference {:>8.1}), \
+             samples identical",
+            msamples / cascade_s.max(1e-9),
             msamples / reference_s.max(1e-9)
         );
     }

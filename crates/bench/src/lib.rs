@@ -78,6 +78,43 @@ pub fn multi_pass_compress(
     Ok(writer.into_bytes())
 }
 
+/// The multi-pass reference composition of [`LosslessCodec::decompress_raw`]:
+/// every decoded subband scattered (and, for a near-lossless stream,
+/// dequantized by the header's schedule) into the Mallat layout, then the
+/// whole frame through [`Lifting53::inverse_raw_owned`]. The codec itself
+/// decodes through the inverse line cascade; `reproduce dwt-line` and
+/// `perfjson` time it against this composition and assert the samples
+/// agree.
+///
+/// # Errors
+///
+/// Returns the codec's error for a malformed stream.
+pub fn multi_pass_decompress(
+    codec: &LosslessCodec,
+    bytes: &[u8],
+) -> Result<Vec<i32>, lwc_core::lwc_coder::CoderError> {
+    use lwc_core::lwc_coder::{quant, subband_order, QuantSchedule};
+    use lwc_core::lwc_lifting::{geometry::band_rect, LiftingCoefficients};
+    let (header, mut subbands) = codec.decode_subbands(bytes)?;
+    let (width, height) = (header.width, header.height);
+    let schedule = QuantSchedule::for_delta(header.delta, codec.scales());
+    let mut data = vec![0i32; width * height];
+    for ((scale, band), samples) in subband_order(codec.scales()).zip(&mut subbands) {
+        let rect = band_rect(width, height, scale, band);
+        if rect.is_empty() {
+            continue;
+        }
+        quant::dequantize(samples, schedule.allowance(scale, band));
+        for (row_index, row) in samples.chunks(rect.width).enumerate() {
+            let start = (rect.y + row_index) * width + rect.x;
+            data[start..start + row.len()].copy_from_slice(row);
+        }
+    }
+    let coeffs =
+        LiftingCoefficients::from_raw(data, width, height, codec.scales(), header.bit_depth)?;
+    Ok(codec.transform().inverse_raw_owned(coeffs)?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,6 +126,17 @@ mod tests {
             let codec = LosslessCodec::near_lossless(3, delta).unwrap();
             let reference = multi_pass_compress(&codec, &image.view()).unwrap();
             assert_eq!(reference, codec.compress(&image).unwrap(), "delta {delta}");
+        }
+    }
+
+    #[test]
+    fn multi_pass_decode_reference_reproduces_the_codec() {
+        let image = synth::mr_slice(45, 38, 12, 5);
+        for delta in [0u8, 3] {
+            let codec = LosslessCodec::near_lossless(3, delta).unwrap();
+            let bytes = codec.compress(&image).unwrap();
+            let reference = multi_pass_decompress(&codec, &bytes).unwrap();
+            assert_eq!(reference, codec.decompress_raw(&bytes).unwrap().1, "delta {delta}");
         }
     }
 

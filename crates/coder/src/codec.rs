@@ -2,11 +2,11 @@
 //! subbands, with an opt-in near-lossless quantization mode.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::quant::QuantSchedule;
+use crate::quant::{self, QuantSchedule};
 use crate::{CoderError, RowEncoder, SubbandCodec};
 use lwc_image::{Image, ImageView};
-use lwc_lifting::geometry::{band_len, band_rect};
-use lwc_lifting::Lifting53;
+use lwc_lifting::geometry::band_len;
+use lwc_lifting::{CoeffRowMut, Lifting53, LineIdwt53};
 use std::fmt;
 
 /// Magic number identifying a lossless `lwc` compressed stream ("LWC1").
@@ -164,6 +164,16 @@ pub fn subband_order(scales: u32) -> impl Iterator<Item = (u32, usize)> {
         .chain((1..=scales).rev().flat_map(|scale| (1..=3).map(move |band| (scale, band))))
 }
 
+/// Position of `(scale, band)` in [`subband_order`]`(scales)`: the deepest
+/// approximation first, then detail triples from the deepest scale down.
+pub(crate) fn subband_slot(scales: u32, scale: u32, band: usize) -> usize {
+    if band == 0 {
+        0
+    } else {
+        1 + 3 * (scales - scale) as usize + (band - 1)
+    }
+}
+
 /// Statistics of one compression run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionReport {
@@ -217,7 +227,10 @@ impl fmt::Display for CompressionReport {
 /// [`RowEncoder`]). Its bytes equal the multi-pass composition — the whole
 /// frame through [`Lifting53::forward_view`], each subband copied out,
 /// quantized and coded — which stays in-tree as the test reference. Decode
-/// runs the multi-pass [`Lifting53`] inverse.
+/// runs the inverse cascade ([`lwc_lifting::LineIdwt53`]), which pulls rows
+/// straight from the decoded subbands and writes image rows into the output
+/// buffer; its samples equal the multi-pass [`Lifting53`] inverse of the
+/// Mallat layout on every stream an encoder writes.
 ///
 /// A codec built with [`LosslessCodec::near_lossless`] quantizes the detail
 /// subbands before coding so that every reconstructed pixel stays within
@@ -274,9 +287,9 @@ impl LosslessCodec {
         QuantSchedule::for_delta(self.delta, self.scales())
     }
 
-    /// The reversible transform whose inverse the decoder runs; its
-    /// multi-pass forward is the reference the encoder's line cascade
-    /// reproduces bit for bit.
+    /// The multi-pass reversible transform at this codec's depth: the
+    /// reference the encoder's and decoder's line cascades reproduce bit for
+    /// bit.
     #[must_use]
     pub fn transform(&self) -> &Lifting53 {
         &self.transform
@@ -364,13 +377,12 @@ impl LosslessCodec {
         Ok(Image::from_samples(header.width, header.height, header.bit_depth, data)?)
     }
 
-    /// Rebuilds the Mallat-layout coefficient container from per-subband
-    /// sample vectors in [`subband_order`] order, then runs the inverse
-    /// transform, returning the raw row-major sample buffer without the
-    /// pixel-range validation of [`lwc_image::Image`]. The 3-D codec
-    /// reconstructs z-coefficient planes through this path: their samples
-    /// are signed z-transform outputs that only return to the pixel range
-    /// after the inverse z pass.
+    /// Runs the inverse transform over per-subband sample vectors in
+    /// [`subband_order`] order, returning the raw row-major sample buffer
+    /// without the pixel-range validation of [`lwc_image::Image`]. The 3-D
+    /// codec reconstructs z-coefficient planes through this path: their
+    /// samples are signed z-transform outputs that only return to the pixel
+    /// range after the inverse z pass.
     ///
     /// # Errors
     ///
@@ -380,8 +392,51 @@ impl LosslessCodec {
         header: &StreamHeader,
         subbands: &[Vec<i32>],
     ) -> Result<Vec<i32>, CoderError> {
-        let width = header.width;
-        let height = header.height;
+        // Checked before the frame is sized from the header.
+        self.check_subbands(header, subbands)?;
+        let mut data = vec![0i32; header.width * header.height];
+        self.reassemble_into(header, subbands, &mut data)?;
+        Ok(data)
+    }
+
+    /// [`LosslessCodec::reassemble_raw`] writing into a caller-supplied
+    /// `width x height` buffer — the volume decoder points it at each
+    /// plane's slot of the brick. The inverse cascade
+    /// ([`lwc_lifting::LineIdwt53`]) pulls every subband row as it needs
+    /// it; rows of a near-lossless stream's quantized bands are dequantized
+    /// as they are pulled, driven by the *header's* delta so any codec
+    /// configuration decodes any stream. No Mallat-layout frame is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the header is inconsistent with the subband data
+    /// or `out` does not hold `width x height` samples.
+    pub fn reassemble_into(
+        &self,
+        header: &StreamHeader,
+        subbands: &[Vec<i32>],
+        out: &mut [i32],
+    ) -> Result<(), CoderError> {
+        self.check_subbands(header, subbands)?;
+        let scales = self.scales();
+        let schedule = QuantSchedule::for_delta(header.delta, scales);
+        let fill = |row: CoeffRowMut<'_>| {
+            let len = row.samples.len();
+            let samples = &subbands[subband_slot(scales, row.scale, row.band)];
+            row.samples.copy_from_slice(&samples[row.y * len..(row.y + 1) * len]);
+            quant::dequantize(row.samples, schedule.allowance(row.scale, row.band));
+        };
+        LineIdwt53::inverse_into(header.width, header.height, scales, fill, out)?;
+        Ok(())
+    }
+
+    /// Checks that `subbands` holds one vector per subband of this codec's
+    /// layout, each as long as `header`'s geometry implies.
+    fn check_subbands(
+        &self,
+        header: &StreamHeader,
+        subbands: &[Vec<i32>],
+    ) -> Result<(), CoderError> {
         let expected = 3 * self.scales() as usize + 1;
         if subbands.len() != expected {
             return Err(CoderError::MalformedStream(format!(
@@ -398,36 +453,7 @@ impl LosslessCodec {
                 )));
             }
         }
-        // A near-lossless stream codes quantizer indices; rebuild the grid
-        // centers while scattering, driven by the *header's* delta so any
-        // codec configuration decodes any stream.
-        let schedule = QuantSchedule::for_delta(header.delta, self.scales());
-        let mut data = vec![0i32; width * height];
-        for ((scale, band), samples) in subband_order(self.scales()).zip(subbands) {
-            let rect = band_rect(width, height, scale, band);
-            if rect.is_empty() {
-                continue;
-            }
-            let step = schedule.step(scale, band);
-            for (row_index, row) in samples.chunks(rect.width).enumerate() {
-                let start = (rect.y + row_index) * width + rect.x;
-                if step == 1 {
-                    data[start..start + row.len()].copy_from_slice(row);
-                } else {
-                    for (slot, &index) in data[start..start + row.len()].iter_mut().zip(row) {
-                        *slot = (i64::from(index) * step) as i32;
-                    }
-                }
-            }
-        }
-        let coeffs = lwc_lifting::LiftingCoefficients::from_raw(
-            data,
-            width,
-            height,
-            self.scales(),
-            header.bit_depth,
-        )?;
-        Ok(self.transform.inverse_raw_owned(coeffs)?)
+        Ok(())
     }
 
     /// Compresses `image` into a self-contained byte stream.
@@ -501,17 +527,34 @@ impl LosslessCodec {
     ///
     /// Returns an error for malformed streams or mismatched configuration.
     pub fn decompress_raw(&self, bytes: &[u8]) -> Result<(StreamHeader, Vec<i32>), CoderError> {
+        let (header, subbands) = self.decode_subbands(bytes)?;
+        let data = self.reassemble_raw(&header, &subbands)?;
+        Ok((header, data))
+    }
+
+    /// The entropy-decoding half of [`LosslessCodec::decompress_raw`]: the
+    /// validated header plus every subband's coded samples (quantizer
+    /// indices for a near-lossless stream) in [`subband_order`] order,
+    /// ready for [`LosslessCodec::reassemble_into`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for malformed streams or a scale count other than
+    /// this codec's.
+    pub fn decode_subbands(
+        &self,
+        bytes: &[u8],
+    ) -> Result<(StreamHeader, Vec<Vec<i32>>), CoderError> {
         let mut reader = BitReader::new(bytes);
         let header = StreamHeader::read(&mut reader)?;
         header.ensure_scales(self.scales())?;
         header.ensure_plausible_length(bytes.len())?;
-        let subbands: Vec<Vec<i32>> = subband_order(self.scales())
+        let subbands = subband_order(self.scales())
             .map(|(scale, band)| {
                 self.subbands.decode_subband(&mut reader, header.band_len(scale, band))
             })
             .collect::<Result<_, _>>()?;
-        let data = self.reassemble_raw(&header, &subbands)?;
-        Ok((header, data))
+        Ok((header, subbands))
     }
 
     /// Compresses and reports the sizes.

@@ -80,7 +80,7 @@ pub use line::RowEncoder;
 pub use quant::{plane_delta_for_volume, QuantSchedule};
 pub use subband::{StreamingSubbandEncoder, SubbandCodec, BLOCK_SIZE, MAX_UNARY_RUN_BITS};
 pub use tiled::{TiledHeader, TiledStream};
-pub use volume::{VolumeHeader, VolumeStream, VOLUME_HEADER_BYTES, VOLUME_MAGIC};
+pub use volume::{check_z_scales, VolumeHeader, VolumeStream, VOLUME_HEADER_BYTES, VOLUME_MAGIC};
 
 #[cfg(test)]
 mod crate_tests {

@@ -23,6 +23,7 @@
 //! most one partial Rice block per band ([`RowEncoder::working_set_samples`]).
 
 use crate::bitio::BitWriter;
+use crate::codec::subband_slot;
 use crate::quant::{self, QuantSchedule};
 use crate::{StreamHeader, StreamingSubbandEncoder};
 use lwc_lifting::{CoeffRow, LineDwt53};
@@ -76,18 +77,8 @@ struct BandSinks {
 }
 
 impl BandSinks {
-    /// Position of `(scale, band)` in [`subband_order`]: the deepest
-    /// approximation first, then detail triples from the deepest scale down.
-    fn slot(&self, scale: u32, band: usize) -> usize {
-        if band == 0 {
-            0
-        } else {
-            1 + 3 * (self.scales - scale) as usize + (band - 1)
-        }
-    }
-
     fn accept(&mut self, row: CoeffRow<'_>) {
-        let slot = self.slot(row.scale, row.band);
+        let slot = subband_slot(self.scales, row.scale, row.band);
         let allowance = self.schedule.allowance(row.scale, row.band);
         if allowance == 0 {
             self.encoders[slot].push(row.samples);

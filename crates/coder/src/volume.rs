@@ -56,6 +56,20 @@ pub const VOLUME_MAGIC: u32 = 0x4C57_4356;
 /// [`ContainerHeader::serialized_bytes`].
 pub const VOLUME_HEADER_BYTES: usize = 32;
 
+/// The z-scale rule of every `LWCV` container and the volume engine: the
+/// z decomposition depth is one of `0..=15` (0 = pure 2-D), the range the
+/// format defines for its z-scale field.
+///
+/// # Errors
+///
+/// Returns [`CoderError::MalformedStream`] for a count of 16 or more.
+pub fn check_z_scales(z_scales: u32) -> Result<(), CoderError> {
+    if z_scales >= 1 << 4 {
+        return Err(CoderError::MalformedStream(format!("unsupported z scale count {z_scales}")));
+    }
+    Ok(())
+}
+
 /// Parsed fixed-size header of a volumetric container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VolumeHeader {
@@ -134,15 +148,9 @@ impl ContainerHeader for VolumeHeader {
         })
     }
 
-    /// The z scale count fits its 4-bit field (0 is the pure 2-D case).
+    /// The z scale count obeys [`check_z_scales`].
     fn check_format(&self) -> Result<(), CoderError> {
-        if self.z_scales >= 1 << 4 {
-            return Err(CoderError::MalformedStream(format!(
-                "unsupported z scale count {}",
-                self.z_scales
-            )));
-        }
-        Ok(())
+        check_z_scales(self.z_scales)
     }
 }
 

@@ -37,7 +37,7 @@ pub use lwc_image::{
     dicom, pgm, stats, synth, BrickGrid, BrickRect, DicomImage, Image, ImageError, ImageStack,
     ImageView, ImageViewMut, TileGrid, TileRect, VolumeView,
 };
-pub use lwc_lifting::{Lifting53, LineDwt53};
+pub use lwc_lifting::{Lifting53, LineDwt53, LineIdwt53};
 pub use lwc_metrics::{self as metrics, FidelityReport};
 pub use lwc_perf::hardware::{HardwareModel, ThroughputReport};
 pub use lwc_perf::software::SoftwareModel;

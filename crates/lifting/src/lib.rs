@@ -45,7 +45,7 @@ pub mod zaxis;
 
 pub use error::LiftingError;
 pub use lifting1d::{approx_len, detail_len, forward_53, forward_53_into, inverse_53};
-pub use line::{CoeffRow, LineDwt53};
+pub use line::{CoeffRow, CoeffRowMut, LineDwt53, LineIdwt53};
 pub use transform::{Lifting53, LiftingCoefficients};
 pub use zaxis::{forward_z, inverse_z};
 

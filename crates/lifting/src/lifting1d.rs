@@ -115,6 +115,24 @@ pub fn forward_53_into(x: &[i32], approx: &mut [i32], detail: &mut [i32]) {
 /// approximation must hold the detail's length or one more).
 #[must_use]
 pub fn inverse_53(approx: &[i32], detail: &[i32]) -> Vec<i32> {
+    let mut out = vec![0i32; approx.len() + detail.len()];
+    inverse_53_into(approx, detail, &mut out);
+    out
+}
+
+/// Allocation-free form of [`inverse_53`]: writes the interleaved signal
+/// into a caller-provided slice. This is the horizontal kernel of the
+/// inverse line cascade ([`crate::LineIdwt53`]).
+///
+/// The even samples are held in `i64` between the two steps, exactly as
+/// [`inverse_53`] always has, so the output is the same on every input,
+/// including coefficients whose intermediates leave `i32`.
+///
+/// # Panics
+///
+/// Panics if `approx` is empty, the halves are not a valid split, or `out`
+/// does not hold `approx.len() + detail.len()` samples.
+pub(crate) fn inverse_53_into(approx: &[i32], detail: &[i32], out: &mut [i32]) {
     let half_a = approx.len();
     let half_d = detail.len();
     assert!(half_a >= 1, "subbands must not be empty");
@@ -122,42 +140,43 @@ pub fn inverse_53(approx: &[i32], detail: &[i32]) -> Vec<i32> {
         half_a == half_d || half_a == half_d + 1,
         "subband lengths must match: {half_a} approximation vs {half_d} detail samples"
     );
-    if half_d == 0 {
-        return vec![approx[0]];
-    }
     let n = half_a + half_d;
+    assert_eq!(out.len(), n, "output slice length must equal the two halves combined");
+    if half_d == 0 {
+        out[0] = approx[0];
+        return;
+    }
 
-    // Undo the update step to recover the even samples. Same split as the
+    // Undo the update one even sample ahead of the predict that reads it,
+    // keeping the current and previous even sample. Same split as the
     // forward update: one mirrored tap at each end, plain shifts between.
     let d = |k: i64| -> i64 { detail[mirror(k, half_d as i64) as usize] as i64 };
-    let mut even = Vec::with_capacity(half_a);
-    even.push(approx[0] as i64 - ((d(-1) + d(0) + 2) >> 2));
-    for (k, w) in detail.windows(2).enumerate() {
-        let update = (w[0] as i64 + w[1] as i64 + 2) >> 2;
-        even.push(approx[k + 1] as i64 - update);
-    }
-    if half_a > half_d {
-        let k = half_a as i64 - 1;
-        even.push(approx[half_a - 1] as i64 - ((d(k - 1) + d(k) + 2) >> 2));
+    let mut even = approx[0] as i64 - ((d(-1) + d(0) + 2) >> 2);
+    let mut previous = even;
+    for ((pair, &a), w) in out.chunks_exact_mut(2).zip(&approx[1..]).zip(detail.windows(2)) {
+        let next = a as i64 - ((w[0] as i64 + w[1] as i64 + 2) >> 2);
+        pair[0] = even as i32;
+        pair[1] = (w[0] as i64 + ((even + next) >> 1)) as i32;
+        previous = even;
+        even = next;
     }
 
-    // Undo the predict step, interleaving. The interior pairs every detail
-    // sample with its two natural even neighbours; only an even-length
-    // signal's last detail needs the mirrored right neighbour.
-    let mut out = Vec::with_capacity(n);
-    for (w, &dk) in even.windows(2).zip(detail) {
-        out.push(w[0] as i32);
-        out.push((dk as i64 + ((w[0] + w[1]) >> 1)) as i32);
-    }
-    if n % 2 == 0 {
-        let k = half_d - 1;
-        let m = mirror(k as i64 + 1, half_a as i64) as usize;
-        out.push(even[k] as i32);
-        out.push((detail[k] as i64 + ((even[k] + even[m]) >> 1)) as i32);
+    // The last detail sample: an odd-length signal has one more even sample
+    // (its update mirrors the right detail tap); an even-length signal
+    // mirrors the right even neighbour back to `k - 1` (or `k` itself when
+    // there is only one).
+    let k = half_d - 1;
+    out[2 * k] = even as i32;
+    let right = if half_a > half_d {
+        let last = approx[half_a - 1] as i64 - ((d(k as i64) + d(k as i64 + 1) + 2) >> 2);
+        out[n - 1] = last as i32;
+        last
+    } else if mirror(k as i64 + 1, half_a as i64) as usize == k {
+        even
     } else {
-        out.push(even[half_a - 1] as i32);
-    }
-    out
+        previous
+    };
+    out[2 * k + 1] = (detail[k] as i64 + ((even + right) >> 1)) as i32;
 }
 
 /// `floor((a + b) / 2)` for any pair of `i32`s, without widening.
@@ -289,6 +308,65 @@ mod tests {
             out.push((d(k) + predicted) as i32);
         }
         out
+    }
+
+    /// The widened inverse as it stood before the allocation-free form, kept
+    /// verbatim as the reference for every length and every `i32` input.
+    fn reference_inverse_any(approx: &[i32], detail: &[i32]) -> Vec<i32> {
+        let half_a = approx.len();
+        let half_d = detail.len();
+        if half_d == 0 {
+            return vec![approx[0]];
+        }
+        let n = half_a + half_d;
+        let d = |k: i64| -> i64 { detail[mirror(k, half_d as i64) as usize] as i64 };
+        let mut even = Vec::with_capacity(half_a);
+        even.push(approx[0] as i64 - ((d(-1) + d(0) + 2) >> 2));
+        for (k, w) in detail.windows(2).enumerate() {
+            let update = (w[0] as i64 + w[1] as i64 + 2) >> 2;
+            even.push(approx[k + 1] as i64 - update);
+        }
+        if half_a > half_d {
+            let k = half_a as i64 - 1;
+            even.push(approx[half_a - 1] as i64 - ((d(k - 1) + d(k) + 2) >> 2));
+        }
+        let mut out = Vec::with_capacity(n);
+        for (w, &dk) in even.windows(2).zip(detail) {
+            out.push(w[0] as i32);
+            out.push((dk as i64 + ((w[0] + w[1]) >> 1)) as i32);
+        }
+        if n % 2 == 0 {
+            let k = half_d - 1;
+            let m = mirror(k as i64 + 1, half_a as i64) as usize;
+            out.push(even[k] as i32);
+            out.push((detail[k] as i64 + ((even[k] + even[m]) >> 1)) as i32);
+        } else {
+            out.push(even[half_a - 1] as i32);
+        }
+        out
+    }
+
+    #[test]
+    fn allocation_free_inverse_matches_the_widened_reference_on_any_input() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for n in [1usize, 2, 3, 4, 5, 6, 7, 16, 17, 64, 65] {
+            for full_range in [false, true] {
+                for _ in 0..40 {
+                    let sample = |rng: &mut StdRng| -> i32 {
+                        if full_range {
+                            rng.gen_range(i32::MIN..=i32::MAX)
+                        } else {
+                            rng.gen_range(-70_000..70_000)
+                        }
+                    };
+                    let approx: Vec<i32> = (0..approx_len(n)).map(|_| sample(&mut rng)).collect();
+                    let detail: Vec<i32> = (0..detail_len(n)).map(|_| sample(&mut rng)).collect();
+                    let mut out = vec![0i32; n];
+                    inverse_53_into(&approx, &detail, &mut out);
+                    assert_eq!(out, reference_inverse_any(&approx, &detail), "n={n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,10 +26,19 @@
 //! multi-pass driver — the workspace property tests diff the two across
 //! random odd/prime dimensions and depths, and the multi-pass transform
 //! stays in-tree as the reference.
+//!
+//! [`LineIdwt53`] runs the same organisation backwards (synthesis): each
+//! level keeps its two most recent reconstructed even rows and detail rows,
+//! pulls approximation rows from the next coarser level on demand and
+//! detail rows from a caller-supplied source, undoes the vertical update and
+//! predict over whole rows, then the horizontal step, and hands finished
+//! rows to the next finer level — so a decode writes image rows top to
+//! bottom straight into its output, with no Mallat frame in between.
 
 use crate::geometry::{band_rect, scaled_dim};
 use crate::lifting1d::{
-    approx_len, detail_len, forward_53_into, mirror, predict_rows, update_rows,
+    approx_len, detail_len, forward_53_into, inverse_53_into, mirror, predict_rows, unpredict_rows,
+    unupdate_rows, update_rows,
 };
 use crate::transform::LiftingCoefficients;
 use crate::LiftingError;
@@ -470,6 +479,280 @@ impl LineDwt53 {
     }
 }
 
+/// One row of subband coefficients requested by [`LineIdwt53`]: the source
+/// fills `samples` with row `y` of subband `(scale, band)`, numbered as in
+/// [`CoeffRow`]. `samples` is exactly the subband's width; empty bands are
+/// never requested.
+#[derive(Debug)]
+pub struct CoeffRowMut<'a> {
+    /// Scale of the subband, `1..=scales`.
+    pub scale: u32,
+    /// Band index, `0..=3`.
+    pub band: usize,
+    /// Row inside the subband rectangle.
+    pub y: usize,
+    /// The row to fill, left to right.
+    pub samples: &'a mut [i32],
+}
+
+/// Per-level state of the inverse cascade. Rows of the vertical domain are
+/// `[approx | detail]` split at `a_w`, like the forward ring's rows; the
+/// rings are indexed by row parity, since synthesis only ever reads the two
+/// most recent even rows and the two most recent detail rows.
+#[derive(Debug)]
+struct SynthesisLevel {
+    /// 1-based scale this level reconstructs.
+    scale: u32,
+    /// Height of the region this level reconstructs.
+    h: usize,
+    a_w: usize,
+    a_h: usize,
+    d_h: usize,
+    /// The approximation row being assembled: `[coarser LL row | band 1 row]`.
+    approx: Vec<i32>,
+    /// Reconstructed even rows; `evens[j % 2]` holds even row `j`.
+    evens: [Vec<i32>; 2],
+    evens_done: usize,
+    /// Detail rows `[band 2 row | band 3 row]`; `details[k % 2]` holds row `k`.
+    details: [Vec<i32>; 2],
+    details_loaded: usize,
+    /// A reconstructed odd row on its way through the horizontal step.
+    odd: Vec<i32>,
+    next_row: usize,
+}
+
+impl SynthesisLevel {
+    fn new(scale: u32, w: usize, h: usize) -> Self {
+        let row = || vec![0i32; w];
+        Self {
+            scale,
+            h,
+            a_w: approx_len(w),
+            a_h: approx_len(h),
+            d_h: detail_len(h),
+            approx: row(),
+            evens: [row(), row()],
+            evens_done: 0,
+            details: [row(), row()],
+            details_loaded: 0,
+            odd: if h >= 2 { row() } else { Vec::new() },
+            next_row: 0,
+        }
+    }
+
+    /// Assembles approximation row `j`: its left part is the coarser
+    /// level's reconstructed row `j` (or band 0 at the deepest level), its
+    /// right part band 1's row `j`.
+    fn pull_approx<F: FnMut(CoeffRowMut<'_>)>(
+        &mut self,
+        j: usize,
+        coarser: &mut [SynthesisLevel],
+        fill: &mut F,
+    ) {
+        let (ll, band1) = self.approx.split_at_mut(self.a_w);
+        if coarser.is_empty() {
+            fill(CoeffRowMut { scale: self.scale, band: 0, y: j, samples: ll });
+        } else {
+            pull_row(coarser, fill, ll);
+        }
+        if !band1.is_empty() {
+            fill(CoeffRowMut { scale: self.scale, band: 1, y: j, samples: band1 });
+        }
+    }
+
+    /// Loads detail rows up to and including row `k`.
+    fn load_details<F: FnMut(CoeffRowMut<'_>)>(&mut self, k: usize, fill: &mut F) {
+        while self.details_loaded <= k {
+            let y = self.details_loaded;
+            let (band2, band3) = self.details[y % 2].split_at_mut(self.a_w);
+            fill(CoeffRowMut { scale: self.scale, band: 2, y, samples: band2 });
+            if !band3.is_empty() {
+                fill(CoeffRowMut { scale: self.scale, band: 3, y, samples: band3 });
+            }
+            self.details_loaded += 1;
+        }
+    }
+
+    /// Undoes the vertical update for every even row up to and including
+    /// row `j`. Even row `j` reads detail rows `j - 1` and `j`, mirrored in
+    /// detail-index space exactly as the forward update wrote them.
+    fn ensure_even<F: FnMut(CoeffRowMut<'_>)>(
+        &mut self,
+        j: usize,
+        coarser: &mut [SynthesisLevel],
+        fill: &mut F,
+    ) {
+        while self.evens_done <= j {
+            let i = self.evens_done;
+            let prev = mirror(i as i64 - 1, self.d_h as i64) as usize;
+            let next = mirror(i as i64, self.d_h as i64) as usize;
+            self.load_details(prev.max(next), fill);
+            self.pull_approx(i, coarser, fill);
+            let details = &self.details;
+            unupdate_rows(
+                &self.approx,
+                &details[prev % 2],
+                &details[next % 2],
+                &mut self.evens[i % 2],
+            );
+            self.evens_done += 1;
+        }
+    }
+}
+
+/// The horizontal synthesis step of one vertical-domain row into `out`.
+fn unlift_row(row: &[i32], a_w: usize, out: &mut [i32]) {
+    if row.len() >= 2 {
+        let (approx, detail) = row.split_at(a_w);
+        inverse_53_into(approx, detail, out);
+    } else {
+        out.copy_from_slice(row);
+    }
+}
+
+/// Reconstructs the next row of `levels[0]` into `out` (the level's width),
+/// pulling from the coarser levels `levels[1..]` as needed.
+fn pull_row<F: FnMut(CoeffRowMut<'_>)>(
+    levels: &mut [SynthesisLevel],
+    fill: &mut F,
+    out: &mut [i32],
+) {
+    let (level, coarser) = levels.split_first_mut().expect("a cascade has at least one level");
+    let r = level.next_row;
+    debug_assert!(r < level.h, "more rows pulled than the level holds");
+    level.next_row += 1;
+    if level.h == 1 {
+        // No vertical pass, exactly like the multi-pass inverse: the single
+        // approximation row goes straight through the horizontal step.
+        level.pull_approx(0, coarser, fill);
+        unlift_row(&level.approx, level.a_w, out);
+        return;
+    }
+    let k = r / 2;
+    if r % 2 == 0 {
+        level.ensure_even(k, coarser, fill);
+        unlift_row(&level.evens[k % 2], level.a_w, out);
+        return;
+    }
+    // Odd row k sits between even rows k and k + 1; an even-height level
+    // mirrors its last right neighbour back in even-index space.
+    let right = mirror(k as i64 + 1, level.a_h as i64) as usize;
+    level.ensure_even(right.max(k), coarser, fill);
+    unpredict_rows(
+        &level.details[k % 2],
+        &level.evens[k % 2],
+        &level.evens[right % 2],
+        &mut level.odd,
+    );
+    unlift_row(&level.odd, level.a_w, out);
+}
+
+/// Line-based inverse 5/3 transform: the synthesis counterpart of
+/// [`LineDwt53`], reconstructing image rows top to bottom while pulling
+/// subband rows from a source on demand.
+///
+/// Each level holds six rows of its own width (the row being assembled,
+/// two even rows, two detail rows, one odd row), so the working set is
+/// `O(width x levels)` whatever the image height. Subband rows are
+/// requested in order within each band, so the source can dequantize or
+/// otherwise transform each row as it is pulled.
+///
+/// **Arithmetic.** The vertical steps run the wrapping `i32` row kernels;
+/// the horizontal step, like [`crate::Lifting53`]'s inverse, holds the even
+/// samples in `i64` within one row. The two agree whenever no intermediate
+/// leaves `i32` — every coefficient frame an encoder produces from pixels
+/// of 16 bits or fewer — so on those frames the output is **bit-identical**
+/// to [`crate::Lifting53::inverse_raw`]. On any other input (forged
+/// streams) it returns wrapped samples and never panics; callers that need
+/// pixels range-check the result.
+///
+/// ```
+/// use lwc_image::synth;
+/// use lwc_lifting::{Lifting53, LineIdwt53};
+///
+/// # fn main() -> Result<(), lwc_lifting::LiftingError> {
+/// let image = synth::mr_slice(37, 53, 12, 1); // ragged odd dimensions
+/// let coeffs = Lifting53::new(3)?.forward(&image)?;
+/// let cascade = LineIdwt53::inverse_raw(&coeffs)?;
+/// assert_eq!(cascade, Lifting53::new(3)?.inverse_raw(&coeffs)?);
+/// assert_eq!(cascade, image.samples());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct LineIdwt53 {
+    levels: Vec<SynthesisLevel>,
+}
+
+impl LineIdwt53 {
+    fn new(width: usize, height: usize, scales: u32) -> Result<Self, LiftingError> {
+        if scales == 0 {
+            return Err(LiftingError::NoScales);
+        }
+        if width == 0 || height == 0 {
+            return Err(LiftingError::ConfigurationMismatch(format!(
+                "line transform needs nonzero dimensions, got {width}x{height}"
+            )));
+        }
+        let levels = (0..scales)
+            .map(|l| SynthesisLevel::new(l + 1, scaled_dim(width, l), scaled_dim(height, l)))
+            .collect();
+        Ok(Self { levels })
+    }
+
+    /// Reconstructs a `width x height` image decomposed to `scales` levels
+    /// into `out` (row major), requesting each subband row from `fill` as
+    /// the cascade needs it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LiftingError::NoScales`] for zero scales and
+    /// [`LiftingError::ConfigurationMismatch`] for zero dimensions or an
+    /// `out` slice that is not `width * height` long.
+    pub fn inverse_into<F: FnMut(CoeffRowMut<'_>)>(
+        width: usize,
+        height: usize,
+        scales: u32,
+        mut fill: F,
+        out: &mut [i32],
+    ) -> Result<(), LiftingError> {
+        if width.checked_mul(height) != Some(out.len()) {
+            return Err(LiftingError::ConfigurationMismatch(format!(
+                "output holds {} samples but the image needs {width}x{height}",
+                out.len()
+            )));
+        }
+        let mut cascade = Self::new(width, height, scales)?;
+        for row in out.chunks_exact_mut(width) {
+            pull_row(&mut cascade.levels, &mut fill, row);
+        }
+        Ok(())
+    }
+
+    /// Convenience entry point over a Mallat-layout container: the cascade
+    /// counterpart of [`crate::Lifting53::inverse_raw`], used by the
+    /// bit-identity tests and benches. Decoders feed
+    /// [`LineIdwt53::inverse_into`] from their subbands instead and never
+    /// build the Mallat frame.
+    ///
+    /// # Errors
+    ///
+    /// Currently infallible for any valid container; the `Result` mirrors
+    /// [`crate::Lifting53::inverse_raw`].
+    pub fn inverse_raw(coeffs: &LiftingCoefficients) -> Result<Vec<i32>, LiftingError> {
+        let (width, height) = (coeffs.width(), coeffs.height());
+        let data = coeffs.data();
+        let fill = |row: CoeffRowMut<'_>| {
+            let rect = band_rect(width, height, row.scale, row.band);
+            let start = (rect.y + row.y) * width + rect.x;
+            row.samples.copy_from_slice(&data[start..start + rect.width]);
+        };
+        let mut out = vec![0i32; width * height];
+        Self::inverse_into(width, height, coeffs.scales(), fill, &mut out)?;
+        Ok(out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,6 +826,70 @@ mod tests {
         // rows (ring + details + spares), far below the pixel count.
         assert!(peak <= 64 * w * scales as usize, "peak {peak}");
         assert!(peak < w * h / 4, "peak {peak} not far below the {} pixels", w * h);
+    }
+
+    #[test]
+    fn inverse_cascade_matches_multi_pass_across_geometries() {
+        for (w, h) in [
+            (1usize, 1usize),
+            (1, 17),
+            (17, 1),
+            (2, 2),
+            (2, 5),
+            (5, 2),
+            (3, 3),
+            (4, 4),
+            (7, 11),
+            (37, 53),
+            (64, 64),
+            (101, 63),
+            (64, 37),
+        ] {
+            for scales in [1u32, 2, 3, 5, 8] {
+                let image = synth::random_image(w, h, 12, (w * 1000 + h) as u64 + scales as u64);
+                let lifting = Lifting53::new(scales).unwrap();
+                let coeffs = lifting.forward(&image).unwrap();
+                let cascade = LineIdwt53::inverse_raw(&coeffs).unwrap();
+                assert_eq!(cascade, lifting.inverse_raw(&coeffs).unwrap(), "{w}x{h}/{scales}");
+                assert_eq!(cascade, image.samples(), "{w}x{h} at {scales} scales");
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_requests_every_band_row_once_in_order() {
+        let (w, h, scales) = (45usize, 29usize, 3u32);
+        let mut next_y = std::collections::HashMap::new();
+        let mut requested = 0usize;
+        let fill = |row: CoeffRowMut<'_>| {
+            let expected = next_y.entry((row.scale, row.band)).or_insert(0usize);
+            assert_eq!(row.y, *expected, "band ({}, {}) out of order", row.scale, row.band);
+            *expected += 1;
+            assert_eq!(row.samples.len(), band_rect(w, h, row.scale, row.band).width);
+            requested += row.samples.len();
+        };
+        let mut out = vec![0i32; w * h];
+        LineIdwt53::inverse_into(w, h, scales, fill, &mut out).unwrap();
+        assert_eq!(requested, w * h, "every coefficient is requested exactly once");
+        for ((scale, band), rows) in next_y {
+            assert_eq!(rows, band_rect(w, h, scale, band).height, "band ({scale}, {band})");
+        }
+    }
+
+    #[test]
+    fn inverse_rejects_bad_shapes() {
+        let fill = |_row: CoeffRowMut<'_>| {};
+        let mut out = vec![0i32; 16];
+        assert!(matches!(
+            LineIdwt53::inverse_into(4, 4, 0, fill, &mut out),
+            Err(LiftingError::NoScales)
+        ));
+        for (w, h) in [(0usize, 4usize), (4, 0), (5, 4)] {
+            assert!(matches!(
+                LineIdwt53::inverse_into(w, h, 2, fill, &mut out),
+                Err(LiftingError::ConfigurationMismatch(_))
+            ));
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::geometry::{band_rect, scaled_dim};
 use crate::lifting1d::{forward_53, inverse_53};
 use crate::LiftingError;
-use lwc_image::{Image, ImageView, ImageViewMut};
+use lwc_image::{Image, ImageView};
 
 /// Integer wavelet coefficients in the Mallat layout, produced by
 /// [`Lifting53::forward`].
@@ -189,7 +189,10 @@ impl Lifting53 {
         })
     }
 
-    /// Inverse reversible transform.
+    /// Inverse reversible transform, one full pass over the active region
+    /// per scale. The decoders reconstruct through the inverse line cascade
+    /// ([`crate::LineIdwt53`]) instead; this multi-pass form is the bit-exact
+    /// reference that cascade is tested against.
     ///
     /// # Errors
     ///
@@ -203,11 +206,9 @@ impl Lifting53 {
     }
 
     /// Inverse transform returning the raw row-major sample buffer *without*
-    /// the bit-depth range validation of [`Lifting53::inverse`]. The 3-D
-    /// codec decodes each z-coefficient plane through this path — those
-    /// planes hold signed z-transform coefficients, not pixels, and only
-    /// after the inverse z pass do the values return to the pixel range
-    /// (where the volume container validates them).
+    /// the bit-depth range validation of [`Lifting53::inverse`] — the form
+    /// that also reconstructs signed z-coefficient planes, whose values
+    /// return to the pixel range only after the inverse z pass.
     ///
     /// # Errors
     ///
@@ -219,7 +220,7 @@ impl Lifting53 {
 
     /// [`Lifting53::inverse_raw`] consuming the coefficients: the inverse
     /// runs in place on their buffer, which comes back as the reconstructed
-    /// samples, so no frame-sized copy is made. The decoders use this form.
+    /// samples, so no frame-sized copy is made.
     ///
     /// # Errors
     ///
@@ -240,45 +241,6 @@ impl Lifting53 {
             inverse_scale(&mut data, width, cur_w, cur_h);
         }
         Ok(data)
-    }
-
-    /// Inverse transform scattered into a window of an existing frame — the
-    /// decode counterpart of [`Lifting53::forward_view`], used by the tiled
-    /// decoder to place reconstructed tiles into the output frame. The
-    /// reconstruction itself runs on a tile-sized working buffer (whose
-    /// samples are range-validated exactly like [`Lifting53::inverse`])
-    /// before the rows are copied into the window; nothing outside the
-    /// window is touched.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Lifting53::inverse`] reports, plus
-    /// [`LiftingError::ConfigurationMismatch`] if the window's shape or bit
-    /// depth differs from the coefficients'.
-    pub fn inverse_into(
-        &self,
-        coeffs: &LiftingCoefficients,
-        out: &mut ImageViewMut<'_>,
-    ) -> Result<(), LiftingError> {
-        if out.width() != coeffs.width || out.height() != coeffs.height {
-            return Err(LiftingError::ConfigurationMismatch(format!(
-                "coefficients are {}x{} but the target window is {}x{}",
-                coeffs.width,
-                coeffs.height,
-                out.width(),
-                out.height()
-            )));
-        }
-        if out.bit_depth() != coeffs.input_bit_depth {
-            return Err(LiftingError::ConfigurationMismatch(format!(
-                "coefficients carry {}-bit pixels but the target window is {}-bit",
-                coeffs.input_bit_depth,
-                out.bit_depth()
-            )));
-        }
-        let image = self.inverse(coeffs)?;
-        out.copy_from_image(&image)?;
-        Ok(())
     }
 
     /// Convenience round trip used by tests and examples.
@@ -413,28 +375,6 @@ mod tests {
             let via_copy = lifting.forward(&frame.crop(rect).unwrap()).unwrap();
             assert_eq!(via_view, via_copy, "{rect:?}");
         }
-    }
-
-    #[test]
-    fn inverse_into_scatters_tiles_into_a_frame() {
-        let lifting = Lifting53::new(2).unwrap();
-        let tile = synth::mr_slice(24, 17, 12, 4);
-        let coeffs = lifting.forward(&tile).unwrap();
-        let mut frame = Image::zeros(60, 40, 12).unwrap();
-        let rect = TileRect { x: 30, y: 20, width: 24, height: 17 };
-        lifting.inverse_into(&coeffs, &mut frame.view_rect_mut(rect).unwrap()).unwrap();
-        assert_eq!(frame.crop(rect).unwrap(), tile);
-        // Mismatched window shape and bit depth are configuration errors.
-        let wrong = TileRect { x: 0, y: 0, width: 23, height: 17 };
-        assert!(matches!(
-            lifting.inverse_into(&coeffs, &mut frame.view_rect_mut(wrong).unwrap()),
-            Err(LiftingError::ConfigurationMismatch(_))
-        ));
-        let mut depth8 = Image::zeros(24, 17, 8).unwrap();
-        assert!(matches!(
-            lifting.inverse_into(&coeffs, &mut depth8.view_mut()),
-            Err(LiftingError::ConfigurationMismatch(_))
-        ));
     }
 
     #[test]

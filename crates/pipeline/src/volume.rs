@@ -29,7 +29,10 @@ use crate::report::TiledReport;
 use crate::tiled::check_tile_shape;
 use crate::{DecodePlan, PipelineError, Plan};
 use lwc_coder::volume::{split_brick_payload, write_brick_payload};
-use lwc_coder::{plane_delta_for_volume, write_container, CoderError, LosslessCodec, VolumeHeader};
+use lwc_coder::{
+    check_z_scales, plane_delta_for_volume, write_container, CoderError, LosslessCodec,
+    VolumeHeader,
+};
 use lwc_image::{BrickGrid, BrickRect, ImageStack, ImageView, TileRect};
 use lwc_lifting::{forward_z, inverse_z};
 use std::borrow::Borrow;
@@ -111,7 +114,8 @@ impl VolumeCompressor {
     ///
     /// Returns [`PipelineError::Config`] if a brick dimension is zero, a
     /// tile dimension does not fit the per-plane stream format's 20-bit
-    /// fields, or `z_scales` does not fit the container's 4-bit field.
+    /// fields, or `z_scales` breaks the container's rule
+    /// ([`lwc_coder::check_z_scales`]).
     pub fn with_codec(
         codec: LosslessCodec,
         z_scales: u32,
@@ -124,11 +128,7 @@ impl VolumeCompressor {
             return Err(PipelineError::Config("brick dimensions must be nonzero".into()));
         }
         check_tile_shape(tile_width, tile_height)?;
-        if z_scales >= (1 << 4) {
-            return Err(PipelineError::Config(format!(
-                "{z_scales} z scales exceed the container format's 4-bit field"
-            )));
-        }
+        check_z_scales(z_scales).map_err(|e| PipelineError::Config(e.to_string()))?;
         let workers = resolve_workers(workers);
         let plane_codec = LosslessCodec::near_lossless(
             codec.scales(),
@@ -391,13 +391,15 @@ impl VolumeCompressor {
     }
 
     /// Decodes one brick (plane-major `index`, placed at `rect`) to its
-    /// plane-major raw samples: splits the payload's plane table, 2-D decodes
-    /// every coefficient plane through the raw (range-unchecked) path, then
-    /// inverts the z transform with the **container's** `z_scales`. Each
-    /// plane's stream header must carry the per-plane quantizer delta the
-    /// container's volume bound implies; near-lossless voxels are clamped to
-    /// the container's sample range after the inverse z transform (clamping
-    /// only moves a reconstruction toward the original, so the bound holds).
+    /// plane-major raw samples: splits the payload's plane table, entropy
+    /// decodes every coefficient plane and runs its inverse cascade straight
+    /// into the plane's slot of the brick buffer (the raw, range-unchecked
+    /// path), then inverts the z transform with the **container's**
+    /// `z_scales`. Each plane's stream header must carry the per-plane
+    /// quantizer delta the container's volume bound implies; near-lossless
+    /// voxels are clamped to the container's sample range after the inverse
+    /// z transform (clamping only moves a reconstruction toward the
+    /// original, so the bound holds).
     pub(crate) fn decode_brick(
         &self,
         header: &VolumeHeader,
@@ -408,9 +410,11 @@ impl VolumeCompressor {
         let expected_delta = plane_delta_for_volume(header.delta, header.z_scales);
         let plane_len = rect.plane.pixel_count();
         let planes = split_brick_payload(bytes, rect.depth)?;
-        let mut samples = Vec::with_capacity(plane_len * rect.depth);
-        for (z, plane_bytes) in planes.iter().enumerate() {
-            let (plane_header, plane) = self.codec.decompress_raw(plane_bytes)?;
+        let mut samples = vec![0i32; plane_len * rect.depth];
+        for ((z, plane_bytes), slot) in
+            planes.iter().enumerate().zip(samples.chunks_exact_mut(plane_len))
+        {
+            let (plane_header, subbands) = self.codec.decode_subbands(plane_bytes)?;
             if plane_header.delta != expected_delta {
                 return Err(CoderError::MalformedStream(format!(
                     "brick {index} plane {z} carries quantizer delta {} but the container's \
@@ -432,7 +436,7 @@ impl VolumeCompressor {
                     plane_header.bit_depth, header.bit_depth
                 )));
             }
-            samples.extend_from_slice(&plane);
+            self.codec.reassemble_into(&plane_header, &subbands, slot)?;
         }
         inverse_z(&mut samples, plane_len, rect.depth, header.z_scales)?;
         if header.delta != 0 {

@@ -1,10 +1,10 @@
 //! Hostile-input sweep over the one container parser: every single-bit flip
 //! in the header, the directory and the first 64 payload bytes, and every
 //! prefix, of one small stream per format (`LWCT` v1 and v2, `LWCF`,
-//! `LWCV` v1 and v2, legacy `LWC1`). Sniffing a plan and executing it must
-//! return a typed error or a stack — never panic, neither on the caller's
-//! thread nor inside a part (where the pipeline would turn it into an
-//! error).
+//! `LWCV` v1 and v2, legacy `LWC1` and near-lossless `LWCQ`). Sniffing a
+//! plan and executing it must return a typed error or a stack — never
+//! panic, neither on the caller's thread nor inside a part (where the
+//! pipeline would turn it into an error).
 
 use lwc_core::lwc_coder::bitio::BitReader;
 use lwc_core::lwc_coder::{Container, ContainerHeader, StreamHeader, TiledHeader};
@@ -58,6 +58,7 @@ fn flipped_and_truncated_containers_never_panic() {
         ("LWCV v1", lwcv(lossless).unwrap()),
         ("LWCV v2", lwcv(near).unwrap()),
         ("LWC1", lossless.compress(&image).unwrap()),
+        ("LWCQ", near.compress(&image).unwrap()),
     ];
     for (name, bytes) in &streams {
         assert_eq!(bytes[..4], name.as_bytes()[..4], "{name} magic");

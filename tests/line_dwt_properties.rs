@@ -11,13 +11,21 @@
 //!   whole-frame transform, per-subband copy, quantization, Rice coding —
 //!   on ragged shapes, strided windows and signed z-coefficient planes, at
 //!   every near-lossless bound, and decodes within that bound,
+//! * the inverse cascade [`LineIdwt53`] reproduces the multi-pass
+//!   [`Lifting53`] inverse word for word on every frame an encoder emits
+//!   (forward outputs of 1–16-bit images) and on random coefficient frames
+//!   that keep every intermediate inside `i32`, at depths beyond the
+//!   geometry, never panics on extreme coefficients, and decodes `LWCQ`
+//!   streams exactly like dequantizing into the Mallat layout and running
+//!   the multi-pass inverse,
 //! * (release builds only) a full 4096x4096 streaming encode keeps its
 //!   coefficient working set at `O(width x levels)` — the software analogue
 //!   of the paper's bounded line-buffer memory.
 
 use lwc_core::lwc_coder::bitio::BitWriter;
-use lwc_core::lwc_coder::{quant, subband_order};
-use lwc_core::lwc_lifting::forward_z;
+use lwc_core::lwc_coder::{quant, subband_order, QuantSchedule, StreamHeader};
+use lwc_core::lwc_lifting::geometry::band_rect;
+use lwc_core::lwc_lifting::{forward_z, LiftingCoefficients};
 use lwc_core::prelude::*;
 use proptest::prelude::*;
 
@@ -39,8 +47,81 @@ fn multi_pass_reference(codec: &LosslessCodec, view: &ImageView<'_>) -> Vec<u8> 
     writer.into_bytes()
 }
 
+/// The multi-pass decode the codec's inverse cascade must reproduce:
+/// every decoded subband scattered (and, for a near-lossless stream,
+/// dequantized by the header's schedule) into the Mallat layout, then
+/// `Lifting53::inverse_raw_owned`.
+fn multi_pass_decode(codec: &LosslessCodec, bytes: &[u8]) -> Vec<i32> {
+    let (header, mut subbands) = codec.decode_subbands(bytes).unwrap();
+    let (width, height) = (header.width, header.height);
+    let schedule = QuantSchedule::for_delta(header.delta, codec.scales());
+    let mut data = vec![0i32; width * height];
+    for ((scale, band), samples) in subband_order(codec.scales()).zip(&mut subbands) {
+        quant::dequantize(samples, schedule.allowance(scale, band));
+        let rect = band_rect(width, height, scale, band);
+        for (i, &c) in samples.iter().enumerate() {
+            data[(rect.y + i / rect.width) * width + rect.x + i % rect.width] = c;
+        }
+    }
+    let coeffs =
+        LiftingCoefficients::from_raw(data, width, height, codec.scales(), header.bit_depth)
+            .unwrap();
+    codec.transform().inverse_raw_owned(coeffs).unwrap()
+}
+
+/// `n` forced to 1 by `degenerate` (0 forces the width, 1 the height).
+fn shape(width: usize, height: usize, degenerate: usize) -> (usize, usize) {
+    (if degenerate == 0 { 1 } else { width }, if degenerate == 1 { 1 } else { height })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The inverse cascade equals the multi-pass inverse on the forward
+    /// output of any 1–16-bit image, on odd, prime and one-sample sides, at
+    /// 1–8 scales (past the point where the pyramid saturates).
+    #[test]
+    fn inverse_cascade_matches_multi_pass_on_forward_outputs(
+        width in 1usize..=97,
+        height in 1usize..=97,
+        degenerate in 0usize..4,
+        bit_depth in 1u32..=16,
+        scales in 1u32..=8,
+        seed in 0u64..10_000,
+    ) {
+        let (width, height) = shape(width, height, degenerate);
+        let image = synth::random_image(width, height, bit_depth, seed);
+        let lifting = Lifting53::new(scales).unwrap();
+        let coeffs = LineDwt53::forward_view(&image.view(), scales).unwrap();
+        let cascade = LineIdwt53::inverse_raw(&coeffs).unwrap();
+        prop_assert!(
+            cascade == lifting.inverse_raw_owned(coeffs).unwrap(),
+            "cascade != multi-pass for {width}x{height} {bit_depth}-bit at {scales} scales"
+        );
+        prop_assert!(cascade == image.samples(), "cascade must invert the forward transform");
+    }
+
+    /// Random coefficient frames with |c| < 2^16 at up to 8 scales: no
+    /// intermediate leaves `i32`, so the cascade's wrapping row kernels and
+    /// the multi-pass inverse agree word for word.
+    #[test]
+    fn inverse_cascade_matches_multi_pass_on_random_coefficients(
+        width in 1usize..=97,
+        height in 1usize..=97,
+        degenerate in 0usize..4,
+        scales in 1u32..=8,
+        seed in 0u64..10_000,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let (width, height) = shape(width, height, degenerate);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let limit = (1 << 16) - 1;
+        let data: Vec<i32> = (0..width * height).map(|_| rng.gen_range(-limit..=limit)).collect();
+        let coeffs = LiftingCoefficients::from_raw(data, width, height, scales, 16).unwrap();
+        let cascade = LineIdwt53::inverse_raw(&coeffs).unwrap();
+        let multi = Lifting53::new(scales).unwrap().inverse_raw_owned(coeffs).unwrap();
+        prop_assert!(cascade == multi, "cascade != multi-pass for {width}x{height} at {scales} scales");
+    }
 
     /// Lifting datapath: the one-pass cascade reproduces the multi-pass
     /// pyramid word for word, including ragged odd/prime dimensions where
@@ -127,6 +208,56 @@ proptest! {
             .max()
             .unwrap();
         prop_assert!(worst <= u32::from(delta), "max error {worst} exceeds delta {delta}");
+    }
+}
+
+/// Coefficients at the ends of the `i32` range leave `i32` inside the
+/// synthesis: the cascade must still return samples, never panic — on its
+/// own and through the codec, whose near-lossless dequantization multiplies
+/// such indices further out.
+#[test]
+fn extreme_coefficient_frames_never_panic() {
+    const EXTREMES: [i32; 5] = [i32::MIN, i32::MAX, i32::MAX, i32::MIN, i32::MIN];
+    for (width, height) in [(1usize, 1usize), (1, 9), (9, 1), (2, 2), (17, 12), (33, 31)] {
+        for scales in [1u32, 3, 6] {
+            let pattern = |i: usize| EXTREMES[i % EXTREMES.len()];
+            let data: Vec<i32> = (0..width * height).map(pattern).collect();
+            let coeffs = LiftingCoefficients::from_raw(data, width, height, scales, 16).unwrap();
+            assert_eq!(LineIdwt53::inverse_raw(&coeffs).unwrap().len(), width * height);
+            for delta in [0u8, 4] {
+                let codec = LosslessCodec::near_lossless(scales, delta).unwrap();
+                let header = StreamHeader { width, height, bit_depth: 16, scales, delta };
+                let subbands: Vec<Vec<i32>> = subband_order(scales)
+                    .map(|(scale, band)| (0..header.band_len(scale, band)).map(pattern).collect())
+                    .collect();
+                let back = codec.reassemble_raw(&header, &subbands).unwrap();
+                assert_eq!(back.len(), width * height, "{width}x{height}/{scales}, delta {delta}");
+            }
+        }
+    }
+}
+
+/// `LWCQ` decode: the cascade dequantizes each row as it pulls it, and the
+/// result equals dequantizing into the Mallat layout followed by the
+/// multi-pass inverse, for every bound the quantizer can take.
+#[test]
+fn near_lossless_decode_matches_dequantize_then_multi_pass() {
+    for (width, height) in [(1usize, 1usize), (1, 23), (23, 1), (64, 64), (77, 41), (97, 89)] {
+        for delta in [2u8, 4, 8] {
+            for scales in [1u32, 3, 5] {
+                let seed = (width * height) as u64 + u64::from(delta);
+                let image = synth::mr_slice(width, height, 12, seed);
+                let codec = LosslessCodec::near_lossless(scales, delta).unwrap();
+                let bytes = codec.compress(&image).unwrap();
+                assert_eq!(&bytes[..4], b"LWCQ");
+                let (_, cascade) = codec.decompress_raw(&bytes).unwrap();
+                assert_eq!(
+                    cascade,
+                    multi_pass_decode(&codec, &bytes),
+                    "{width}x{height} at {scales} scales, delta {delta}"
+                );
+            }
+        }
     }
 }
 
