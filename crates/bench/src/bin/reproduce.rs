@@ -11,9 +11,11 @@
 //! The output of a full run is recorded in `EXPERIMENTS.md`. The `perfjson`
 //! artifact additionally writes `BENCH_throughput.json` — the
 //! machine-readable throughput trajectory CI archives on every run so perf
-//! regressions are visible across PRs (`LWC_PERF_REPS` overrides the
-//! best-of-3 repetition count).
+//! regressions are visible across PRs. Each timed figure is the median and
+//! the minimum over `LWC_PERF_REPS` runs (default 5), and the file records
+//! the host it was measured on.
 
+use lwc_bench::perf::{host_json, Timing};
 use lwc_core::lwc_coder::subband_order;
 use lwc_core::lwc_lifting::zaxis::{forward_z, forward_z_columns, inverse_z, inverse_z_columns};
 use lwc_core::prelude::*;
@@ -197,18 +199,20 @@ fn lossless() -> Result<(), Box<dyn std::error::Error>> {
 struct PerfMode {
     name: &'static str,
     workers: usize,
-    compress_seconds: f64,
-    decompress_seconds: f64,
+    compress: Timing,
+    decompress: Timing,
 }
 
 /// Measures the throughput trajectory on the fixed synthetic corpus and
 /// writes `BENCH_throughput.json`: raw MB/s and images/s for the sequential
-/// codec and the inter-image batch engine.
+/// codec and the inter-image batch engine, then the per-layer sections.
 ///
-/// Every figure is a best-of-`LWC_PERF_REPS` (default 3) wall-clock
-/// measurement, which is robust against preemption on shared CI runners; the
-/// JSON is advisory trend data, not a gate (assertions stay behind
-/// `LWC_STRICT_PERF=1` in the test suite).
+/// Every timed figure records the median and the minimum wall-clock time
+/// over `LWC_PERF_REPS` (default 5) runs, rates at both, and the file opens
+/// with the host it ran on, so a move of one layer can be told apart from
+/// host drift. The JSON is advisory trend data, not a gate (assertions stay
+/// behind `LWC_STRICT_PERF=1` in the test suite); the identity checks it
+/// makes on the way (equal bytes, equal samples) do fail the run.
 fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     heading(&format!("Throughput trajectory — BENCH_throughput.json ({size}x{size} corpus)"));
     let count = 8;
@@ -216,17 +220,9 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     let scales = 5.min(images[0].max_scales());
     let raw_bytes: usize =
         images.iter().map(|i| (i.pixel_count() * i.bit_depth() as usize).div_ceil(8)).sum();
-    let reps: u32 = std::env::var("LWC_PERF_REPS").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
+    let reps: u32 = std::env::var("LWC_PERF_REPS").ok().and_then(|v| v.parse().ok()).unwrap_or(5);
 
-    let best = |run: &dyn Fn() -> Result<(), PipelineError>| -> Result<f64, PipelineError> {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let start = std::time::Instant::now();
-            run()?;
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        Ok(best)
-    };
+    let best = |run: &dyn Fn() -> Result<(), PipelineError>| Timing::measure(reps, run);
 
     let sequential = LosslessCodec::new(scales)?;
     let streams: Vec<Vec<u8>> =
@@ -238,13 +234,13 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         PerfMode {
             name: "sequential",
             workers: 1,
-            compress_seconds: best(&|| {
+            compress: best(&|| {
                 for image in &images {
                     std::hint::black_box(sequential.compress(image)?);
                 }
                 Ok(())
             })?,
-            decompress_seconds: best(&|| {
+            decompress: best(&|| {
                 for stream in &streams {
                     std::hint::black_box(sequential.decompress(stream)?);
                 }
@@ -254,11 +250,11 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         PerfMode {
             name: "batch",
             workers: batch.workers(),
-            compress_seconds: best(&|| {
+            compress: best(&|| {
                 std::hint::black_box(batch.compress_batch(&images)?);
                 Ok(())
             })?,
-            decompress_seconds: best(&|| {
+            decompress: best(&|| {
                 std::hint::black_box(batch.decompress_batch(&streams)?);
                 Ok(())
             })?,
@@ -274,32 +270,36 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
          \"bit_depth\": 12, \"scales\": {scales}, \"raw_bytes\": {raw_bytes}, \
          \"compressed_bytes\": {compressed_bytes}}},\n"
     ));
-    json.push_str(&format!("  \"reps\": {reps},\n"));
+    json.push_str(&format!("  \"host\": {},\n", host_json()));
+    json.push_str(&format!(
+        "  \"reps\": {reps},\n  \"stats\": \"every seconds or ms figure is {{median, min}} over \
+         reps; every rate is {{median, max}}, the rate at the median and at the minimum time\",\n"
+    ));
     json.push_str("  \"modes\": {\n");
     for (index, mode) in modes.iter().enumerate() {
         let comma = if index + 1 == modes.len() { "" } else { "," };
         json.push_str(&format!(
-            "    \"{}\": {{\"workers\": {}, \"compress\": {{\"seconds\": {:.6}, \
-             \"mb_per_s\": {:.3}, \"images_per_s\": {:.3}}}, \"decompress\": \
-             {{\"seconds\": {:.6}, \"mb_per_s\": {:.3}, \"images_per_s\": {:.3}}}}}{comma}\n",
+            "    \"{}\": {{\"workers\": {}, \"compress\": {{\"seconds\": {}, \
+             \"mb_per_s\": {}, \"images_per_s\": {}}}, \"decompress\": \
+             {{\"seconds\": {}, \"mb_per_s\": {}, \"images_per_s\": {}}}}}{comma}\n",
             mode.name,
             mode.workers,
-            mode.compress_seconds,
-            mb / mode.compress_seconds,
-            count as f64 / mode.compress_seconds,
-            mode.decompress_seconds,
-            mb / mode.decompress_seconds,
-            count as f64 / mode.decompress_seconds,
+            mode.compress.json(6),
+            mode.compress.rate_json(mb),
+            mode.compress.rate_json(count as f64),
+            mode.decompress.json(6),
+            mode.decompress.rate_json(mb),
+            mode.decompress.rate_json(count as f64),
         ));
         println!(
             "{:<17} ({} workers): compress {:>8.1} MB/s ({:>6.1} images/s), \
              decompress {:>8.1} MB/s ({:>6.1} images/s)",
             mode.name,
             mode.workers,
-            mb / mode.compress_seconds,
-            count as f64 / mode.compress_seconds,
-            mb / mode.decompress_seconds,
-            count as f64 / mode.decompress_seconds,
+            mb / mode.compress.median,
+            count as f64 / mode.compress.median,
+            mb / mode.decompress.median,
+            count as f64 / mode.decompress.median,
         );
     }
     json.push_str("  },\n");
@@ -310,19 +310,20 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     let large = 2 * size;
     let large_image = synth::ct_phantom(large, large, 12, 77);
     let large_mb = (large_image.pixel_count() * 12).div_ceil(8) as f64 / 1e6;
-    let whole_seconds = best(&|| {
+    let whole = best(&|| {
         std::hint::black_box(sequential.compress(&large_image)?);
         Ok(())
     })?;
     json.push_str(&format!(
         "  \"tiled\": {{\n    \"image\": {{\"width\": {large}, \"height\": {large}, \
          \"bit_depth\": 12, \"scales\": {scales}}},\n    \"whole_image_sequential\": \
-         {{\"seconds\": {whole_seconds:.6}, \"mb_per_s\": {:.3}}},\n",
-        large_mb / whole_seconds
+         {{\"seconds\": {}, \"mb_per_s\": {}}},\n",
+        whole.json(6),
+        whole.rate_json(large_mb),
     ));
     println!(
         "whole-image sequential ({large}x{large}): compress {:>8.1} MB/s",
-        large_mb / whole_seconds
+        large_mb / whole.median
     );
     let tile_sizes = [64usize, 128, 256];
     for (index, &tile) in tile_sizes.iter().enumerate() {
@@ -333,33 +334,34 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         // tiles use fewer threads than the pool offers.
         let (streamed, tile_report) = engine.compress_with_report(&large_image)?;
         let used_workers = tile_report.workers;
-        let compress_seconds = best(&|| {
+        let compress = best(&|| {
             std::hint::black_box(engine.compress(&large_image)?);
             Ok(())
         })?;
-        let decompress_seconds = best(&|| {
+        let decompress = best(&|| {
             std::hint::black_box(engine.decompress(&streamed)?);
             Ok(())
         })?;
         let comma = if index + 1 == tile_sizes.len() { "" } else { "," };
         json.push_str(&format!(
             "    \"tile_{tile}\": {{\"workers\": {}, \"tiles\": {tiles}, \"compress\": \
-             {{\"seconds\": {compress_seconds:.6}, \"mb_per_s\": {:.3}, \"tiles_per_s\": \
-             {:.3}}}, \"decompress\": {{\"seconds\": {decompress_seconds:.6}, \"mb_per_s\": \
-             {:.3}, \"tiles_per_s\": {:.3}}}}}{comma}\n",
+             {{\"seconds\": {}, \"mb_per_s\": {}, \"tiles_per_s\": {}}}, \"decompress\": \
+             {{\"seconds\": {}, \"mb_per_s\": {}, \"tiles_per_s\": {}}}}}{comma}\n",
             used_workers,
-            large_mb / compress_seconds,
-            tiles as f64 / compress_seconds,
-            large_mb / decompress_seconds,
-            tiles as f64 / decompress_seconds,
+            compress.json(6),
+            compress.rate_json(large_mb),
+            compress.rate_json(tiles as f64),
+            decompress.json(6),
+            decompress.rate_json(large_mb),
+            decompress.rate_json(tiles as f64),
         ));
         println!(
             "tiled tile={tile:<4} ({} workers, {tiles:>3} tiles): compress {:>8.1} MB/s \
              ({:>7.1} tiles/s), decompress {:>8.1} MB/s",
             used_workers,
-            large_mb / compress_seconds,
-            tiles as f64 / compress_seconds,
-            large_mb / decompress_seconds,
+            large_mb / compress.median,
+            tiles as f64 / compress.median,
+            large_mb / decompress.median,
         );
     }
     json.push_str("  },\n");
@@ -390,11 +392,11 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         reference,
         "the codec must reproduce the multi-pass composition byte for byte"
     );
-    let codec_fused_s = best(&|| {
+    let codec_fused = best(&|| {
         std::hint::black_box(line_codec.compress(&line_frame)?);
         Ok(())
     })?;
-    let codec_multi_s = best(&|| {
+    let codec_multi = best(&|| {
         std::hint::black_box(lwc_bench::multi_pass_compress(&line_codec, &line_view)?);
         Ok(())
     })?;
@@ -408,43 +410,46 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         lwc_bench::multi_pass_decompress(&line_codec, &line_stream)?,
         "the codec's decode must reproduce the multi-pass composition sample for sample"
     );
-    let decode_cascade_s = best(&|| {
+    let decode_cascade = best(&|| {
         std::hint::black_box(line_codec.decompress_raw(&line_stream)?);
         Ok(())
     })?;
-    let decode_multi_s = best(&|| {
+    let decode_multi = best(&|| {
         std::hint::black_box(lwc_bench::multi_pass_decompress(&line_codec, &line_stream)?);
         Ok(())
     })?;
     json.push_str(&format!(
         "    \"codec\": {{\"transform\": \"5/3 lifting\", \"scales\": {codec_scales}, \
-         \"fused_line\": {{\"seconds\": {codec_fused_s:.6}, \"msamples_per_s\": {:.3}}}, \
-         \"multi_pass\": {{\"seconds\": {codec_multi_s:.6}, \"msamples_per_s\": {:.3}}}, \
+         \"fused_line\": {{\"seconds\": {}, \"msamples_per_s\": {}}}, \
+         \"multi_pass\": {{\"seconds\": {}, \"msamples_per_s\": {}}}, \
          \"fused_speedup_vs_multi_pass\": {:.3}, \"decode\": {{\"cascade\": {{\"seconds\": \
-         {decode_cascade_s:.6}, \"msamples_per_s\": {:.3}}}, \"multi_pass\": {{\"seconds\": \
-         {decode_multi_s:.6}, \"msamples_per_s\": {:.3}}}, \"cascade_speedup_vs_multi_pass\": \
-         {:.3}}}}},\n",
-        line_msamples / codec_fused_s,
-        line_msamples / codec_multi_s,
-        codec_multi_s / codec_fused_s,
-        line_msamples / decode_cascade_s,
-        line_msamples / decode_multi_s,
-        decode_multi_s / decode_cascade_s,
+         {}, \"msamples_per_s\": {}}}, \"multi_pass\": {{\"seconds\": {}, \
+         \"msamples_per_s\": {}}}, \"cascade_speedup_vs_multi_pass\": {:.3}}}}},\n",
+        codec_fused.json(6),
+        codec_fused.rate_json(line_msamples),
+        codec_multi.json(6),
+        codec_multi.rate_json(line_msamples),
+        codec_multi.median / codec_fused.median,
+        decode_cascade.json(6),
+        decode_cascade.rate_json(line_msamples),
+        decode_multi.json(6),
+        decode_multi.rate_json(line_msamples),
+        decode_multi.median / decode_cascade.median,
     ));
     println!(
         "codec compress {codec_scales} scales ({line_side}x{line_side}): line cascade {:>8.1} \
          Msamples/s, multi-pass reference {:>8.1} Msamples/s ({:>5.2}x, bytes identical)",
-        line_msamples / codec_fused_s,
-        line_msamples / codec_multi_s,
-        codec_multi_s / codec_fused_s,
+        line_msamples / codec_fused.median,
+        line_msamples / codec_multi.median,
+        codec_multi.median / codec_fused.median,
     );
     println!(
         "codec decompress {codec_scales} scales ({line_side}x{line_side}): inverse cascade \
          {:>8.1} Msamples/s, multi-pass reference {:>8.1} Msamples/s ({:>5.2}x, samples \
          identical)",
-        line_msamples / decode_cascade_s,
-        line_msamples / decode_multi_s,
-        decode_multi_s / decode_cascade_s,
+        line_msamples / decode_cascade.median,
+        line_msamples / decode_multi.median,
+        decode_multi.median / decode_cascade.median,
     );
     for line_scales in 1..=5u32 {
         let hw_n = FixedDwt2d::paper_default(&bank, line_scales)?;
@@ -455,9 +460,7 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         // frame-sized Mallat buffer, the apples-to-apples layout of
         // `multi_pass`; the gap between the two is the cost of building the
         // 128 MB coefficient frame the streaming consumer never needs.
-        let mut fused_s = f64::INFINITY;
-        let mut materialized_s = f64::INFINITY;
-        let mut multi_s = f64::INFINITY;
+        let (mut fused_s, mut materialized_s, mut multi_s) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..reps.max(1) {
             let start = std::time::Instant::now();
             let mut engine = LineFixedDwt::new(&hw_n, line_side, line_side)?;
@@ -468,37 +471,131 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
                 engine.push_row(line_view.row(y), &mut sink)?;
             }
             engine.finish(&mut sink)?;
-            fused_s = fused_s.min(start.elapsed().as_secs_f64());
+            fused_s.push(start.elapsed().as_secs_f64());
             let start = std::time::Instant::now();
             std::hint::black_box(LineFixedDwt::forward_view(&hw_n, &line_view)?);
-            materialized_s = materialized_s.min(start.elapsed().as_secs_f64());
+            materialized_s.push(start.elapsed().as_secs_f64());
             let start = std::time::Instant::now();
             std::hint::black_box(hw_n.forward(&line_frame)?);
-            multi_s = multi_s.min(start.elapsed().as_secs_f64());
+            multi_s.push(start.elapsed().as_secs_f64());
         }
+        let fused = Timing::from_runs(fused_s);
+        let materialized = Timing::from_runs(materialized_s);
+        let multi = Timing::from_runs(multi_s);
         let comma = if line_scales == 5 { "" } else { "," };
         json.push_str(&format!(
-            "    \"scales_{line_scales}\": {{\"fused_line\": {{\"seconds\": {fused_s:.6}, \
-             \"msamples_per_s\": {:.3}}}, \"fused_materialized\": {{\"seconds\": \
-             {materialized_s:.6}, \"msamples_per_s\": {:.3}}}, \"multi_pass\": \
-             {{\"seconds\": {multi_s:.6}, \"msamples_per_s\": {:.3}}}, \
-             \"fused_speedup_vs_multi_pass\": {:.3}}}{comma}\n",
-            line_msamples / fused_s,
-            line_msamples / materialized_s,
-            line_msamples / multi_s,
-            multi_s / fused_s,
+            "    \"scales_{line_scales}\": {{\"fused_line\": {{\"seconds\": {}, \
+             \"msamples_per_s\": {}}}, \"fused_materialized\": {{\"seconds\": {}, \
+             \"msamples_per_s\": {}}}, \"multi_pass\": {{\"seconds\": {}, \
+             \"msamples_per_s\": {}}}, \"fused_speedup_vs_multi_pass\": {:.3}}}{comma}\n",
+            fused.json(6),
+            fused.rate_json(line_msamples),
+            materialized.json(6),
+            materialized.rate_json(line_msamples),
+            multi.json(6),
+            multi.rate_json(line_msamples),
+            multi.median / fused.median,
         ));
         println!(
             "dwt line {line_scales} scale(s) ({line_side}x{line_side}): fused {:>8.1} \
              Msamples/s (materialized {:>8.1}), multi-pass {:>8.1} Msamples/s (fused \
              {:>5.2}x multi-pass)",
-            line_msamples / fused_s,
-            line_msamples / materialized_s,
-            line_msamples / multi_s,
-            multi_s / fused_s,
+            line_msamples / fused.median,
+            line_msamples / materialized.median,
+            line_msamples / multi.median,
+            multi.median / fused.median,
         );
     }
     json.push_str("  },\n");
+
+    // Rice coder and ingest on one archive frame (`archive-2d`'s shape: a
+    // 12-bit CT phantom, 2048² from a corpus side of 128 up, at 5 scales).
+    // Decode times the block decode against the per-codeword
+    // `rice::decode_value` reference, both over the same stream walk into
+    // the same preallocated subband buffers, so the pair measures the coder
+    // alone; `decode_subbands` is the codec's call, output allocation
+    // included. Encode is every subband through `SubbandCodec` behind the
+    // header. Both decodes must return the codec's subbands and the re-encode
+    // must reproduce the stream byte for byte, so a divergent coder fails the
+    // run. `dicom_parse_ms` times ingest of the same frame: `dicom::parse`,
+    // then `frame0`.
+    let rice_side = (16 * size).min(2048);
+    let rice_frame = synth::ct_phantom(rice_side, rice_side, 12, 7);
+    let rice_codec = LosslessCodec::new(5.min(rice_frame.max_scales()))?;
+    let rice_stream = rice_codec.compress(&rice_frame)?;
+    let rice_msamples = rice_frame.pixel_count() as f64 / 1e6;
+    let (rice_header, rice_bands) = rice_codec.decode_subbands(&rice_stream)?;
+    let mut block_bands: Vec<Vec<i32>> = rice_bands.iter().map(|b| vec![0; b.len()]).collect();
+    let mut reference_bands = block_bands.clone();
+    lwc_bench::decode_subbands_into(&rice_codec, &rice_stream, &mut block_bands)?;
+    lwc_bench::per_codeword_decode_subbands_into(&rice_codec, &rice_stream, &mut reference_bands)?;
+    assert!(
+        block_bands == rice_bands && reference_bands == rice_bands,
+        "the block decode and the per-codeword reference must decode the codec's subbands"
+    );
+    assert!(
+        lwc_bench::encode_subbands(&rice_codec, &rice_header, &rice_bands) == rice_stream,
+        "re-encoding the decoded subbands must reproduce the stream byte for byte"
+    );
+    let block_decode = Timing::measure(reps, || {
+        lwc_bench::decode_subbands_into(&rice_codec, &rice_stream, &mut block_bands).map(|_| ())
+    })?;
+    let per_codeword_decode = Timing::measure(reps, || {
+        lwc_bench::per_codeword_decode_subbands_into(
+            &rice_codec,
+            &rice_stream,
+            &mut reference_bands,
+        )
+        .map(|_| ())
+    })?;
+    let codec_decode = best(&|| {
+        std::hint::black_box(rice_codec.decode_subbands(&rice_stream)?);
+        Ok(())
+    })?;
+    let rice_encode = best(&|| {
+        std::hint::black_box(lwc_bench::encode_subbands(&rice_codec, &rice_header, &rice_bands));
+        Ok(())
+    })?;
+    let rice_dicom =
+        dicom::encode(&ImageStack::from_slices(std::slice::from_ref(&rice_frame))?, true, false)?;
+    let dicom_parse = Timing::measure(reps, || {
+        std::hint::black_box(dicom::parse(&rice_dicom)?.frame0()?);
+        Ok::<_, ImageError>(())
+    })?
+    .scaled(1e3);
+    json.push_str(&format!(
+        "  \"rice\": {{\n    \"frame\": {{\"width\": {rice_side}, \"height\": {rice_side}, \
+         \"bit_depth\": 12, \"scales\": {}, \"bits_per_sample\": {:.4}}},\n    \"decode\": \
+         {{\"block\": {{\"seconds\": {}, \"msamples_per_s\": {}}}, \"per_codeword\": \
+         {{\"seconds\": {}, \"msamples_per_s\": {}}}, \"block_speedup\": {:.3}, \
+         \"decode_subbands\": {{\"seconds\": {}, \"msamples_per_s\": {}}}}},\n    \
+         \"encode\": {{\"subband_codec\": {{\"seconds\": {}, \"msamples_per_s\": {}}}}},\n    \
+         \"dicom_parse_ms\": {}\n  }},\n",
+        rice_codec.scales(),
+        rice_stream.len() as f64 * 8.0 / rice_frame.pixel_count() as f64,
+        block_decode.json(6),
+        block_decode.rate_json(rice_msamples),
+        per_codeword_decode.json(6),
+        per_codeword_decode.rate_json(rice_msamples),
+        per_codeword_decode.median / block_decode.median,
+        codec_decode.json(6),
+        codec_decode.rate_json(rice_msamples),
+        rice_encode.json(6),
+        rice_encode.rate_json(rice_msamples),
+        dicom_parse.json(3),
+    ));
+    println!(
+        "rice ({rice_side}x{rice_side} subbands): block decode {:>8.1} Msamples/s vs \
+         per-codeword {:>8.1} Msamples/s ({:.2}x, values identical; decode_subbands with its \
+         allocation {:>8.1}), encode {:>8.1} Msamples/s (bytes identical); DICOM parse + \
+         frame0 {:.2} ms",
+        rice_msamples / block_decode.median,
+        rice_msamples / per_codeword_decode.median,
+        per_codeword_decode.median / block_decode.median,
+        rice_msamples / codec_decode.median,
+        rice_msamples / rice_encode.median,
+        dicom_parse.median,
+    );
 
     // Fixed-path codec: the paper-exact datapath plus its Rice entropy back
     // end, end to end into an LWCF container on the same large frame, swept
@@ -520,21 +617,22 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         let fixed = TiledFixedCompressor::new(&bank, fixed_scales, tile, 0)?;
         let grid = fixed.grid(large, large)?;
         let hw = fixed.transform();
-        let mut line_s = f64::INFINITY;
-        let mut multi_s = f64::INFINITY;
+        let (mut line_s, mut multi_s) = (Vec::new(), Vec::new());
         for _ in 0..reps.max(1) {
             let start = std::time::Instant::now();
             for i in 0..grid.tile_count() {
                 let window = large_image.view_rect(grid.rect(i))?;
                 std::hint::black_box(LineFixedDwt::forward_view(hw, &window)?);
             }
-            line_s = line_s.min(start.elapsed().as_secs_f64());
+            line_s.push(start.elapsed().as_secs_f64());
             let start = std::time::Instant::now();
             for i in 0..grid.tile_count() {
                 std::hint::black_box(hw.forward_view(&large_image.view_rect(grid.rect(i))?)?);
             }
-            multi_s = multi_s.min(start.elapsed().as_secs_f64());
+            multi_s.push(start.elapsed().as_secs_f64());
         }
+        let (line_ms, multi_ms) =
+            (Timing::from_runs(line_s).scaled(1e3), Timing::from_runs(multi_s).scaled(1e3));
         let fixed_stream = fixed.compress(&large_image)?;
         let fixed_compress = best(&|| {
             std::hint::black_box(fixed.compress(&large_image)?);
@@ -547,30 +645,31 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         let comma = if index + 1 == tile_sizes.len() { "" } else { "," };
         json.push_str(&format!(
             "    \"tile_{tile}\": {{\"tiles\": {}, \"workers\": {}, \"compressed_bytes\": \
-             {}, \"ratio\": {:.4}, \"forward_ms\": {{\"line\": {:.3}, \"multi_pass\": \
-             {:.3}, \"line_speedup\": {:.3}}}, \"compress\": {{\"seconds\": \
-             {fixed_compress:.6}, \"mb_per_s\": {:.3}}}, \"decompress\": {{\"seconds\": \
-             {fixed_decompress:.6}, \"mb_per_s\": {:.3}}}}}{comma}\n",
+             {}, \"ratio\": {:.4}, \"forward_ms\": {{\"line\": {}, \"multi_pass\": {}, \
+             \"line_speedup\": {:.3}}}, \"compress\": {{\"seconds\": {}, \"mb_per_s\": {}}}, \
+             \"decompress\": {{\"seconds\": {}, \"mb_per_s\": {}}}}}{comma}\n",
             grid.tile_count(),
             fixed.workers().min(grid.tile_count()),
             fixed_stream.len(),
             large_raw as f64 / fixed_stream.len() as f64,
-            line_s * 1e3,
-            multi_s * 1e3,
-            multi_s / line_s,
-            large_mb / fixed_compress,
-            large_mb / fixed_decompress,
+            line_ms.json(3),
+            multi_ms.json(3),
+            multi_ms.median / line_ms.median,
+            fixed_compress.json(6),
+            fixed_compress.rate_json(large_mb),
+            fixed_decompress.json(6),
+            fixed_decompress.rate_json(large_mb),
         ));
         println!(
             "fixed codec tile={tile:<4} ({} tiles): forward line {:>8.2} ms vs multi-pass \
              {:>8.2} ms ({:.2}x, 1 thread), compress {:>8.1} MB/s, decompress {:>8.1} MB/s, \
              ratio {:.2}:1 (lifting {:.2}:1)",
             grid.tile_count(),
-            line_s * 1e3,
-            multi_s * 1e3,
-            multi_s / line_s,
-            large_mb / fixed_compress,
-            large_mb / fixed_decompress,
+            line_ms.median,
+            multi_ms.median,
+            multi_ms.median / line_ms.median,
+            large_mb / fixed_compress.median,
+            large_mb / fixed_decompress.median,
             large_raw as f64 / fixed_stream.len() as f64,
             large_raw as f64 / lifting_len as f64,
         );
@@ -658,26 +757,28 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
             VolumeCompressor::with_codec(sequential, vol_z_scales, vol_tile, vol_tile, 8, workers)?;
         let bytes = engine.compress_stack(&vol_stack)?;
         assert_eq!(bytes, vol_reference, "LWCV bytes changed with {workers} workers");
-        let compress_seconds = best(&|| {
+        let compress = best(&|| {
             std::hint::black_box(engine.compress_stack(&vol_stack)?);
             Ok(())
         })?;
-        let decompress_seconds = best(&|| {
+        let decompress = best(&|| {
             std::hint::black_box(engine.decompress_stack(&bytes)?);
             Ok(())
         })?;
         json.push_str(&format!(
-            "    \"workers_{workers}\": {{\"compress\": {{\"seconds\": {compress_seconds:.6}, \
-             \"msamples_per_s\": {:.3}}}, \"decompress\": {{\"seconds\": \
-             {decompress_seconds:.6}, \"msamples_per_s\": {:.3}}}}},\n",
-            vol_msamples / compress_seconds,
-            vol_msamples / decompress_seconds,
+            "    \"workers_{workers}\": {{\"compress\": {{\"seconds\": {}, \
+             \"msamples_per_s\": {}}}, \"decompress\": {{\"seconds\": {}, \
+             \"msamples_per_s\": {}}}}},\n",
+            compress.json(6),
+            compress.rate_json(vol_msamples),
+            decompress.json(6),
+            decompress.rate_json(vol_msamples),
         ));
         println!(
             "volume {workers} worker(s) ({size}x{size}x{vol_depth}): compress {:>8.1} \
              Msamples/s, decompress {:>8.1} Msamples/s",
-            vol_msamples / compress_seconds,
-            vol_msamples / decompress_seconds,
+            vol_msamples / compress.median,
+            vol_msamples / decompress.median,
         );
     }
     println!(
@@ -687,14 +788,22 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     );
     let z_ms = brick_transform_ms(&vol_engine, &vol_stack, reps)?;
     json.push_str(&format!(
-        "    \"z_transform\": {{\"brick\": \"{}\", \"forward_z_ms\": {:.4}, \
-         \"inverse_z_ms\": {:.4}, \"forward_2d_ms\": {:.4}, \"inverse_2d_ms\": {:.4}}}\n",
-        z_ms.brick, z_ms.forward_z, z_ms.inverse_z, z_ms.forward_2d, z_ms.inverse_2d,
+        "    \"z_transform\": {{\"brick\": \"{}\", \"forward_z_ms\": {}, \
+         \"inverse_z_ms\": {}, \"forward_2d_ms\": {}, \"inverse_2d_ms\": {}}}\n",
+        z_ms.brick,
+        z_ms.forward_z.json(4),
+        z_ms.inverse_z.json(4),
+        z_ms.forward_2d.json(4),
+        z_ms.inverse_2d.json(4),
     ));
     println!(
         "volume transform per {} brick: z forward {:.3} / inverse {:.3} ms, 2-D of its planes \
          forward {:.3} / inverse {:.3} ms",
-        z_ms.brick, z_ms.forward_z, z_ms.inverse_z, z_ms.forward_2d, z_ms.inverse_2d,
+        z_ms.brick,
+        z_ms.forward_z.median,
+        z_ms.inverse_z.median,
+        z_ms.forward_2d.median,
+        z_ms.inverse_2d.median,
     );
     json.push_str("  },\n");
 
@@ -756,7 +865,7 @@ fn perfjson(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write("BENCH_throughput.json", &json)?;
     println!(
         "wrote BENCH_throughput.json ({} modes + {} tiled sweeps + {} fixed codec sweeps + \
-         dwt line + serve + volume + real corpus, best of {reps} reps)",
+         dwt line + rice + serve + volume + real corpus, median and min of {reps} reps)",
         modes.len(),
         tile_sizes.len(),
         tile_sizes.len()
@@ -1013,11 +1122,15 @@ fn volume(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "z pass = column reference; per {} brick: z forward {:.3} ms / inverse {:.3} ms vs 2-D \
          of its planes forward {:.3} ms / inverse {:.3} ms",
-        ms.brick, ms.forward_z, ms.inverse_z, ms.forward_2d, ms.inverse_2d,
+        ms.brick,
+        ms.forward_z.median,
+        ms.inverse_z.median,
+        ms.forward_2d.median,
+        ms.inverse_2d.median,
     );
     if std::env::var_os("LWC_STRICT_PERF").is_some_and(|v| v == "1") {
         assert!(
-            ms.inverse_z < ms.inverse_2d,
+            ms.inverse_z.median < ms.inverse_2d.median,
             "the inverse z pass must cost less than the brick's 2-D inverse"
         );
     }
@@ -1030,17 +1143,18 @@ fn volume(size: usize) -> Result<(), Box<dyn std::error::Error>> {
 struct BrickTransformMs {
     /// Brick shape, `WxHxD`.
     brick: String,
-    forward_z: f64,
-    inverse_z: f64,
-    forward_2d: f64,
-    inverse_2d: f64,
+    forward_z: Timing,
+    inverse_z: Timing,
+    forward_2d: Timing,
+    inverse_2d: Timing,
 }
 
 /// Times the transforms of brick 0 of `engine`'s grid over `stack` as the
 /// engine runs them: `forward_z`, the line cascade per z plane, the inverse
 /// cascade per plane from its subbands into the brick buffer
-/// (`LosslessCodec::reassemble_into`), `inverse_z`. Each figure is the mean
-/// over 50 back-to-back bricks, best of `reps` rounds.
+/// (`LosslessCodec::reassemble_into`), `inverse_z`. Each round takes the mean
+/// over 50 back-to-back bricks; each figure is the median and minimum of
+/// `reps` rounds.
 fn brick_transform_ms(
     engine: &VolumeCompressor,
     stack: &ImageStack,
@@ -1054,7 +1168,7 @@ fn brick_transform_ms(
     let codec = engine.codec();
     let header = codec.header_for_dims(width, height, stack.bit_depth())?;
     let mut samples = stack.view_brick(rect)?.to_samples();
-    let mut best = [f64::INFINITY; 4];
+    let mut rounds: [Vec<f64>; 4] = Default::default();
     for _ in 0..reps.max(1) {
         let mut total = [0f64; 4];
         for _ in 0..ITERS {
@@ -1083,11 +1197,11 @@ fn brick_transform_ms(
             inverse_z(&mut samples, plane_len, rect.depth, z_scales)?;
             total[3] += start.elapsed().as_secs_f64();
         }
-        for (best, total) in best.iter_mut().zip(total) {
-            *best = best.min(total * 1e3 / f64::from(ITERS));
+        for (round, total) in rounds.iter_mut().zip(total) {
+            round.push(total * 1e3 / f64::from(ITERS));
         }
     }
-    let [forward_z, forward_2d, inverse_2d, inverse_z] = best;
+    let [forward_z, forward_2d, inverse_2d, inverse_z] = rounds.map(Timing::from_runs);
     Ok(BrickTransformMs {
         brick: format!("{width}x{height}x{}", rect.depth),
         forward_z,

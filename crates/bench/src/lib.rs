@@ -17,7 +17,9 @@
 #![warn(missing_docs)]
 
 pub mod corpus;
+pub mod perf;
 
+use lwc_core::lwc_coder::StreamHeader;
 use lwc_core::prelude::*;
 
 /// The deterministic 12-bit random image used by the benchmarks
@@ -115,6 +117,103 @@ pub fn multi_pass_decompress(
     Ok(codec.transform().inverse_raw_owned(coeffs)?)
 }
 
+/// Decodes the subbands of `bytes` into `subbands`, which must be shaped as
+/// [`LosslessCodec::decode_subbands`] returns them, each through
+/// [`SubbandCodec::decode_subband_into`] — the block decode without the
+/// output allocation, so `reproduce perfjson` times the coder alone.
+///
+/// # Errors
+///
+/// Returns the codec's error for a malformed stream.
+///
+/// [`SubbandCodec::decode_subband_into`]: lwc_core::lwc_coder::SubbandCodec::decode_subband_into
+pub fn decode_subbands_into(
+    codec: &LosslessCodec,
+    bytes: &[u8],
+    subbands: &mut [Vec<i32>],
+) -> Result<StreamHeader, lwc_core::lwc_coder::CoderError> {
+    let mut reader = lwc_core::lwc_coder::bitio::BitReader::new(bytes);
+    let header = read_stream_header(codec, bytes, &mut reader, subbands)?;
+    for samples in subbands {
+        codec.subband_codec().decode_subband_into(&mut reader, samples)?;
+    }
+    Ok(header)
+}
+
+/// The per-codeword reference of [`decode_subbands_into`]: the same stream
+/// walk, but every value through [`rice::decode_value`] instead of the block
+/// decode. `reproduce perfjson` times the two against each other and asserts
+/// they decode the same subbands.
+///
+/// # Errors
+///
+/// Returns the codec's error for a malformed stream.
+///
+/// [`rice::decode_value`]: lwc_core::lwc_coder::rice::decode_value
+pub fn per_codeword_decode_subbands_into(
+    codec: &LosslessCodec,
+    bytes: &[u8],
+    subbands: &mut [Vec<i32>],
+) -> Result<StreamHeader, lwc_core::lwc_coder::CoderError> {
+    use lwc_core::lwc_coder::rice::{self, MAX_RICE_PARAMETER};
+    use lwc_core::lwc_coder::{CoderError, BLOCK_SIZE};
+    let mut reader = lwc_core::lwc_coder::bitio::BitReader::new(bytes);
+    let header = read_stream_header(codec, bytes, &mut reader, subbands)?;
+    for samples in subbands {
+        for block in samples.chunks_mut(BLOCK_SIZE) {
+            let k = reader.read_bits(5)? as u32;
+            if k > MAX_RICE_PARAMETER {
+                return Err(CoderError::MalformedStream(format!("rice parameter {k}")));
+            }
+            for slot in block {
+                *slot = rice::decode_value(&mut reader, k)?;
+            }
+        }
+    }
+    Ok(header)
+}
+
+/// Reads and checks the header of `bytes`, and that `subbands` has one
+/// buffer of the right length per subband.
+fn read_stream_header(
+    codec: &LosslessCodec,
+    bytes: &[u8],
+    reader: &mut lwc_core::lwc_coder::bitio::BitReader<'_>,
+    subbands: &[Vec<i32>],
+) -> Result<StreamHeader, lwc_core::lwc_coder::CoderError> {
+    use lwc_core::lwc_coder::{subband_order, CoderError};
+    let header = StreamHeader::read(reader)?;
+    header.ensure_scales(codec.scales())?;
+    header.ensure_plausible_length(bytes.len())?;
+    let lengths = subband_order(codec.scales()).map(|(scale, band)| header.band_len(scale, band));
+    if !lengths.eq(subbands.iter().map(Vec::len)) {
+        return Err(CoderError::MalformedStream("subband buffers do not fit the stream".into()));
+    }
+    Ok(header)
+}
+
+/// Writes `header` then every subband through the codec's
+/// [`SubbandCodec::encode_subband`] in [`subband_order`] — the entropy half
+/// of [`LosslessCodec::compress`] on its own. Fed the subbands
+/// [`LosslessCodec::decode_subbands`] returns, it reproduces the stream byte
+/// for byte.
+///
+/// [`SubbandCodec::encode_subband`]: lwc_core::lwc_coder::SubbandCodec::encode_subband
+/// [`subband_order`]: lwc_core::lwc_coder::subband_order
+#[must_use]
+pub fn encode_subbands(
+    codec: &LosslessCodec,
+    header: &StreamHeader,
+    subbands: &[Vec<i32>],
+) -> Vec<u8> {
+    let mut writer = lwc_core::lwc_coder::bitio::BitWriter::new();
+    header.write(&mut writer);
+    for samples in subbands {
+        codec.subband_codec().encode_subband(&mut writer, samples);
+    }
+    writer.into_bytes()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,6 +237,27 @@ mod tests {
             let reference = multi_pass_decompress(&codec, &bytes).unwrap();
             assert_eq!(reference, codec.decompress_raw(&bytes).unwrap().1, "delta {delta}");
         }
+    }
+
+    #[test]
+    fn rice_references_reproduce_the_codec() {
+        let image = synth::ct_phantom(70, 45, 12, 8);
+        let codec = LosslessCodec::new(3).unwrap();
+        let bytes = codec.compress(&image).unwrap();
+        let (header, subbands) = codec.decode_subbands(&bytes).unwrap();
+        let mut block = subbands.iter().map(|s| vec![0; s.len()]).collect::<Vec<_>>();
+        let mut reference = block.clone();
+        assert_eq!(decode_subbands_into(&codec, &bytes, &mut block).unwrap(), header);
+        assert_eq!(
+            per_codeword_decode_subbands_into(&codec, &bytes, &mut reference).unwrap(),
+            header
+        );
+        assert_eq!((&block, &reference), (&subbands, &subbands));
+        assert_eq!(encode_subbands(&codec, &header, &subbands), bytes);
+        let cut = &bytes[..bytes.len() / 2];
+        assert!(decode_subbands_into(&codec, cut, &mut block).is_err());
+        assert!(per_codeword_decode_subbands_into(&codec, cut, &mut reference).is_err());
+        assert!(decode_subbands_into(&codec, &bytes, &mut block[1..]).is_err());
     }
 
     #[test]

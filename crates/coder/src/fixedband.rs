@@ -17,11 +17,10 @@
 //!
 //! The bit-level machinery is the same word-at-a-time
 //! [`BitWriter`]/[`BitReader`] the rest of the codec uses, and the codewords
-//! themselves are written by [`rice::encode_zigzag`], so both entropy back
-//! ends share one Rice kernel.
+//! themselves are written by [`BitWriter::write_codewords`], so both entropy
+//! back ends share one Rice kernel.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::rice;
 use crate::subband::BLOCK_SIZE;
 use crate::CoderError;
 
@@ -38,7 +37,7 @@ pub const MAX_FIXED_RICE_PARAMETER: u32 = 62;
 pub const FIXED_PARAMETER_BITS: u32 = 6;
 
 /// Maps a signed 64-bit word onto a non-negative one (0, -1, 1, -2, 2, … →
-/// 0, 1, 2, 3, 4, …); the wide form of [`rice::zigzag_encode`].
+/// 0, 1, 2, 3, 4, …); the wide form of [`crate::rice::zigzag_encode`].
 #[must_use]
 #[inline]
 pub fn zigzag_encode_wide(value: i64) -> u64 {
@@ -106,9 +105,7 @@ impl FixedSubbandCodec {
             let mapped = &zigzag[..block.len()];
             let k = fixed_parameter_for_zigzag_sum(sum, mapped.len());
             writer.write_bits(u64::from(k), FIXED_PARAMETER_BITS);
-            for &u in mapped {
-                rice::encode_zigzag(writer, u, k);
-            }
+            writer.write_codewords(k, mapped);
         }
         writer.bit_len() - before
     }
@@ -131,7 +128,7 @@ impl FixedSubbandCodec {
         while remaining > 0 {
             let block_len = remaining.min(BLOCK_SIZE);
             let k = self.read_parameter(reader)?;
-            // Grow once and write through the slice (see rice::decode_into).
+            // Grow once and write through the slice.
             let start = out.len();
             out.resize(start + block_len, 0);
             for slot in &mut out[start..] {

@@ -25,11 +25,11 @@
 use crate::bitio::BitWriter;
 use crate::codec::subband_slot;
 use crate::quant::{self, QuantSchedule};
-use crate::{StreamHeader, StreamingSubbandEncoder};
+use crate::{subband_order, StreamHeader, StreamingSubbandEncoder};
 use lwc_lifting::{CoeffRow, LineDwt53};
 
 #[cfg(doc)]
-use crate::{subband_order, LosslessCodec};
+use crate::LosslessCodec;
 
 /// An in-progress streaming encode, opened by [`LosslessCodec::begin`]: push
 /// pixel rows top to bottom with [`RowEncoder::push_row`], collect the
@@ -96,8 +96,11 @@ impl RowEncoder {
     /// schedule of the header's delta.
     pub(crate) fn new(header: StreamHeader) -> Result<Self, lwc_lifting::LiftingError> {
         let dwt = LineDwt53::new(header.width, header.height, header.scales)?;
-        let encoders =
-            (0..3 * header.scales as usize + 1).map(|_| StreamingSubbandEncoder::new()).collect();
+        let encoders = subband_order(header.scales)
+            .map(|(scale, band)| {
+                StreamingSubbandEncoder::with_capacity(header.band_len(scale, band))
+            })
+            .collect();
         let bands = BandSinks {
             scales: header.scales,
             schedule: QuantSchedule::for_delta(header.delta, header.scales),
@@ -149,10 +152,13 @@ impl RowEncoder {
     pub fn finish(mut self) -> Vec<u8> {
         let bands = &mut self.bands;
         self.dwt.finish(&mut |c: CoeffRow<'_>| bands.accept(c));
-        let mut writer = BitWriter::new();
+        let streams: Vec<(Vec<u8>, u64)> =
+            self.bands.encoders.into_iter().map(StreamingSubbandEncoder::finish).collect();
+        // The header is a few bytes; one allocation holds the whole stream.
+        let bits: u64 = streams.iter().map(|(_, bits)| bits).sum();
+        let mut writer = BitWriter::with_capacity((bits / 8) as usize + 64);
         self.header.write(&mut writer);
-        for encoder in self.bands.encoders {
-            let (bytes, bits) = encoder.finish();
+        for (bytes, bits) in streams {
             writer.append(&bytes, bits);
         }
         writer.into_bytes()

@@ -68,27 +68,16 @@ fn parameter_for_mean(mean: f64) -> u32 {
 /// when `k` comes from [`optimal_parameter`] over the block containing
 /// `value` the run never exceeds [`crate::MAX_UNARY_RUN_BITS`] bits (see the
 /// derivation there), which is why the stream format needs no escape code.
+///
+/// # Panics
+///
+/// Panics if `k >= 64`.
 pub fn encode_value(writer: &mut BitWriter, value: i32, k: u32) {
-    encode_zigzag(writer, zigzag_encode(value), k);
+    writer.write_codewords(k, &[zigzag_encode(value)]);
 }
 
-/// Writes one already zig-zag mapped value with Rice parameter `k`.
-#[inline]
-pub fn encode_zigzag(writer: &mut BitWriter, u: u64, k: u32) {
-    let quotient = u >> k;
-    let remainder = u & ((1u64 << k) - 1);
-    let total = quotient + 1 + u64::from(k);
-    if total <= 57 {
-        // Fast path: the whole codeword — `quotient` ones, the zero
-        // terminator, then the remainder — fits one `write_bits` field.
-        writer.write_bits((((1 << (quotient + 1)) - 2) << k) | remainder, total as u32);
-    } else {
-        writer.write_unary(quotient);
-        writer.write_bits(remainder, k);
-    }
-}
-
-/// Reads one value coded with Rice parameter `k`.
+/// Reads one value coded with Rice parameter `k` — the per-codeword
+/// reference the block decode ([`decode_block`]) is checked against.
 ///
 /// # Errors
 ///
@@ -97,6 +86,17 @@ pub fn encode_zigzag(writer: &mut BitWriter, u: u64, k: u32) {
 pub fn decode_value(reader: &mut BitReader<'_>, k: u32) -> Result<i32, CoderError> {
     let (quotient, remainder) = reader.read_unary_then_bits(k)?;
     Ok(zigzag_decode((quotient << k) | remainder))
+}
+
+/// Decodes `out.len()` values coded with parameter `k` through the block
+/// decode ([`BitReader::read_codewords`]): the same values, and on a
+/// truncated stream the same error, as [`decode_value`] once per slot.
+///
+/// # Errors
+///
+/// Returns [`CoderError::MalformedStream`] at end of input.
+pub fn decode_block(reader: &mut BitReader<'_>, out: &mut [i32], k: u32) -> Result<(), CoderError> {
+    reader.read_codewords(k, out, zigzag_decode)
 }
 
 /// Encodes a whole slice with a single parameter, returning the number of
@@ -119,40 +119,113 @@ pub fn decode_slice(
     count: usize,
     k: u32,
 ) -> Result<Vec<i32>, CoderError> {
-    let mut out = Vec::with_capacity(count);
-    decode_into(reader, &mut out, count, k)?;
+    let mut out = vec![0; count];
+    decode_block(reader, &mut out, k)?;
     Ok(out)
-}
-
-/// Decodes `count` values coded with parameter `k`, appending them to `out`
-/// without any intermediate allocation (the per-block hot path of the
-/// subband decoder).
-///
-/// # Errors
-///
-/// Returns [`CoderError::MalformedStream`] at end of input.
-pub fn decode_into(
-    reader: &mut BitReader<'_>,
-    out: &mut Vec<i32>,
-    count: usize,
-    k: u32,
-) -> Result<(), CoderError> {
-    // Grow once and write through the slice so the hot loop has no growth
-    // checks. On error the zero-filled tail is discarded by the caller along
-    // with the rest of the output.
-    let start = out.len();
-    out.resize(start + count, 0);
-    for slot in &mut out[start..] {
-        *slot = decode_value(reader, k)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Samples per block decode call, as in the subband coder.
+    const BLOCK: usize = 64;
+
+    /// `count` values through the per-codeword reference, after skipping
+    /// `lead` bits.
+    fn reference_decode(bytes: &[u8], lead: u32, count: usize, k: u32) -> Result<Vec<i32>, String> {
+        let mut reader = BitReader::new(bytes);
+        reader.read_bits(lead).map_err(|e| e.to_string())?;
+        (0..count).map(|_| decode_value(&mut reader, k).map_err(|e| e.to_string())).collect()
+    }
+
+    /// The same through the block decode, one call per 64-value block with a
+    /// ragged final block.
+    fn block_decode(bytes: &[u8], lead: u32, count: usize, k: u32) -> Result<Vec<i32>, String> {
+        let mut reader = BitReader::new(bytes);
+        reader.read_bits(lead).map_err(|e| e.to_string())?;
+        let mut out = vec![0; count];
+        for block in out.chunks_mut(BLOCK) {
+            decode_block(&mut reader, block, k).map_err(|e| e.to_string())?;
+        }
+        Ok(out)
+    }
+
+    /// A stream of `lead` random bits then `count` codewords at parameter
+    /// `k`, written field by field: a quarter of the quotients run past the
+    /// 64-bit look-ahead window.
+    fn random_codewords(rng: &mut StdRng, lead: u32, count: usize, k: u32) -> Vec<u8> {
+        let mut writer = BitWriter::new();
+        writer.write_bits(rng.gen_range(0..=u64::MAX), lead);
+        for _ in 0..count {
+            let quotient = if rng.gen_range(0..4u32) == 0 {
+                rng.gen_range(57..300)
+            } else {
+                rng.gen_range(0..6)
+            };
+            writer.write_unary(quotient);
+            writer.write_bits(rng.gen_range(0..=u64::MAX), k);
+        }
+        writer.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The block decode returns the per-codeword reference's values on
+        /// random streams at every parameter 0..=30 and leading bit offset,
+        /// and on every truncation of the stream the same error, never a
+        /// panic.
+        #[test]
+        fn block_decode_matches_the_per_codeword_reference(
+            seed in 0u64..1_000_000,
+            lead in 0u32..64,
+            count in 1usize..150,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let k = rng.gen_range(0..=MAX_RICE_PARAMETER);
+            let bytes = random_codewords(&mut rng, lead, count, k);
+            let expected = reference_decode(&bytes, lead, count, k);
+            prop_assert!(expected.is_ok());
+            prop_assert_eq!(block_decode(&bytes, lead, count, k), expected);
+            for len in 0..bytes.len() {
+                let cut = &bytes[..len];
+                let (block, reference) =
+                    (block_decode(cut, lead, count, k), reference_decode(cut, lead, count, k));
+                prop_assert!(
+                    block == reference,
+                    "k {k}, lead {lead}, truncated to {len} bytes: {block:?} vs {reference:?}"
+                );
+            }
+        }
+
+        /// Arbitrary bytes — not an encoder's output — decode to the same
+        /// values or the same error through both paths.
+        #[test]
+        fn block_decode_matches_the_reference_on_noise(
+            seed in 0u64..1_000_000,
+            len in 0usize..96,
+            count in 1usize..200,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let k = rng.gen_range(0..=MAX_RICE_PARAMETER);
+            // Bias towards ones so long runs and unterminated tails show up.
+            let dense = rng.gen_range(0..2u32) == 0;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| if dense { rng.gen_range(0..=255u8) | rng.gen_range(0..=255u8) } else {
+                    rng.gen_range(0..=255u8)
+                })
+                .collect();
+            let lead = rng.gen_range(0..8u32);
+            prop_assert_eq!(
+                block_decode(&bytes, lead, count, k),
+                reference_decode(&bytes, lead, count, k)
+            );
+        }
+    }
 
     #[test]
     fn zigzag_is_a_bijection_on_interesting_values() {

@@ -59,31 +59,50 @@ impl SubbandCodec {
         writer.bit_len() - before
     }
 
-    /// Decodes one subband of `count` samples.
+    /// Decodes one subband of `count` samples: the output is sized once and
+    /// filled by [`SubbandCodec::decode_subband_into`].
     ///
     /// # Errors
     ///
     /// Returns [`CoderError::MalformedStream`] if the stream is truncated or
     /// a stored parameter is out of range.
+    // Not `vec![0; count]`: that is a `calloc`, which glibc serves under the
+    // arena lock every time, while a `malloc` of a small band comes from the
+    // thread's cache, so parallel brick decodes do not queue on the lock.
+    #[allow(clippy::slow_vector_initialization)]
     pub fn decode_subband(
         self,
         reader: &mut BitReader<'_>,
         count: usize,
     ) -> Result<Vec<i32>, CoderError> {
         let mut out = Vec::with_capacity(count);
-        let mut remaining = count;
-        while remaining > 0 {
-            let block_len = remaining.min(BLOCK_SIZE);
+        out.resize(count, 0);
+        self.decode_subband_into(reader, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decodes one subband of `out.len()` samples into `out`, each block
+    /// through the block decode ([`rice::decode_block`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoderError::MalformedStream`] if the stream is truncated or
+    /// a stored parameter is out of range.
+    pub fn decode_subband_into(
+        self,
+        reader: &mut BitReader<'_>,
+        out: &mut [i32],
+    ) -> Result<(), CoderError> {
+        for block in out.chunks_mut(BLOCK_SIZE) {
             let k = reader.read_bits(5)? as u32;
             if k > MAX_RICE_PARAMETER {
                 return Err(CoderError::MalformedStream(format!(
                     "rice parameter {k} exceeds the supported maximum"
                 )));
             }
-            rice::decode_into(reader, &mut out, block_len, k)?;
-            remaining -= block_len;
+            rice::decode_block(reader, block, k)?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -107,9 +126,7 @@ fn encode_block(writer: &mut BitWriter, block: &[i32]) {
     let mapped = &zigzag[..block.len()];
     let k = rice::parameter_for_zigzag_sum(sum, mapped.len());
     writer.write_bits(u64::from(k), 5);
-    for &u in mapped {
-        rice::encode_zigzag(writer, u, k);
-    }
+    writer.write_codewords(k, mapped);
 }
 
 /// Incremental counterpart of [`SubbandCodec::encode_subband`] for one
@@ -134,6 +151,18 @@ impl StreamingSubbandEncoder {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an encoder for a subband of `samples` samples, with room for
+    /// one pending block and for a stream of about 4 bits per sample, so the
+    /// usual band is coded without growing either buffer. The stream is the
+    /// same as [`StreamingSubbandEncoder::new`]'s.
+    #[must_use]
+    pub fn with_capacity(samples: usize) -> Self {
+        Self {
+            writer: BitWriter::with_capacity(samples / 2 + 16),
+            pending: Vec::with_capacity(samples.min(BLOCK_SIZE)),
+        }
     }
 
     /// Appends samples, encoding every full block they complete.
@@ -187,18 +216,25 @@ mod tests {
         let mut reference = BitWriter::new();
         let reference_bits = SubbandCodec::new().encode_subband(&mut reference, &samples);
 
-        for push_sizes in [vec![1000], vec![1; 1000], vec![37, 64, 640, 259], vec![63, 65, 872]] {
-            let mut enc = StreamingSubbandEncoder::new();
-            let mut offset = 0;
-            for size in push_sizes {
-                enc.push(&samples[offset..offset + size]);
-                offset += size;
-                assert!(enc.buffered_samples() < BLOCK_SIZE);
+        let schedules = [vec![1000], vec![1; 1000], vec![37, 64, 640, 259], vec![63, 65, 872]];
+        // Unsized, and sized with a short, exact and long guess.
+        for capacity in [None, Some(0), Some(63), Some(1000), Some(5000)] {
+            for push_sizes in &schedules {
+                let mut enc = capacity.map_or_else(
+                    StreamingSubbandEncoder::new,
+                    StreamingSubbandEncoder::with_capacity,
+                );
+                let mut offset = 0;
+                for &size in push_sizes {
+                    enc.push(&samples[offset..offset + size]);
+                    offset += size;
+                    assert!(enc.buffered_samples() < BLOCK_SIZE);
+                }
+                assert_eq!(offset, samples.len());
+                let (bytes, bits) = enc.finish();
+                assert_eq!(bits, reference_bits);
+                assert_eq!(bytes, reference.clone().into_bytes());
             }
-            assert_eq!(offset, samples.len());
-            let (bytes, bits) = enc.finish();
-            assert_eq!(bits, reference_bits);
-            assert_eq!(bytes, reference.clone().into_bytes());
         }
     }
 

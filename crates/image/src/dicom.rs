@@ -66,13 +66,16 @@ pub struct DicomImage {
 }
 
 impl DicomImage {
-    /// The first (often only) frame as an [`Image`].
+    /// Consumes the object and returns its first (often only) frame as an
+    /// [`Image`]. Slice 0 is moved, not copied; for a multi-frame object the
+    /// buffer is truncated to that slice and shrunk, so the other frames are
+    /// freed. Read [`DicomImage::stack`] first to keep them.
     ///
     /// # Errors
     ///
     /// Cannot fail for a parsed object (the stack always has a slice 0).
-    pub fn frame0(&self) -> Result<Image, ImageError> {
-        self.stack.slice_image(0)
+    pub fn frame0(self) -> Result<Image, ImageError> {
+        Ok(self.stack.into_first_slice())
     }
 }
 
@@ -348,26 +351,17 @@ fn assemble(
     let pixel_bytes = &pixel_bytes[..expected];
 
     // Only now — with a pixel slice of exactly the implied size in hand — is
-    // the sample buffer allocated.
-    let offset = if signed { 1i32 << (bits_stored - 1) } else { 0 };
-    let mask = ((1u32 << bits_stored) - 1) as i32;
-    let widen = |raw: u32| -> i32 {
-        let stored = (raw as i32) & mask;
-        if signed && stored >= 1i32 << (bits_stored - 1) {
-            stored - (1i32 << bits_stored) + offset
-        } else {
-            stored + offset
-        }
-    };
+    // the sample buffer allocated. Widening masks to Bits Stored and, for
+    // signed data, sign-extends from it and adds 2^(bits_stored-1), so every
+    // sample lands in [0, 2^bits_stored) by construction and the stack needs
+    // no range pass.
     let samples: Vec<i32> = if bytes_per_sample == 1 {
-        pixel_bytes.iter().map(|&b| widen(u32::from(b))).collect()
+        widen(pixel_bytes.iter().map(|&b| u32::from(b)), bits_stored, signed)
     } else {
-        pixel_bytes
-            .chunks_exact(2)
-            .map(|pair| widen(u32::from(u16::from_le_bytes([pair[0], pair[1]]))))
-            .collect()
+        let raw = pixel_bytes.chunks_exact(2).map(|p| u32::from(u16::from_le_bytes([p[0], p[1]])));
+        widen(raw, bits_stored, signed)
     };
-    let stack = ImageStack::from_samples(columns, rows, frames, bits_stored, samples)?;
+    let stack = ImageStack::from_checked_parts(columns, rows, frames, bits_stored, samples);
     Ok(DicomImage {
         stack,
         bits_stored,
@@ -376,6 +370,21 @@ fn assemble(
         rescale_slope: attrs.rescale_slope.unwrap_or(1.0),
         transfer_syntax,
     })
+}
+
+/// Maps raw stored words to unsigned samples of `bits_stored` (1–16) bits:
+/// the word is masked to Bits Stored; a signed word is sign-extended from
+/// that width and shifted up by `2^(bits_stored-1)`. Either way the result
+/// lies in `[0, 2^bits_stored)`.
+fn widen(raw: impl ExactSizeIterator<Item = u32>, bits_stored: u32, signed: bool) -> Vec<i32> {
+    let shift = 32 - bits_stored;
+    if signed {
+        let offset = 1i32 << (bits_stored - 1);
+        raw.map(|word| (((word << shift) as i32) >> shift) + offset).collect()
+    } else {
+        let mask = u32::MAX >> shift;
+        raw.map(|word| (word & mask) as i32).collect()
+    }
 }
 
 /// Reads and parses a DICOM stream from `reader`.
@@ -651,6 +660,90 @@ mod tests {
         match parse(&forged) {
             Err(ImageError::MalformedDicom(msg)) => assert!(msg.contains("pixel"), "{msg}"),
             other => panic!("expected MalformedDicom, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn frame0_of_a_multi_frame_object_is_slice_0_exactly() {
+        let stack = sample_stack(3);
+        let parsed = parse(&encode(&stack, true, false).unwrap()).unwrap();
+        let slice0 = parsed.stack.slice_image(0).unwrap();
+        assert_eq!(slice0, stack.slice_image(0).unwrap());
+        assert_eq!(parsed.frame0().unwrap(), slice0);
+    }
+
+    /// Byte offset of the value field of the first element tagged `tag`
+    /// (both syntaxes put it 8 bytes past the tag for a short value).
+    fn value_offset(bytes: &[u8], tag: (u16, u16)) -> usize {
+        let mut pattern = tag.0.to_le_bytes().to_vec();
+        pattern.extend_from_slice(&tag.1.to_le_bytes());
+        (PREAMBLE_LEN..bytes.len() - 4).find(|&i| bytes[i..i + 4] == pattern[..]).unwrap() + 8
+    }
+
+    /// Parses `bytes`, which must not panic, and checks the invariant the
+    /// stack construction relies on instead of a range pass: every sample of
+    /// an `Ok` object lies in `[0, 2^bits_stored)`.
+    fn parse_within_bits_stored(bytes: &[u8], what: &str) {
+        if let Ok(parsed) = parse(bytes) {
+            assert_eq!(parsed.stack.bit_depth(), parsed.bits_stored, "{what}");
+            let end = 1i32 << parsed.bits_stored;
+            if let Some(v) = parsed.stack.samples().iter().find(|v| !(0..end).contains(*v)) {
+                panic!("{what}: sample {v} outside [0, {end}) at {} bits", parsed.bits_stored);
+            }
+        }
+    }
+
+    /// Objects at every Bits Stored 1–16, signed and unsigned, in both
+    /// syntaxes, with 8 and 16 bits allocated: every bit of the meta group
+    /// and the pixel-module elements flipped, and every truncation, parses
+    /// to a typed error or to samples inside `[0, 2^bits_stored)`, never a
+    /// panic.
+    #[test]
+    fn flipped_and_truncated_headers_never_panic_and_stay_in_range() {
+        for explicit in [true, false] {
+            for signed in [false, true] {
+                for bits_stored in 1..=16u32 {
+                    // Natively coded: 8 bits allocated up to 8 stored.
+                    let slices: Vec<Image> = (0..2)
+                        .map(|z| synth::random_image(5, 3, bits_stored, u64::from(bits_stored) + z))
+                        .collect();
+                    let native = ImageStack::from_slices(&slices).unwrap();
+                    let mut objects = vec![encode(&native, explicit, signed).unwrap()];
+                    if bits_stored <= 8 {
+                        // 16 bits allocated with fewer stored: the words
+                        // carry bits above Bits Stored, which must be masked.
+                        let wide: Vec<Image> =
+                            (0..2).map(|z| synth::random_image(5, 3, 16, 40 + z)).collect();
+                        let mut bytes =
+                            encode(&ImageStack::from_slices(&wide).unwrap(), explicit, signed)
+                                .unwrap();
+                        let at = value_offset(&bytes, (0x0028, 0x0101));
+                        bytes[at..at + 2].copy_from_slice(&(bits_stored as u16).to_le_bytes());
+                        objects.push(bytes);
+                    }
+                    for bytes in &objects {
+                        let what =
+                            format!("explicit {explicit} signed {signed} {bits_stored} bits");
+                        let parsed = parse(bytes).unwrap();
+                        assert_eq!((parsed.bits_stored, parsed.signed), (bits_stored, signed));
+                        parse_within_bits_stored(bytes, &what);
+                        let pixels = value_offset(bytes, (0x7FE0, 0x0010));
+                        for at in PREAMBLE_LEN..pixels {
+                            for bit in 0..8 {
+                                let mut flipped = bytes.clone();
+                                flipped[at] ^= 1 << bit;
+                                parse_within_bits_stored(
+                                    &flipped,
+                                    &format!("{what}, flip {at}.{bit}"),
+                                );
+                            }
+                        }
+                        for len in 0..bytes.len() {
+                            parse_within_bits_stored(&bytes[..len], &format!("{what}, cut {len}"));
+                        }
+                    }
+                }
+            }
         }
     }
 

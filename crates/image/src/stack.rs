@@ -93,6 +93,22 @@ impl ImageStack {
         Ok(Self { width, height, depth, bit_depth, samples })
     }
 
+    /// Assembles a stack from parts the caller already validated: nonzero
+    /// dimensions whose product is `samples.len()`, a bit depth in 1–16 and
+    /// every sample in `[0, 2^bit_depth)`. The DICOM reader builds its
+    /// samples in range by construction, so it skips the range pass.
+    pub(crate) fn from_checked_parts(
+        width: usize,
+        height: usize,
+        depth: usize,
+        bit_depth: u32,
+        samples: Vec<i32>,
+    ) -> Self {
+        debug_assert_eq!(samples.len(), width * height * depth);
+        debug_assert!(samples.iter().all(|v| (0..1 << bit_depth).contains(v)));
+        Self { width, height, depth, bit_depth, samples }
+    }
+
     /// An all-zero stack.
     ///
     /// # Errors
@@ -240,6 +256,16 @@ impl ImageStack {
             });
         }
         Ok(Image::from_checked_parts(self.width, self.height, self.bit_depth, self.samples))
+    }
+
+    /// Moves slice 0 into an owned [`Image`]: the buffer is truncated to
+    /// one plane and shrunk, so nothing is copied and the other slices are
+    /// freed.
+    pub(crate) fn into_first_slice(self) -> Image {
+        let mut samples = self.samples;
+        samples.truncate(self.width * self.height);
+        samples.shrink_to_fit();
+        Image::from_checked_parts(self.width, self.height, self.bit_depth, samples)
     }
 
     /// The read-only view of the whole volume.

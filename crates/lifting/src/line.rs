@@ -339,6 +339,10 @@ pub struct LineDwt53 {
     finished: bool,
     /// Recycled LL row buffers passed between cascade levels.
     pool: Vec<Vec<i32>>,
+    /// The LL rows one level hands the next during a sweep, kept between
+    /// sweeps so a pushed row allocates nothing once the rings are warm.
+    inputs: Vec<Vec<i32>>,
+    outputs: Vec<Vec<i32>>,
 }
 
 impl LineDwt53 {
@@ -360,7 +364,17 @@ impl LineDwt53 {
         let levels = (0..scales)
             .map(|l| Level::new(l + 1, scaled_dim(width, l), scaled_dim(height, l)))
             .collect();
-        Ok(Self { width, height, scales, levels, rows_in: 0, finished: false, pool: Vec::new() })
+        Ok(Self {
+            width,
+            height,
+            scales,
+            levels,
+            rows_in: 0,
+            finished: false,
+            pool: Vec::new(),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+        })
     }
 
     /// Image width.
@@ -428,8 +442,7 @@ impl LineDwt53 {
     /// released, then pump it. With `flush` set, levels are flushed bottom-up
     /// so boundary tails propagate in one sweep.
     fn run_levels(&mut self, flush: bool, emit: &mut dyn FnMut(CoeffRow<'_>)) {
-        let mut inputs: Vec<Vec<i32>> = Vec::new();
-        let mut outputs: Vec<Vec<i32>> = Vec::new();
+        let (inputs, outputs) = (&mut self.inputs, &mut self.outputs);
         let level_count = self.levels.len();
         for li in 0..level_count {
             let is_top = li + 1 == level_count;
@@ -441,8 +454,8 @@ impl LineDwt53 {
             if flush {
                 level.flushed = true;
             }
-            level.pump(is_top, &mut outputs, &mut self.pool, emit);
-            std::mem::swap(&mut inputs, &mut outputs);
+            level.pump(is_top, outputs, &mut self.pool, emit);
+            std::mem::swap(inputs, outputs);
         }
         // The top level emits band 0 instead of cascading.
         debug_assert!(inputs.is_empty() && outputs.is_empty());
