@@ -2,7 +2,7 @@
 //! subbands, with an opt-in near-lossless quantization mode.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::quant::{self, QuantSchedule};
+use crate::quant::{self, clamp_reconstruction, QuantSchedule};
 use crate::{CoderError, RowEncoder, SubbandCodec};
 use lwc_image::{Image, ImageView};
 use lwc_lifting::geometry::band_len;
@@ -359,21 +359,11 @@ impl LosslessCodec {
         Ok(header)
     }
 
-    /// Wraps a reconstructed sample buffer as an [`Image`]. Near-lossless
-    /// reconstructions may stray up to `delta` outside the pixel range at
-    /// the extremes, so for `delta > 0` the samples are clamped to
-    /// `[0, 2^bit_depth)` first (which only ever moves a sample *toward* its
-    /// original, preserving the L∞ bound); lossless buffers are validated
-    /// as-is.
+    /// Wraps a reconstructed sample buffer as an [`Image`], clamping a
+    /// near-lossless reconstruction into the pixel range first
+    /// ([`clamp_reconstruction`]); lossless buffers are validated as-is.
     fn image_from_raw(header: &StreamHeader, mut data: Vec<i32>) -> Result<Image, CoderError> {
-        if header.delta > 0 {
-            // 64-bit so a forged 5-bit depth of 31 cannot overflow the shift
-            // before `Image::from_samples` rejects it.
-            let max = ((1i64 << header.bit_depth) - 1).min(i64::from(i32::MAX)) as i32;
-            for value in &mut data {
-                *value = (*value).clamp(0, max);
-            }
-        }
+        clamp_reconstruction(&mut data, header.bit_depth, header.delta);
         Ok(Image::from_samples(header.width, header.height, header.bit_depth, data)?)
     }
 

@@ -189,6 +189,22 @@ pub trait ContainerHeader: Copy + std::fmt::Debug {
         Self::BYTES + usize::from(self.common().delta != 0)
     }
 
+    /// Checks the header's scale count against an engine's configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoderError::UnsupportedFormat`] on a mismatch.
+    fn ensure_scales(&self, expected: u32) -> Result<(), CoderError> {
+        let scales = self.common().scales;
+        if scales != expected {
+            return Err(CoderError::UnsupportedFormat(format!(
+                "{} stream uses {scales} scales but the engine is configured for {expected}",
+                Self::NAME
+            )));
+        }
+        Ok(())
+    }
+
     /// The part grid as bricks (a 2-D header is one slice deep).
     ///
     /// # Errors

@@ -131,19 +131,14 @@ impl ContainerHeader for FixedHeader {
                 FIXED_FILTER_BANKS - 1
             )));
         }
-        let grid = self.grid()?;
         let step = 1usize << self.scales;
-        let last_w = self.width - (grid.tiles_x() - 1) * grid.tile_width();
-        let last_h = self.height - (grid.tiles_y() - 1) * grid.tile_height();
-        for tw in [grid.tile_width(), last_w] {
-            for th in [grid.tile_height(), last_h] {
-                if tw % step != 0 || th % step != 0 {
-                    return Err(CoderError::MalformedStream(format!(
-                        "a {tw}x{th} tile of the grid cannot be decomposed {} times (dimensions \
-                         must be divisible by {step})",
-                        self.scales
-                    )));
-                }
+        for (tw, th) in self.grid()?.tile_shapes() {
+            if tw % step != 0 || th % step != 0 {
+                return Err(CoderError::MalformedStream(format!(
+                    "a {tw}x{th} tile of the grid cannot be decomposed {} times (dimensions must \
+                     be divisible by {step})",
+                    self.scales
+                )));
             }
         }
         Ok(())

@@ -77,7 +77,7 @@ pub use error::CoderError;
 pub use fixedband::{FixedSubbandCodec, FIXED_PARAMETER_BITS, MAX_FIXED_RICE_PARAMETER};
 pub use fixedtiled::{FixedHeader, FixedStream, FIXED_HEADER_BYTES, FIXED_MAGIC};
 pub use line::RowEncoder;
-pub use quant::{plane_delta_for_volume, QuantSchedule};
+pub use quant::{clamp_reconstruction, plane_delta_for_volume, QuantSchedule};
 pub use subband::{StreamingSubbandEncoder, SubbandCodec, BLOCK_SIZE, MAX_UNARY_RUN_BITS};
 pub use tiled::{TiledHeader, TiledStream};
 pub use volume::{check_z_scales, VolumeHeader, VolumeStream, VOLUME_HEADER_BYTES, VOLUME_MAGIC};

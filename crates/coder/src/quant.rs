@@ -175,6 +175,23 @@ pub fn dequantize(samples: &mut [i32], e: u64) {
     }
 }
 
+/// Clamps a near-lossless reconstruction (`delta > 0`) to the
+/// `[0, 2^bit_depth)` sample range. Reconstructions may stray up to the
+/// bound outside the range at the extremes; clamping only ever moves a
+/// sample *toward* its original, preserving the L∞ bound. Lossless samples
+/// are left as they are, for the range validation to judge.
+pub fn clamp_reconstruction(samples: &mut [i32], bit_depth: u32, delta: u8) {
+    if delta == 0 {
+        return;
+    }
+    // 64-bit so a forged 5-bit depth of 31 cannot overflow the shift before
+    // the range validation downstream rejects it.
+    let max = ((1i64 << bit_depth) - 1).min(i64::from(i32::MAX)) as i32;
+    for sample in samples {
+        *sample = (*sample).clamp(0, max);
+    }
+}
+
 /// Largest per-plane 2-D bound `b` a volumetric stream may use so that the
 /// voxel error after the inverse z transform stays within `delta`.
 ///

@@ -1,9 +1,10 @@
 //! Convenient re-exports of the types most programs need.
 //!
-//! Each engine is a concrete type with inherent methods — [`LosslessCodec`],
-//! [`TiledCompressor`], the paper-exact [`TiledFixedCompressor`] and the
-//! volumetric [`VolumeCompressor`]. A reader that does not know how a stream
-//! was produced lets the stream's own header pick the decoder:
+//! Each engine has inherent methods — [`LosslessCodec`], and the three
+//! instances of the one tile/brick engine: [`TiledCompressor`], the
+//! paper-exact [`TiledFixedCompressor`] and the volumetric
+//! [`VolumeCompressor`]. A reader that does not know how a stream was
+//! produced lets the stream's own header pick the decoder:
 //! [`DecodePlan::sniff`] builds the plan, [`decompress_auto`] runs it.
 //!
 //! ```

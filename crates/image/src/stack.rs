@@ -38,6 +38,14 @@ impl BrickRect {
     }
 }
 
+/// `width x height x depth at (x, y, z)`, as error messages name a box.
+impl std::fmt::Display for BrickRect {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let TileRect { x, y, width, height } = self.plane;
+        write!(f, "{width}x{height}x{} at ({x}, {y}, {})", self.depth, self.z)
+    }
+}
+
 /// An owned stack of equally shaped slices — the volume exchange type.
 ///
 /// Samples are stored slice-major and row-major within a slice, so slice `z`
@@ -422,6 +430,21 @@ impl<'a> VolumeView<'a> {
     }
 }
 
+/// A 2-D view is a one-slice volume: no sample is copied.
+impl<'a> From<ImageView<'a>> for VolumeView<'a> {
+    fn from(view: ImageView<'a>) -> Self {
+        Self {
+            samples: view.samples,
+            width: view.width(),
+            height: view.height(),
+            depth: 1,
+            row_stride: view.stride(),
+            slice_stride: view.stride() * view.height(),
+            bit_depth: view.bit_depth(),
+        }
+    }
+}
+
 /// The partition of a volume into bricks: a [`TileGrid`] in the plane and a
 /// ragged subdivision along z. Every voxel belongs to exactly one brick and
 /// no brick is empty; bricks are indexed plane-major (all tiles of z-layer
@@ -508,6 +531,18 @@ impl BrickGrid {
     #[must_use]
     pub fn is_single(&self) -> bool {
         self.brick_count() == 1
+    }
+
+    /// The box of the whole volume.
+    #[must_use]
+    pub fn bounds(&self) -> BrickRect {
+        let plane = TileRect {
+            x: 0,
+            y: 0,
+            width: self.plane.image_width(),
+            height: self.plane.image_height(),
+        };
+        BrickRect { plane, z: 0, depth: self.image_depth }
     }
 
     /// The z extent `(first slice, depth)` of brick layer `bz`; the back

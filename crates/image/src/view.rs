@@ -77,7 +77,7 @@ impl TileRect {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ImageView<'a> {
-    samples: &'a [i32],
+    pub(crate) samples: &'a [i32],
     width: usize,
     height: usize,
     stride: usize,
@@ -442,6 +442,19 @@ impl TileGrid {
         (0..self.tile_count()).map(|i| self.rect(i))
     }
 
+    /// The distinct `(width, height)` tile shapes of the grid: the nominal
+    /// tile, then the ragged right column, bottom row and corner where the
+    /// image does not divide evenly.
+    pub fn tile_shapes(&self) -> impl Iterator<Item = (usize, usize)> {
+        let sides = |nominal: usize, image: usize, tiles: usize| {
+            let last = image - (tiles - 1) * nominal;
+            [nominal, last].into_iter().take(if last == nominal { 1 } else { 2 })
+        };
+        let heights = sides(self.tile_height, self.image_height, self.tiles_y());
+        sides(self.tile_width, self.image_width, self.tiles_x())
+            .flat_map(move |w| heights.clone().map(move |h| (w, h)))
+    }
+
     /// Row-major index of the tile containing pixel `(x, y)`, or `None` if
     /// the pixel lies outside the image — the lookup behind random tile
     /// access by coordinate (region-of-interest decode).
@@ -639,6 +652,16 @@ mod tests {
         // Oversized tile requests clip to the image and become single grids.
         let clipped = TileGrid::new(8, 8, usize::MAX, usize::MAX).unwrap();
         assert!(clipped.is_single());
+    }
+
+    #[test]
+    fn tile_shapes_are_the_distinct_tile_sizes() {
+        let shapes = |grid: TileGrid| grid.tile_shapes().collect::<Vec<_>>();
+        let ragged = TileGrid::new(100, 60, 32, 32).unwrap();
+        assert_eq!(shapes(ragged), [(32, 32), (32, 28), (4, 32), (4, 28)]);
+        assert_eq!(shapes(TileGrid::new(64, 60, 32, 32).unwrap()), [(32, 32), (32, 28)]);
+        assert_eq!(shapes(TileGrid::new(64, 64, 32, 32).unwrap()), [(32, 32)]);
+        assert_eq!(shapes(TileGrid::single(7, 5).unwrap()), [(7, 5)]);
     }
 
     #[test]

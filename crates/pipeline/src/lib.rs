@@ -10,6 +10,12 @@
 //!   fanned across worker threads, each running the end-to-end Rice codec
 //!   ([`lwc_coder::LosslessCodec`]). Streams are byte-identical to the
 //!   sequential codec and come back in input order.
+//! * [`BrickEngine`] — the one *intra-image* parallel engine: tile shape,
+//!   brick depth and workers, one encode plan ([`EncodePlan`]), one decode
+//!   plan ([`DecodePlan`]) and one streaming layer iterator ([`Layers`]),
+//!   over a crate-private part codec per container format that codes one
+//!   tile or brick. A 2-D frame is a one-slice volume, so the three engines
+//!   below are its three instances.
 //! * [`TiledCompressor`] — *intra-image* parallelism at the **tile** level:
 //!   the image is sharded by a [`lwc_image::TileGrid`] into independently
 //!   coded tiles wrapped in the versioned `LWCT` container
@@ -53,12 +59,13 @@
 //!
 //! * [`Plan`] — the one shape of every tile and brick operation: `n`
 //!   independent parts, `run(i)`, and a step placing each part into the
-//!   output. The engines above build encode plans and [`DecodePlan`]s over
-//!   a requested box (whole image or volume, tile, band, slab, region) and
-//!   run them with [`Plan::execute`]; the server runs the same plans part
-//!   by part on its own scheduler. [`DecodePlan::sniff`] builds the plan a
-//!   stream's own header calls for, so format dispatch is one function
-//!   ([`decompress_auto`] for a whole 2-D stream), not a trait over engines.
+//!   output. The engine builds encode plans and [`DecodePlan`]s over a
+//!   requested box (whole image or volume, tile, band, slab, region) and
+//!   runs them with [`Plan::execute`]; the server runs the same plans part
+//!   by part on its own scheduler. [`DecodePlan::sniff`] reads a stream's
+//!   header once and builds the plan, with the part codec that header
+//!   calls for, so format dispatch is one function ([`decompress_auto`] for
+//!   a whole 2-D stream).
 //!
 //! Tiles and bricks are the only *intra-image* parallel axis: a frame that
 //! fits one tile is coded by the sequential [`lwc_coder::LosslessCodec`]
@@ -72,6 +79,7 @@
 #![deny(missing_docs)]
 
 mod batch;
+mod engine;
 mod error;
 mod plan;
 mod pool;
@@ -82,12 +90,11 @@ mod tiledfixed;
 mod volume;
 
 pub use batch::BatchCompressor;
+pub use engine::{BrickEngine, EncodePlan, Layers};
 pub use error::PipelineError;
 pub use plan::{decompress_auto, DecodePlan, Plan};
 pub use report::{BatchReport, TiledReport};
 pub use stream::OrderedStream;
-pub use tiled::{RowBand, RowBands, TileEncodePlan, TiledCompressor, DEFAULT_TILE_SIZE};
-pub use tiledfixed::{FixedEncodePlan, TiledFixedCompressor};
-pub use volume::{
-    scatter_region, BrickEncodePlan, VolumeCompressor, VolumeSlab, VolumeSlabs, DEFAULT_BRICK_DEPTH,
-};
+pub use tiled::{RowBand, RowBands, TiledCompressor, DEFAULT_TILE_SIZE};
+pub use tiledfixed::TiledFixedCompressor;
+pub use volume::{scatter_region, VolumeCompressor, VolumeSlab, VolumeSlabs, DEFAULT_BRICK_DEPTH};

@@ -9,16 +9,12 @@
 //! the parsed header and directory, so a container is parsed and validated
 //! once per plan, never once per part.
 
+use crate::engine::PartCodec;
 use crate::pool::run_indexed;
-use crate::{
-    scatter_region, PipelineError, TiledCompressor, TiledFixedCompressor, VolumeCompressor,
-};
-use lwc_coder::bitio::BitReader;
-use lwc_coder::{
-    CoderError, Container, ContainerHeader, FixedHeader, FixedStream, LosslessCodec, StreamHeader,
-    TiledHeader, TiledStream, VolumeHeader, VolumeStream,
-};
-use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, TileRect};
+use crate::{scatter_region, PipelineError};
+use lwc_coder::{CoderError, ContainerHeader, FixedStream, LosslessCodec, VolumeStream};
+use lwc_dwt::FixedDwt2d;
+use lwc_image::{BrickGrid, BrickRect, Image, ImageStack};
 use std::sync::Mutex;
 
 /// `n` independent parts of one operation and the step that places them.
@@ -78,15 +74,10 @@ pub trait Plan: Send + Sync {
     }
 }
 
-/// How a [`DecodePlan`] decodes one part: the engine and the parsed header
-/// of the stream's format.
-pub(crate) enum PartDecoder {
-    /// A legacy `LWC1`/`LWCQ` stream: one part, the whole stream.
-    Legacy(LosslessCodec),
-    Tiled(TiledCompressor, TiledHeader),
-    Fixed(Box<TiledFixedCompressor>, FixedHeader),
-    Volume(VolumeCompressor, VolumeHeader),
-}
+/// Decodes one part of a parsed stream: `(index, box, payload)` to the
+/// part's plane-major samples. It holds the stream's part codec and header.
+type DecodeFn =
+    Box<dyn Fn(usize, BrickRect, &[u8]) -> Result<Vec<i32>, PipelineError> + Send + Sync>;
 
 /// The decode plan of one parsed stream over a requested box.
 ///
@@ -119,7 +110,8 @@ pub struct DecodePlan<B> {
     bytes: B,
     /// The validated directory: part `i` is `bytes[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<u64>,
-    decoder: PartDecoder,
+    decoder: DecodeFn,
+    volume: bool,
     grid: BrickGrid,
     bit_depth: u32,
     region: BrickRect,
@@ -128,86 +120,43 @@ pub struct DecodePlan<B> {
 }
 
 impl<B: AsRef<[u8]>> DecodePlan<B> {
-    /// Builds the plan a stream's own header calls for — `LWCT`, `LWCF`,
-    /// `LWCV`, otherwise a legacy `LWC1`/`LWCQ` stream — over a
-    /// single-threaded engine with the stream's parameters (depth, tile and
-    /// brick shape, filter bank), so a reader never needs to know how the
-    /// stream was produced. Near-lossless streams decode within their bound:
-    /// the quantizer rides in the per-part stream headers.
+    /// Builds the plan a stream's own header calls for — `LWCF`, `LWCV`,
+    /// otherwise `LWCT` or a legacy `LWC1`/`LWCQ` stream — with the part
+    /// codec the header describes (depth, tile and brick shape, filter
+    /// bank), so a reader never needs to know how the stream was produced.
+    /// The header is read once. Near-lossless streams decode within their
+    /// bound: the quantizer rides in the per-part stream headers.
     ///
     /// # Errors
     ///
     /// Returns a typed error for empty, truncated or malformed streams;
     /// every header read is bounds-checked, so sniffing never panics.
     pub fn sniff(bytes: B) -> Result<Self, PipelineError> {
-        let mut reader = BitReader::new(bytes.as_ref());
-        if TiledStream::sniff(bytes.as_ref()) {
-            let header = TiledHeader::read(&mut reader)?;
-            let codec = LosslessCodec::new(header.scales)?;
-            TiledCompressor::with_codec(codec, header.tile_width, header.tile_height, 1)?
-                .decode_plan(bytes)
-        } else if FixedStream::sniff(bytes.as_ref()) {
-            TiledFixedCompressor::for_stream(&FixedHeader::read(&mut reader)?, 1)?
-                .decode_plan(bytes)
+        if FixedStream::sniff(bytes.as_ref()) {
+            Self::parts(bytes, FixedDwt2d::for_header)
         } else if VolumeStream::sniff(bytes.as_ref()) {
-            let header = VolumeHeader::read(&mut reader)?;
-            VolumeCompressor::with_codec(
-                LosslessCodec::new(header.scales)?,
-                header.z_scales,
-                header.tile_width,
-                header.tile_height,
-                header.brick_depth,
-                1,
-            )?
-            .decode_plan(bytes)
+            Self::parts(bytes, crate::volume::VolumeCodec::for_header)
         } else {
-            let header = StreamHeader::read(&mut reader)?;
-            Self::legacy(LosslessCodec::new(header.scales)?, bytes)
+            Self::parts(bytes, LosslessCodec::for_header)
         }
     }
 
-    /// The one-part plan of a legacy `LWC1`/`LWCQ` stream.
-    pub(crate) fn legacy(codec: LosslessCodec, bytes: B) -> Result<Self, PipelineError> {
-        let header = StreamHeader::read(&mut BitReader::new(bytes.as_ref()))?;
-        // The sink is sized from the header before any payload is read.
-        header.ensure_plausible_length(bytes.as_ref().len())?;
-        let (width, height) = (header.width, header.height);
-        let grid = BrickGrid::new(width, height, 1, width, height, 1).map_err(CoderError::from)?;
-        let offsets = vec![0, bytes.as_ref().len() as u64];
-        Ok(Self::new(bytes, offsets, PartDecoder::Legacy(codec), grid, header.bit_depth))
-    }
-
-    /// The plan of an `H` container, parsed and validated here once;
-    /// `decoder` checks the header against the engine and builds the part
-    /// decoder.
-    pub(crate) fn container<H: ContainerHeader>(
+    /// The plan of a `C` stream over the whole frame, parsed here once.
+    /// `codec` gives the part codec for the parsed header, which then
+    /// refuses a header it cannot decode.
+    pub(crate) fn parts<C: PartCodec>(
         bytes: B,
-        decoder: impl FnOnce(H) -> Result<PartDecoder, PipelineError>,
+        codec: impl FnOnce(&C::Header) -> Result<C, PipelineError>,
     ) -> Result<Self, PipelineError> {
-        let stream = Container::<H>::parse(bytes.as_ref())?;
-        let header = *stream.header();
-        let decoder = decoder(header)?;
-        let offsets = stream.into_offsets();
-        Ok(Self::new(bytes, offsets, decoder, header.bricks()?, header.common().bit_depth))
-    }
-
-    /// A plan over the whole stream.
-    fn new(
-        bytes: B,
-        offsets: Vec<u64>,
-        decoder: PartDecoder,
-        grid: BrickGrid,
-        bit_depth: u32,
-    ) -> Self {
-        let whole = TileRect {
-            x: 0,
-            y: 0,
-            width: grid.plane().image_width(),
-            height: grid.plane().image_height(),
-        };
-        let region = BrickRect { plane: whole, z: 0, depth: grid.image_depth() };
-        let indices = (0..grid.brick_count()).collect();
-        Self { bytes, offsets, decoder, grid, bit_depth, region, indices }
+        let (header, offsets) = C::parse(bytes.as_ref())?;
+        let codec = codec(&header)?;
+        codec.check(&header)?;
+        let grid = header.bricks()?;
+        let bit_depth = header.common().bit_depth;
+        let decoder: DecodeFn =
+            Box::new(move |index, rect, part| codec.decode(&header, index, rect, part));
+        let (region, indices) = (grid.bounds(), (0..grid.brick_count()).collect());
+        Ok(Self { bytes, offsets, decoder, volume: C::VOLUME, grid, bit_depth, region, indices })
     }
 }
 
@@ -215,7 +164,7 @@ impl<B> DecodePlan<B> {
     /// `true` for `LWCV` volumes, `false` for the 2-D formats (one slice).
     #[must_use]
     pub fn is_volume(&self) -> bool {
-        matches!(self.decoder, PartDecoder::Volume(..))
+        self.volume
     }
 
     /// The stream's part grid: tiles as one-slice bricks for 2-D streams, a
@@ -245,20 +194,10 @@ impl<B> DecodePlan<B> {
     /// Returns [`CoderError::MalformedStream`] for an empty box or one
     /// reaching outside the stream; the plan is left unchanged.
     pub fn select(&mut self, region: BrickRect) -> Result<(), PipelineError> {
-        let (plane, depth) = (self.grid.plane(), self.grid.image_depth());
-        self.indices = self.grid.covering_indices(region).ok_or_else(|| {
-            CoderError::MalformedStream(format!(
-                "region ({}, {}, {}) {}x{}x{} does not fit the {}x{}x{} stream",
-                region.plane.x,
-                region.plane.y,
-                region.z,
-                region.plane.width,
-                region.plane.height,
-                region.depth,
-                plane.image_width(),
-                plane.image_height(),
-                depth
-            ))
+        let fits = self.grid.covering_indices(region);
+        self.indices = fits.ok_or_else(|| {
+            let stream = self.grid.bounds();
+            CoderError::MalformedStream(format!("region {region} does not fit the stream {stream}"))
         })?;
         self.region = region;
         Ok(())
@@ -284,19 +223,7 @@ impl<B: AsRef<[u8]> + Send + Sync> Plan for DecodePlan<B> {
         let index = self.indices[slot];
         let bytes =
             &self.bytes.as_ref()[self.offsets[index] as usize..self.offsets[index + 1] as usize];
-        let rect = self.grid.rect(index);
-        Ok(match &self.decoder {
-            PartDecoder::Legacy(codec) => codec.decompress(bytes)?.into_samples(),
-            PartDecoder::Tiled(engine, header) => {
-                engine.decode_tile(header, index, rect.plane, bytes)?.into_samples()
-            }
-            PartDecoder::Fixed(engine, header) => {
-                engine.decode_tile(header, rect.plane, bytes)?.into_samples()
-            }
-            PartDecoder::Volume(engine, header) => {
-                engine.decode_brick(header, index, rect, bytes)?
-            }
-        })
+        (self.decoder)(index, self.grid.rect(index), bytes)
     }
 
     fn place(&self, sink: &mut Vec<i32>, slot: usize, part: Vec<i32>) {
@@ -325,7 +252,9 @@ pub fn decompress_auto(bytes: &[u8]) -> Result<Image, PipelineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lwc_image::synth;
+    use crate::{TiledCompressor, TiledFixedCompressor, VolumeCompressor};
+    use lwc_coder::{FixedHeader, TiledStream};
+    use lwc_image::{synth, TileRect};
 
     fn fixed_stream(image: &Image) -> Vec<u8> {
         let header = FixedHeader {

@@ -1,14 +1,14 @@
 //! Intra-image parallelism for arbitrarily large images: the tile-sharded
-//! compression engine.
+//! lossless engine and its part codec.
 //!
 //! [`BatchCompressor`](crate::BatchCompressor) fans *images* across workers;
-//! this module fans the **tiles** of one image — with the bricks of
+//! this engine fans the **tiles** of one image — with the bricks of
 //! [`VolumeCompressor`](crate::VolumeCompressor), the only intra-image
-//! parallel axis. Each tile of a
-//! [`TileGrid`] is an independent [`LosslessCodec`] stream (transformed with
-//! the same boundary extension the whole-image transform uses, just over the
-//! tile), wrapped in the versioned [`lwc_coder::tiled`] container with a
-//! per-tile byte-offset directory. That buys three things at once:
+//! parallel axis. Each tile of a [`TileGrid`] is an independent
+//! [`LosslessCodec`] stream (transformed with the same boundary extension
+//! the whole-image transform uses, just over the tile), wrapped in the
+//! versioned [`lwc_coder::tiled`] container with a per-tile byte-offset
+//! directory. That buys three things at once:
 //!
 //! * **scale** — the legacy stream format caps dimensions at 2^20 - 1 and the
 //!   monolithic transform keeps the whole frame plus intermediates hot; tiles
@@ -18,32 +18,36 @@
 //! * **bounded-memory decode** — [`TiledCompressor::decompress_row_bands`]
 //!   walks the directory one tile-row at a time, so a consumer can stream a
 //!   huge image top to bottom without ever materializing all of it.
+//!
+//! The legacy rule lives in this module's part codec, once: a single-tile
+//! grid encodes to the legacy `LWC1`/`LWCQ` stream itself, and bytes that
+//! are not `LWCT` decode as a one-tile stream.
 
-use crate::plan::PartDecoder;
-use crate::pool::resolve_workers;
-use crate::report::TiledReport;
-use crate::{DecodePlan, PipelineError, Plan};
+use crate::engine::{parse_container, BrickEngine, Layer, Layers, PartCodec};
+use crate::PipelineError;
 use lwc_coder::bitio::BitReader;
 use lwc_coder::{
-    check_tile_sides, write_container, CoderError, LosslessCodec, StreamHeader, TiledHeader,
-    TiledStream,
+    clamp_reconstruction, write_container, CoderError, ContainerHeader, LosslessCodec,
+    StreamHeader, TiledHeader, TiledStream,
 };
-use lwc_image::{BrickRect, Image, TileGrid, TileRect};
-use std::borrow::Borrow;
-use std::time::Instant;
+use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, TileGrid, TileRect, VolumeView};
+use std::fmt::Display;
 
 /// Default nominal tile side: big enough to amortize per-tile headers and
 /// keep deep decompositions meaningful, small enough that a tile (i32
 /// samples plus codec scratch) stays comfortably inside L2.
 pub const DEFAULT_TILE_SIZE: usize = 256;
 
-/// Tile-parallel lossless codec for single large images.
+/// Tile-parallel lossless codec for single large images: the
+/// [`BrickEngine`] over [`LosslessCodec`] tiles.
 ///
 /// Streams are deterministic for a given tile size — the worker count never
 /// changes a byte — and a grid that degenerates to one tile emits the legacy
 /// single-image stream unchanged, so `TiledCompressor` with a tile at least
 /// as large as the image is **byte-identical** to [`LosslessCodec::compress`].
-/// Decoding sniffs the container magic and accepts both formats.
+/// Decoding sniffs the container magic and accepts both formats; a legacy
+/// stream is one tile. Near-lossless tiles are cross-checked against the
+/// container's quantizer delta.
 ///
 /// ```
 /// use lwc_image::synth;
@@ -58,13 +62,7 @@ pub const DEFAULT_TILE_SIZE: usize = 256;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct TiledCompressor {
-    codec: LosslessCodec,
-    tile_width: usize,
-    tile_height: usize,
-    workers: usize,
-}
+pub type TiledCompressor = BrickEngine<LosslessCodec>;
 
 impl TiledCompressor {
     /// Creates an engine with the given decomposition depth, square tile
@@ -91,9 +89,7 @@ impl TiledCompressor {
         tile_height: usize,
         workers: usize,
     ) -> Result<Self, PipelineError> {
-        check_tile_shape(tile_width, tile_height)?;
-        let workers = resolve_workers(workers);
-        Ok(Self { codec, tile_width, tile_height, workers })
+        Self::build(codec, tile_width, tile_height, 1, workers)
     }
 
     /// The per-tile codec.
@@ -102,339 +98,119 @@ impl TiledCompressor {
         &self.codec
     }
 
-    /// Nominal tile width.
-    #[must_use]
-    pub fn tile_width(&self) -> usize {
-        self.tile_width
-    }
-
-    /// Nominal tile height.
-    #[must_use]
-    pub fn tile_height(&self) -> usize {
-        self.tile_height
-    }
-
-    /// Worker threads used per image.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// The tile grid this engine would use for a `width x height` image.
     ///
     /// # Errors
     ///
     /// Returns an error for zero image dimensions.
     pub fn grid(&self, width: usize, height: usize) -> Result<TileGrid, PipelineError> {
-        TileGrid::new(width, height, self.tile_width, self.tile_height)
-            .map_err(|e| PipelineError::Config(format!("invalid tile grid: {e}")))
+        Ok(*self.bricks(width, height, 1)?.plane())
+    }
+}
+
+/// Lossless 2-D tiles: each tile is one [`LosslessCodec`] stream.
+impl PartCodec for LosslessCodec {
+    type Header = TiledHeader;
+    type Frame = Image;
+    const VOLUME: bool = false;
+
+    fn encode(&self, frame: &VolumeView<'_>, rect: BrickRect) -> Result<Vec<u8>, PipelineError> {
+        let view = frame.slice(0).and_then(|slice| slice.subview(rect.plane));
+        Ok(self.compress_view(&view.map_err(CoderError::from)?)?)
     }
 
-    /// Compresses `image`, fanning the tiles across the worker pool.
-    ///
-    /// Single-tile grids produce the legacy stream byte-identically; larger
-    /// grids produce the tiled container. Either way the bytes depend only on
-    /// the image and the tile shape, never on the worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first per-tile codec error, if any.
-    pub fn compress(&self, image: &Image) -> Result<Vec<u8>, PipelineError> {
-        Ok(self.compress_with_report(image)?.0)
-    }
-
-    /// Compresses and reports tile-level throughput.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledCompressor::compress`].
-    pub fn compress_with_report(
-        &self,
-        image: &Image,
-    ) -> Result<(Vec<u8>, TiledReport), PipelineError> {
-        let start = Instant::now();
-        let plan = self.encode_plan(image)?;
-        let bytes = plan.execute(self.workers)?;
-        let report = TiledReport {
-            tiles: plan.parts(),
-            raw_bytes: (image.pixel_count() * image.bit_depth() as usize).div_ceil(8),
-            compressed_bytes: bytes.len(),
-            workers: self.workers.min(plan.parts()),
-            wall: start.elapsed(),
-        };
-        Ok((bytes, report))
-    }
-
-    /// The encode plan of `image`: one part per tile of its grid. `I` owns
-    /// or borrows the image.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for zero image dimensions.
-    pub fn encode_plan<I: Borrow<Image>>(
-        &self,
-        image: I,
-    ) -> Result<TileEncodePlan<I>, PipelineError> {
-        let grid = self.grid(image.borrow().width(), image.borrow().height())?;
-        Ok(TileEncodePlan { engine: *self, image, grid })
-    }
-
-    /// Compresses one tile of `image` (row-major `index` of `grid`) into
-    /// its standalone per-tile stream — the unit a scheduler can fan across
-    /// workers. Byte-identical to the payload
-    /// [`TiledCompressor::compress`] places in the container's `index`
-    /// directory slot, by construction: `compress` itself is built on this.
-    /// For a single-tile grid the payload is the legacy stream itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns the tile's codec error; `grid` must describe `image` (an
-    /// out-of-bounds rectangle surfaces as a view error).
-    pub fn encode_tile(
-        &self,
-        image: &Image,
-        grid: &TileGrid,
-        index: usize,
-    ) -> Result<Vec<u8>, PipelineError> {
-        let view = image.view_rect(grid.rect(index)).map_err(CoderError::from)?;
-        Ok(self.codec.compress_view(&view)?)
-    }
-
-    /// Assembles per-tile payloads (row-major `grid` order, one per tile,
-    /// as produced by [`TiledCompressor::encode_tile`]) into the `LWCT`
-    /// container [`TiledCompressor::compress`] writes for a multi-tile
-    /// grid (a single-tile grid emits its one payload, the legacy stream,
-    /// instead).
-    ///
-    /// # Errors
-    ///
-    /// Returns a container error if the payload count disagrees with the
-    /// grid or an offset overflows the directory format.
-    pub fn assemble_container(
-        &self,
-        grid: &TileGrid,
-        bit_depth: u32,
-        payloads: &[Vec<u8>],
-    ) -> Result<Vec<u8>, PipelineError> {
-        let header = TiledHeader {
-            width: grid.image_width(),
-            height: grid.image_height(),
-            bit_depth,
-            scales: self.codec.scales(),
-            tile_width: grid.tile_width(),
-            tile_height: grid.tile_height(),
-            delta: self.codec.delta(),
-        };
-        Ok(write_container(&header, payloads)?)
-    }
-
-    /// Reconstructs the image from a tiled container **or** a legacy
-    /// single-image stream (the magic is sniffed). Lossless streams
-    /// reconstruct pixel-exactly; near-lossless streams reconstruct within
-    /// the per-pixel bound `δ` their headers declare (each tile's stream
-    /// header is cross-checked against the container's quantizer delta).
-    ///
-    /// Each tile is placed into the frame as it finishes decoding, so peak
-    /// memory stays at the output frame plus one tile per worker — not two
-    /// copies of the image.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for malformed streams, mismatched configuration, or
-    /// tiles that disagree with the container's grid geometry.
-    pub fn decompress(&self, bytes: &[u8]) -> Result<Image, PipelineError> {
-        Ok(self
-            .decode_plan(bytes)?
-            .execute(self.workers)?
-            .into_image()
-            .map_err(CoderError::from)?)
-    }
-
-    /// The decode plan of a tiled container or a legacy single-image stream
-    /// (the magic is sniffed), over the whole image; `B` owns or borrows the
-    /// bytes. The container is parsed and validated here, once.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a malformed header or directory, or a container
-    /// coded at a different depth than this engine's codec.
-    pub fn decode_plan<B: AsRef<[u8]>>(&self, bytes: B) -> Result<DecodePlan<B>, PipelineError> {
-        if !TiledStream::sniff(bytes.as_ref()) {
-            return DecodePlan::legacy(self.codec, bytes);
-        }
-        DecodePlan::container(bytes, |header: TiledHeader| {
-            self.ensure_scales(&header)?;
-            Ok(PartDecoder::Tiled(*self, header))
-        })
-    }
-
-    /// Random tile access: decodes exactly one tile (row-major `index`) of a
-    /// tiled container without touching any other tile — the directory's
-    /// 48-bit byte offsets make this a slice-and-decode, not a scan. A
-    /// legacy single-image stream counts as one tile (index 0 yields the
-    /// whole image), so callers can treat every stream uniformly.
-    ///
-    /// This is the code path behind the server's `decompress-tile` op and
-    /// the natural seed for region-of-interest decode.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for malformed streams, mismatched configuration, or
-    /// an `index` outside the container's tile grid.
-    pub fn decompress_tile(&self, bytes: &[u8], index: usize) -> Result<Image, PipelineError> {
-        if !TiledStream::sniff(bytes) {
-            if index != 0 {
-                return Err(CoderError::MalformedStream(format!(
-                    "tile index {index} out of range: a legacy stream is a single tile"
-                ))
-                .into());
-            }
-            return Ok(self.codec.decompress(bytes)?);
-        }
-        self.decompress_parsed_tile(&TiledStream::parse(bytes)?, index)
-    }
-
-    /// [`TiledCompressor::decompress_tile`] over an already-parsed container
-    /// — the path for callers that hold a [`TiledStream`] (e.g. a server
-    /// that parsed it once to learn the tile count) and must not pay for a
-    /// second directory parse per tile.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledCompressor::decompress_tile`].
-    pub fn decompress_parsed_tile(
-        &self,
-        stream: &TiledStream<'_>,
-        index: usize,
-    ) -> Result<Image, PipelineError> {
-        self.ensure_scales(stream.header())?;
-        let grid = stream.grid()?;
-        if index >= grid.tile_count() {
-            return Err(CoderError::MalformedStream(format!(
-                "tile index {index} out of range: the container has {} tiles",
-                grid.tile_count()
-            ))
-            .into());
-        }
-        Ok(self.decode_tile(stream.header(), index, grid.rect(index), stream.part_bytes(index))?)
-    }
-
-    /// Streaming decode: yields the image one tile-row **band** at a time
-    /// (top to bottom), decoding each band's tiles on the worker pool. Peak
-    /// memory is bounded by one band — the `image_width x tile_height` band
-    /// image plus one decoded tile per worker placed into it — plus the
-    /// compressed bytes, regardless of the image height. Legacy
-    /// streams yield a single band covering the whole image.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the container header or directory is malformed;
-    /// per-band decode errors surface through the iterator's items.
-    pub fn decompress_row_bands<'a>(&self, bytes: &'a [u8]) -> Result<RowBands<'a>, PipelineError> {
-        let plan = match self.decode_plan(bytes) {
-            // A legacy stream's header errors surface through its one band,
-            // as its decode errors do.
-            Err(error) if !TiledStream::sniff(bytes) => Err(Some(error)),
-            plan => Ok(plan?),
-        };
-        Ok(RowBands { plan, workers: self.workers, next_row: 0 })
-    }
-
-    fn ensure_scales(&self, header: &TiledHeader) -> Result<(), PipelineError> {
-        if header.scales != self.codec.scales() {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "tiled stream uses {} scales but the codec is configured for {}",
-                header.scales,
-                self.codec.scales()
-            ))
-            .into());
-        }
-        Ok(())
-    }
-
-    /// Decodes one tile payload (row-major `index`, placed at `rect`),
-    /// validating it against the container header and its grid rectangle.
-    pub(crate) fn decode_tile(
+    fn decode(
         &self,
         header: &TiledHeader,
         index: usize,
-        rect: TileRect,
+        rect: BrickRect,
         bytes: &[u8],
-    ) -> Result<Image, CoderError> {
-        let tile_header = StreamHeader::read(&mut BitReader::new(bytes))?;
-        if tile_header.delta != header.delta {
-            return Err(CoderError::MalformedStream(format!(
-                "tile {index} carries quantizer delta {} but the container header says {}",
-                tile_header.delta, header.delta
-            )));
+    ) -> Result<Vec<i32>, PipelineError> {
+        let mut samples = vec![0; rect.plane.pixel_count()];
+        let tile = format_args!("tile {index}");
+        let container = (header.delta, header.bit_depth);
+        decode_plane(self, bytes, container, rect.plane, &tile, &mut samples)?;
+        clamp_reconstruction(&mut samples, header.bit_depth, header.delta);
+        Ok(samples)
+    }
+
+    fn header(&self, grid: &BrickGrid, bit_depth: u32) -> Result<TiledHeader, PipelineError> {
+        let plane = grid.plane();
+        Ok(TiledHeader {
+            width: plane.image_width(),
+            height: plane.image_height(),
+            bit_depth,
+            scales: self.scales(),
+            tile_width: plane.tile_width(),
+            tile_height: plane.tile_height(),
+            delta: self.delta(),
+        })
+    }
+
+    fn check(&self, header: &TiledHeader) -> Result<(), PipelineError> {
+        Ok(header.ensure_scales(self.scales())?)
+    }
+
+    fn for_header(header: &TiledHeader) -> Result<Self, PipelineError> {
+        Ok(Self::new(header.scales)?)
+    }
+
+    /// An `LWCT` container, or else a legacy stream: one tile covering the
+    /// image, whose header stands in for the container's.
+    fn parse(bytes: &[u8]) -> Result<(TiledHeader, Vec<u64>), PipelineError> {
+        if TiledStream::sniff(bytes) {
+            return parse_container(bytes);
         }
-        let tile = self.codec.decompress(bytes)?;
-        if tile.width() != rect.width || tile.height() != rect.height {
-            return Err(CoderError::MalformedStream(format!(
-                "tile {index} decodes to {}x{} but the grid places a {}x{} tile there",
-                tile.width(),
-                tile.height(),
-                rect.width,
-                rect.height
-            )));
+        let legacy = StreamHeader::read(&mut BitReader::new(bytes))?;
+        // The sink is sized from the header before any payload is read.
+        legacy.ensure_plausible_length(bytes.len())?;
+        let header = TiledHeader {
+            width: legacy.width,
+            height: legacy.height,
+            bit_depth: legacy.bit_depth,
+            scales: legacy.scales,
+            tile_width: legacy.width,
+            tile_height: legacy.height,
+            delta: legacy.delta,
+        };
+        Ok((header, vec![0, bytes.len() as u64]))
+    }
+
+    /// The `LWCT` container, or for a single-tile grid the legacy stream its
+    /// one part already is.
+    fn assemble(header: &TiledHeader, mut parts: Vec<Vec<u8>>) -> Result<Vec<u8>, PipelineError> {
+        if parts.len() == 1 {
+            return Ok(parts.pop().expect("one part"));
         }
-        if tile.bit_depth() != header.bit_depth {
-            return Err(CoderError::MalformedStream(format!(
-                "tile {index} carries {}-bit pixels but the container header says {}-bit",
-                tile.bit_depth(),
-                header.bit_depth
-            )));
-        }
-        Ok(tile)
+        Ok(write_container(header, &parts)?)
     }
 }
 
-/// Refuses a tile shape no container can carry: a zero side, or one the
-/// coder's tile-side rule ([`check_tile_sides`]) rejects. Every engine
-/// constructor checks its tiles here.
-pub(crate) fn check_tile_shape(tile_width: usize, tile_height: usize) -> Result<(), PipelineError> {
-    if tile_width == 0 || tile_height == 0 {
-        return Err(PipelineError::Config("tile dimensions must be nonzero".into()));
-    }
-    check_tile_sides(tile_width, tile_height).map_err(|e| PipelineError::Config(e.to_string()))
-}
-
-/// The encode plan of a [`TiledCompressor`]: one part per tile, assembled
-/// into the `LWCT` container — or, for a single-tile grid, the legacy
-/// stream the one part already is.
-pub struct TileEncodePlan<I> {
-    engine: TiledCompressor,
-    image: I,
-    grid: TileGrid,
-}
-
-impl<I: Borrow<Image> + Send + Sync> Plan for TileEncodePlan<I> {
-    type Part = Vec<u8>;
-    type Sink = Vec<Vec<u8>>;
-    type Output = Vec<u8>;
-
-    fn parts(&self) -> usize {
-        self.grid.tile_count()
-    }
-
-    fn sink(&self) -> Vec<Vec<u8>> {
-        vec![Vec::new(); self.parts()]
-    }
-
-    fn run(&self, index: usize) -> Result<Vec<u8>, PipelineError> {
-        self.engine.encode_tile(self.image.borrow(), &self.grid, index)
-    }
-
-    fn place(&self, sink: &mut Vec<Vec<u8>>, index: usize, part: Vec<u8>) {
-        sink[index] = part;
-    }
-
-    fn finish(&self, mut sink: Vec<Vec<u8>>) -> Result<Vec<u8>, PipelineError> {
-        if self.grid.is_single() {
-            return Ok(sink.pop().expect("a single-tile grid has one part"));
-        }
-        self.engine.assemble_container(&self.grid, self.image.borrow().bit_depth(), &sink)
-    }
+/// Entropy decodes one `LWC1`/`LWCQ` stream of a part — a tile, or a
+/// coefficient plane of a brick — and runs its inverse cascade straight into
+/// `out`, after checking the stream's header against its `container`: the
+/// quantizer delta the container implies, the bit depth, and the part's
+/// `rect`. `part` names the stream in errors.
+pub(crate) fn decode_plane(
+    codec: &LosslessCodec,
+    bytes: &[u8],
+    (delta, bit_depth): (u8, u32),
+    rect: TileRect,
+    part: &dyn Display,
+    out: &mut [i32],
+) -> Result<(), CoderError> {
+    let (stream, subbands) = codec.decode_subbands(bytes)?;
+    let mismatch = if stream.delta != delta {
+        format!("carries quantizer delta {} but the container implies {delta}", stream.delta)
+    } else if (stream.width, stream.height) != (rect.width, rect.height) {
+        let (width, height) = (stream.width, stream.height);
+        format!("decodes to {width}x{height} but the grid places {}x{}", rect.width, rect.height)
+    } else if stream.bit_depth != bit_depth {
+        format!("carries {}-bit samples but the container says {bit_depth}-bit", stream.bit_depth)
+    } else {
+        return codec.reassemble_into(&stream, &subbands, out);
+    };
+    Err(CoderError::MalformedStream(format!("{part} {mismatch}")))
 }
 
 /// One horizontal band of a streamed tiled decode; see
@@ -449,39 +225,17 @@ pub struct RowBand {
 
 /// Iterator over the row bands of a compressed stream, yielded top to
 /// bottom: each band is the stream's decode plan narrowed to one tile-row.
-pub struct RowBands<'a> {
-    /// The stream's plan, or the error building it (yielded as the first
-    /// item).
-    plan: Result<DecodePlan<&'a [u8]>, Option<PipelineError>>,
-    workers: usize,
-    next_row: usize,
-}
+pub type RowBands<'a> = Layers<'a, RowBand>;
 
-impl<'a> RowBands<'a> {
-    pub(crate) fn new(plan: DecodePlan<&'a [u8]>, workers: usize) -> Self {
-        Self { plan: Ok(plan), workers, next_row: 0 }
+impl Layer for RowBand {
+    fn rect(grid: &BrickGrid, index: usize) -> Option<BrickRect> {
+        let plane = grid.plane();
+        let band = (index < plane.tiles_y()).then(|| plane.rect_at(0, index))?;
+        Some(BrickRect { plane: TileRect { width: plane.image_width(), ..band }, z: 0, depth: 1 })
     }
-}
 
-impl Iterator for RowBands<'_> {
-    type Item = Result<RowBand, PipelineError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let plan = match &mut self.plan {
-            Ok(plan) => plan,
-            Err(error) => return error.take().map(Err),
-        };
-        let grid = *plan.grid().plane();
-        if self.next_row >= grid.tiles_y() {
-            return None;
-        }
-        let band = TileRect { width: grid.image_width(), ..grid.rect_at(0, self.next_row) };
-        self.next_row += 1;
-        let image = plan
-            .select(BrickRect { plane: band, z: 0, depth: 1 })
-            .and_then(|()| plan.execute(self.workers))
-            .and_then(|stack| Ok(stack.into_image().map_err(CoderError::from)?));
-        Some(image.map(|image| RowBand { y: band.y, image }))
+    fn new(rect: BrickRect, stack: ImageStack) -> Result<Self, PipelineError> {
+        Ok(Self { y: rect.plane.y, image: stack.into_image().map_err(CoderError::from)? })
     }
 }
 
@@ -502,24 +256,6 @@ mod tests {
             let bytes = engine.compress(&image).unwrap();
             let back = engine.decompress(&bytes).unwrap();
             assert!(stats::bit_exact(&image, &back).unwrap());
-        }
-    }
-
-    #[test]
-    fn per_tile_encode_plus_assembly_matches_compress() {
-        // The scheduler's fan-out path must reproduce `compress` exactly —
-        // tile payloads encoded one by one, container assembled at the end.
-        for engine in
-            [TiledCompressor::new(3, 32, 2).unwrap(), TiledCompressor::new(3, 32, 1).unwrap()]
-        {
-            let image = synth::ct_phantom(100, 60, 12, 6);
-            let reference = engine.compress(&image).unwrap();
-            let grid = engine.grid(100, 60).unwrap();
-            let payloads: Vec<Vec<u8>> = (0..grid.tile_count())
-                .map(|i| engine.encode_tile(&image, &grid, i).unwrap())
-                .collect();
-            let assembled = engine.assemble_container(&grid, image.bit_depth(), &payloads).unwrap();
-            assert_eq!(assembled, reference);
         }
     }
 
@@ -703,8 +439,10 @@ mod tests {
         let engine = TiledCompressor::new(3, 32, 2).unwrap();
         let image = synth::ct_phantom(100, 60, 12, 13);
         let grid = engine.grid(100, 60).unwrap();
+        let bytes = engine.compress(&image).unwrap();
+        let stream = TiledStream::parse(&bytes).unwrap();
         let payloads: Vec<Vec<u8>> =
-            (0..grid.tile_count()).map(|i| engine.encode_tile(&image, &grid, i).unwrap()).collect();
+            (0..grid.tile_count()).map(|i| stream.part_bytes(i).to_vec()).collect();
         let header = TiledHeader {
             width: 100,
             height: 60,

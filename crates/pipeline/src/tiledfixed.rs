@@ -1,5 +1,5 @@
 //! End-to-end compression on the **paper-exact fixed-point** datapath: the
-//! tile-parallel `LWCF` engine.
+//! tile-parallel `LWCF` engine and its part codec.
 //!
 //! [`TiledCompressor`](crate::TiledCompressor) pairs the lifting transform
 //! with the Rice coder; this module closes the same loop for the datapath the
@@ -16,29 +16,20 @@
 //! byte-aligned and concatenated by the shared directory writer); a
 //! single-tile grid codes its one payload sequentially.
 
-use crate::plan::PartDecoder;
-use crate::pool::resolve_workers;
-use crate::report::TiledReport;
-use crate::tiled::check_tile_shape;
-use crate::{DecodePlan, PipelineError, Plan, RowBands};
+use crate::engine::{BrickEngine, PartCodec};
+use crate::PipelineError;
 use lwc_coder::bitio::{BitReader, BitWriter};
-use lwc_coder::{
-    subband_order, write_container, CoderError, FixedHeader, FixedStream, FixedSubbandCodec,
-};
+use lwc_coder::{subband_order, CoderError, ContainerHeader, FixedHeader, FixedSubbandCodec};
 use lwc_dwt::{Decomposition, Dwt2d, DwtError, FixedDwt2d, LineFixedDwt, Subband};
 use lwc_filters::{FilterBank, FilterId};
-use lwc_image::{Image, TileGrid, TileRect};
-use std::time::Instant;
+use lwc_image::{BrickGrid, BrickRect, Image, TileGrid, TileRect, VolumeView};
 
-/// The subband named by a [`subband_order`] band index.
-fn band_of(index: usize) -> Subband {
-    match index {
-        0 => Subband::Approx,
-        _ => Subband::DETAILS[index - 1],
-    }
-}
+/// The subbands in [`subband_order`] band-index order.
+const BANDS: [Subband; 4] =
+    [Subband::Approx, Subband::DETAILS[0], Subband::DETAILS[1], Subband::DETAILS[2]];
 
-/// Tile-parallel lossless codec over the paper-exact fixed-point DWT.
+/// Tile-parallel lossless codec over the paper-exact fixed-point DWT: the
+/// [`BrickEngine`] whose part codec is the [`FixedDwt2d`] transform.
 ///
 /// Every stream is an `LWCF` container (there is no legacy fixed format, so
 /// even a single-tile grid is wrapped); decode is pixel-exact by the paper's
@@ -61,14 +52,7 @@ fn band_of(index: usize) -> Subband {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct TiledFixedCompressor {
-    transform: FixedDwt2d,
-    tile_width: usize,
-    tile_height: usize,
-    workers: usize,
-    codec: FixedSubbandCodec,
-}
+pub type TiledFixedCompressor = BrickEngine<FixedDwt2d>;
 
 impl TiledFixedCompressor {
     /// Creates an engine over the given Table I bank with the paper's default
@@ -86,7 +70,7 @@ impl TiledFixedCompressor {
         tile_size: usize,
         workers: usize,
     ) -> Result<Self, PipelineError> {
-        Self::build(FixedDwt2d::paper_default(bank, scales)?, tile_size, tile_size, workers)
+        Self::build(FixedDwt2d::paper_default(bank, scales)?, tile_size, tile_size, 1, workers)
     }
 
     /// Builds the engine an `LWCF` stream's header calls for: the stored
@@ -97,57 +81,27 @@ impl TiledFixedCompressor {
     ///
     /// Returns an error for an unknown filter index or an unbuildable plan.
     pub fn for_stream(header: &FixedHeader, workers: usize) -> Result<Self, PipelineError> {
-        let bank = FilterBank::table1(filter_of(header)?);
-        let transform = FixedDwt2d::paper_default(&bank, header.scales)?;
-        Self::build(transform, header.tile_width, header.tile_height, workers)
-    }
-
-    fn build(
-        transform: FixedDwt2d,
-        tile_width: usize,
-        tile_height: usize,
-        workers: usize,
-    ) -> Result<Self, PipelineError> {
-        check_tile_shape(tile_width, tile_height)?;
-        let workers = resolve_workers(workers);
-        Ok(Self { transform, tile_width, tile_height, workers, codec: FixedSubbandCodec::new() })
+        let transform = FixedDwt2d::for_header(header)?;
+        Self::build(transform, header.tile_width, header.tile_height, 1, workers)
     }
 
     /// The paper-exact transform configuration (bank, Table II word plan,
     /// depth) every tile is coded with.
     #[must_use]
     pub fn transform(&self) -> &FixedDwt2d {
-        &self.transform
+        &self.codec
     }
 
     /// The decomposition depth.
     #[must_use]
     pub fn scales(&self) -> u32 {
-        self.transform.scales()
+        self.codec.scales()
     }
 
     /// The Table I filter bank of the transform.
     #[must_use]
     pub fn filter_id(&self) -> FilterId {
-        self.transform.bank().id()
-    }
-
-    /// Nominal tile width.
-    #[must_use]
-    pub fn tile_width(&self) -> usize {
-        self.tile_width
-    }
-
-    /// Nominal tile height.
-    #[must_use]
-    pub fn tile_height(&self) -> usize {
-        self.tile_height
-    }
-
-    /// Worker threads used per image.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
+        self.codec.bank().id()
     }
 
     /// The tile grid this engine would use for a `width x height` image,
@@ -161,276 +115,91 @@ impl TiledFixedCompressor {
     /// * [`PipelineError::Dwt`] with [`DwtError::NotDecomposable`] naming the
     ///   offending tile shape if any tile cannot be decomposed.
     pub fn grid(&self, width: usize, height: usize) -> Result<TileGrid, PipelineError> {
-        let grid = TileGrid::new(width, height, self.tile_width, self.tile_height)
-            .map_err(|e| PipelineError::Config(format!("invalid tile grid: {e}")))?;
-        let last_w = width - (grid.tiles_x() - 1) * grid.tile_width();
-        let last_h = height - (grid.tiles_y() - 1) * grid.tile_height();
-        for tw in [grid.tile_width(), last_w] {
-            for th in [grid.tile_height(), last_h] {
-                Dwt2d::check_decomposable(tw, th, self.scales())?;
-            }
-        }
+        let grid = *self.bricks(width, height, 1)?.plane();
+        check_tiles(&self.codec, &grid)?;
         Ok(grid)
     }
+}
 
-    /// Refuses pixels deeper than the word plan carries: its signed input
-    /// word holds `input_bits - 1` magnitude bits, so deeper samples would
-    /// overflow a word on decode (or the accumulator on encode).
-    fn check_bit_depth(&self, bit_depth: u32) -> Result<(), PipelineError> {
-        let max = self.transform.plan().input_bits() - 1;
-        if bit_depth > max {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "{bit_depth}-bit pixels exceed the fixed datapath's {max}-bit input"
-            ))
-            .into());
-        }
-        Ok(())
+/// Refuses a grid with a tile shape the transform cannot decompose.
+fn check_tiles(transform: &FixedDwt2d, grid: &TileGrid) -> Result<(), DwtError> {
+    grid.tile_shapes().try_for_each(|(w, h)| Dwt2d::check_decomposable(w, h, transform.scales()))
+}
+
+/// Refuses pixels deeper than the word plan carries: its signed input word
+/// holds `input_bits - 1` magnitude bits, so deeper samples would overflow a
+/// word on decode (or the accumulator on encode).
+fn check_bit_depth(transform: &FixedDwt2d, bit_depth: u32) -> Result<(), CoderError> {
+    let max = transform.plan().input_bits() - 1;
+    if bit_depth > max {
+        let message = format!("{bit_depth}-bit pixels exceed the fixed datapath's {max}-bit input");
+        return Err(CoderError::UnsupportedFormat(message));
+    }
+    Ok(())
+}
+
+/// Paper-exact fixed-point tiles: the line cascade and the fixed-word Rice
+/// coder.
+impl PartCodec for FixedDwt2d {
+    type Header = FixedHeader;
+    type Frame = Image;
+    const VOLUME: bool = false;
+
+    /// The tile's strided window runs through the line cascade straight out
+    /// of the frame.
+    fn encode(&self, frame: &VolumeView<'_>, rect: BrickRect) -> Result<Vec<u8>, PipelineError> {
+        let view = frame.slice(0).and_then(|slice| slice.subview(rect.plane));
+        let tile = LineFixedDwt::forward_view(self, &view.map_err(DwtError::from)?)?;
+        Ok(encode_tile_payload(FixedSubbandCodec::new(), &tile))
     }
 
-    /// The `LWCF` header this engine would write for an image of the given
-    /// geometry.
-    fn header_for(&self, grid: &TileGrid, bit_depth: u32) -> FixedHeader {
-        FixedHeader {
-            width: grid.image_width(),
-            height: grid.image_height(),
+    fn decode(
+        &self,
+        header: &FixedHeader,
+        _index: usize,
+        rect: BrickRect,
+        bytes: &[u8],
+    ) -> Result<Vec<i32>, PipelineError> {
+        let tile = decode_tile_payload(self, bytes, &rect.plane, header.bit_depth)?;
+        Ok(self.inverse(&tile)?.into_samples())
+    }
+
+    fn header(&self, grid: &BrickGrid, bit_depth: u32) -> Result<FixedHeader, PipelineError> {
+        let plane = grid.plane();
+        check_tiles(self, plane)?;
+        check_bit_depth(self, bit_depth)?;
+        Ok(FixedHeader {
+            width: plane.image_width(),
+            height: plane.image_height(),
             bit_depth,
             scales: self.scales(),
-            filter: self.filter_id().index() as u8,
-            tile_width: grid.tile_width(),
-            tile_height: grid.tile_height(),
-        }
-    }
-
-    /// Compresses `image` into an `LWCF` container, fanning the tiles across
-    /// the worker pool. The bytes depend only on the image and the tile shape,
-    /// never on the worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first transform or coder error, if any; notably
-    /// [`PipelineError::Dwt`] if a tile shape of the grid cannot be
-    /// decomposed to the configured depth.
-    pub fn compress(&self, image: &Image) -> Result<Vec<u8>, PipelineError> {
-        Ok(self.compress_with_report(image)?.0)
-    }
-
-    /// Compresses and reports tile-level throughput.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledFixedCompressor::compress`].
-    pub fn compress_with_report(
-        &self,
-        image: &Image,
-    ) -> Result<(Vec<u8>, TiledReport), PipelineError> {
-        let start = Instant::now();
-        let plan = self.encode_plan(image)?;
-        let bytes = plan.execute(self.workers())?;
-        let report = TiledReport {
-            tiles: plan.parts(),
-            raw_bytes: (image.pixel_count() * image.bit_depth() as usize).div_ceil(8),
-            compressed_bytes: bytes.len(),
-            workers: self.workers().min(plan.parts()),
-            wall: start.elapsed(),
-        };
-        Ok((bytes, report))
-    }
-
-    /// The encode plan of `image`: one part per tile of its grid.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledFixedCompressor::grid`]; additionally
-    /// [`CoderError::UnsupportedFormat`] for pixels deeper than 12 bits.
-    pub fn encode_plan<'a>(
-        &'a self,
-        image: &'a Image,
-    ) -> Result<FixedEncodePlan<'a>, PipelineError> {
-        let grid = self.grid(image.width(), image.height())?;
-        self.check_bit_depth(image.bit_depth())?;
-        Ok(FixedEncodePlan { engine: self, image, grid })
-    }
-
-    /// Compresses one tile of `image` (row-major `index` of `grid`) into
-    /// its standalone `LWCF` tile payload — the unit a scheduler can fan
-    /// across workers. The tile's strided window runs through the line
-    /// cascade straight out of the frame. Byte-identical to the payload
-    /// [`TiledFixedCompressor::compress`] places at that directory slot, by
-    /// construction: `compress` itself is built on this.
-    ///
-    /// # Errors
-    ///
-    /// Returns the tile's transform error; `grid` must describe `image`.
-    pub fn encode_tile(
-        &self,
-        image: &Image,
-        grid: &TileGrid,
-        index: usize,
-    ) -> Result<Vec<u8>, PipelineError> {
-        let view = image.view_rect(grid.rect(index)).map_err(DwtError::from)?;
-        let tile = LineFixedDwt::forward_view(&self.transform, &view)?;
-        Ok(encode_tile_payload(self.codec, &tile))
-    }
-
-    /// Assembles per-tile payloads (row-major `grid` order, as produced by
-    /// [`TiledFixedCompressor::encode_tile`]) into the `LWCF` container
-    /// [`TiledFixedCompressor::compress`] writes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a container error if the payload count disagrees with the
-    /// grid or an offset overflows the directory format.
-    pub fn assemble_container(
-        &self,
-        grid: &TileGrid,
-        bit_depth: u32,
-        payloads: &[Vec<u8>],
-    ) -> Result<Vec<u8>, PipelineError> {
-        Ok(write_container(&self.header_for(grid, bit_depth), payloads)?)
-    }
-
-    /// Reconstructs the image from an `LWCF` container. The result is
-    /// pixel-exact. Each tile is placed into the frame as it finishes
-    /// decoding, so peak memory stays at the output frame plus one tile per
-    /// worker.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for malformed streams or containers whose filter or
-    /// depth disagree with this engine's transform.
-    pub fn decompress(&self, bytes: &[u8]) -> Result<Image, PipelineError> {
-        Ok(self
-            .decode_plan(bytes)?
-            .execute(self.workers())?
-            .into_image()
-            .map_err(CoderError::from)?)
-    }
-
-    /// The decode plan of an `LWCF` container over the whole image; `B` owns
-    /// or borrows the bytes. The container is parsed and validated here,
-    /// once.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a malformed header or directory, or a container
-    /// whose filter or depth disagree with this engine's transform.
-    pub fn decode_plan<B: AsRef<[u8]>>(&self, bytes: B) -> Result<DecodePlan<B>, PipelineError> {
-        DecodePlan::container(bytes, |header: FixedHeader| {
-            self.ensure_compatible(&header)?;
-            Ok(PartDecoder::Fixed(Box::new(self.clone()), header))
+            filter: self.bank().id().index() as u8,
+            tile_width: plane.tile_width(),
+            tile_height: plane.tile_height(),
         })
     }
 
-    /// Random tile access: decodes exactly one tile (row-major `index`)
-    /// without touching any other tile, via the container's 48-bit offset
-    /// directory.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledFixedCompressor::decompress`]; additionally errors for an
-    /// `index` outside the container's grid.
-    pub fn decompress_tile(&self, bytes: &[u8], index: usize) -> Result<Image, PipelineError> {
-        let stream = FixedStream::parse(bytes)?;
-        self.ensure_compatible(stream.header())?;
-        let grid = stream.grid()?;
-        if index >= grid.tile_count() {
-            return Err(CoderError::MalformedStream(format!(
-                "tile index {index} out of range: the container has {} tiles",
-                grid.tile_count()
-            ))
-            .into());
-        }
-        self.decode_tile(stream.header(), grid.rect(index), stream.part_bytes(index))
-    }
-
-    /// Streaming decode: yields the image one tile-row **band** at a time
-    /// (top to bottom), decoding each band's tiles on the worker pool. Peak
-    /// memory is bounded by one band plus the compressed bytes, regardless
-    /// of the image height.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the container header or directory is malformed;
-    /// per-band decode errors surface through the iterator's items.
-    pub fn decompress_row_bands<'a>(&self, bytes: &'a [u8]) -> Result<RowBands<'a>, PipelineError> {
-        Ok(RowBands::new(self.decode_plan(bytes)?, self.workers()))
-    }
-
-    fn ensure_compatible(&self, header: &FixedHeader) -> Result<(), PipelineError> {
-        self.check_bit_depth(header.bit_depth)?;
-        if header.scales != self.scales() {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "fixed stream uses {} scales but the engine is configured for {}",
-                header.scales,
-                self.scales()
-            ))
-            .into());
-        }
-        if header.filter as usize != self.filter_id().index() {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "fixed stream uses filter index {} but the engine runs {}",
-                header.filter,
-                self.filter_id()
-            ))
-            .into());
+    fn check(&self, header: &FixedHeader) -> Result<(), PipelineError> {
+        check_bit_depth(self, header.bit_depth)?;
+        header.ensure_scales(self.scales())?;
+        let (filter, id) = (header.filter, self.bank().id());
+        if usize::from(filter) != id.index() {
+            let message =
+                format!("fixed stream uses filter index {filter} but the engine runs {id}");
+            return Err(CoderError::UnsupportedFormat(message).into());
         }
         Ok(())
     }
 
-    /// Decodes one tile payload placed at `rect` back to its pixels.
-    pub(crate) fn decode_tile(
-        &self,
-        header: &FixedHeader,
-        rect: TileRect,
-        bytes: &[u8],
-    ) -> Result<Image, PipelineError> {
-        let tile = decode_tile_payload(self.codec, bytes, &rect, header)?;
-        Ok(self.transform.inverse(&tile)?)
+    /// The stored Table I bank at the stored depth, with the paper's
+    /// default word lengths (the only plan version 1 pairs with).
+    fn for_header(header: &FixedHeader) -> Result<Self, PipelineError> {
+        let filter = header.filter;
+        let id = FilterId::ALL.get(usize::from(filter)).ok_or_else(|| {
+            CoderError::UnsupportedFormat(format!("filter index {filter} is not a Table I bank"))
+        })?;
+        Ok(Self::paper_default(&FilterBank::table1(*id), header.scales)?)
     }
-}
-
-/// The encode plan of a [`TiledFixedCompressor`]: one part per tile,
-/// assembled into the `LWCF` container (a single-tile grid is wrapped too).
-pub struct FixedEncodePlan<'a> {
-    engine: &'a TiledFixedCompressor,
-    image: &'a Image,
-    grid: TileGrid,
-}
-
-impl Plan for FixedEncodePlan<'_> {
-    type Part = Vec<u8>;
-    type Sink = Vec<Vec<u8>>;
-    type Output = Vec<u8>;
-
-    fn parts(&self) -> usize {
-        self.grid.tile_count()
-    }
-
-    fn sink(&self) -> Vec<Vec<u8>> {
-        vec![Vec::new(); self.parts()]
-    }
-
-    fn run(&self, index: usize) -> Result<Vec<u8>, PipelineError> {
-        self.engine.encode_tile(self.image, &self.grid, index)
-    }
-
-    fn place(&self, sink: &mut Vec<Vec<u8>>, index: usize, part: Vec<u8>) {
-        sink[index] = part;
-    }
-
-    fn finish(&self, sink: Vec<Vec<u8>>) -> Result<Vec<u8>, PipelineError> {
-        self.engine.assemble_container(&self.grid, self.image.bit_depth(), &sink)
-    }
-}
-
-/// The Table I bank an `LWCF` header names.
-fn filter_of(header: &FixedHeader) -> Result<FilterId, CoderError> {
-    FilterId::ALL.get(header.filter as usize).copied().ok_or_else(|| {
-        CoderError::UnsupportedFormat(format!(
-            "filter index {} is not a Table I bank",
-            header.filter
-        ))
-    })
 }
 
 /// Sequential per-tile encode: subbands in [`subband_order`], one
@@ -438,32 +207,28 @@ fn filter_of(header: &FixedHeader) -> Result<FilterId, CoderError> {
 fn encode_tile_payload(codec: FixedSubbandCodec, tile: &Decomposition<i64>) -> Vec<u8> {
     let mut writer = BitWriter::new();
     for (scale, band) in subband_order(tile.scales()) {
-        codec.encode_subband(&mut writer, &tile.subband(scale, band_of(band)));
+        codec.encode_subband(&mut writer, &tile.subband(scale, BANDS[band]));
     }
     writer.into_bytes()
 }
 
-/// Decodes one tile payload back into the tile's Mallat-layout word
-/// container, validating exact consumption of the payload.
+/// Decodes one `bit_depth`-bit tile payload placed at `rect` back into the
+/// tile's Mallat-layout word container, validating exact consumption of the
+/// payload.
 fn decode_tile_payload(
-    codec: FixedSubbandCodec,
+    transform: &FixedDwt2d,
     payload: &[u8],
     rect: &TileRect,
-    header: &FixedHeader,
+    bit_depth: u32,
 ) -> Result<Decomposition<i64>, PipelineError> {
-    let mut tile = Decomposition::from_raw(
-        vec![0i64; rect.width * rect.height],
-        rect.width,
-        rect.height,
-        header.scales,
-        filter_of(header)?,
-        header.bit_depth,
-    );
+    let (width, height, scales) = (rect.width, rect.height, transform.scales());
+    let id = transform.bank().id();
+    let mut tile =
+        Decomposition::from_raw(vec![0; width * height], width, height, scales, id, bit_depth);
     let mut reader = BitReader::new(payload);
-    for (scale, band) in subband_order(header.scales) {
-        let sb = tile.subband_rect(scale, band_of(band));
-        let words = codec.decode_subband(&mut reader, sb.len())?;
-        let width = tile.width();
+    for (scale, band) in subband_order(scales) {
+        let sb = tile.subband_rect(scale, BANDS[band]);
+        let words = FixedSubbandCodec::new().decode_subband(&mut reader, sb.len())?;
         let data = tile.data_mut();
         for (row, chunk) in words.chunks_exact(sb.width).enumerate() {
             let start = (sb.y + row) * width + sb.x;
@@ -471,12 +236,10 @@ fn decode_tile_payload(
         }
     }
     // Anything beyond byte-alignment padding is corruption, not slack.
-    if payload.len() as u64 * 8 - reader.bits_read() >= 8 {
-        return Err(CoderError::MalformedStream(format!(
-            "tile payload has {} trailing bytes after its last subband",
-            (payload.len() as u64 * 8 - reader.bits_read()) / 8
-        ))
-        .into());
+    let trailing = (payload.len() as u64 * 8 - reader.bits_read()) / 8;
+    if trailing > 0 {
+        let message = format!("tile payload has {trailing} trailing bytes after its last subband");
+        return Err(CoderError::MalformedStream(message).into());
     }
     Ok(tile)
 }
@@ -484,7 +247,7 @@ fn decode_tile_payload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lwc_coder::FIXED_HEADER_BYTES;
+    use lwc_coder::{write_container, FixedStream, FIXED_HEADER_BYTES};
     use lwc_image::{stats, synth};
 
     fn engine(scales: u32, tile: usize, workers: usize) -> TiledFixedCompressor {
@@ -505,19 +268,6 @@ mod tests {
             let back = engine.decompress(&bytes).unwrap();
             assert!(stats::bit_exact(&image, &back).unwrap());
         }
-    }
-
-    #[test]
-    fn per_tile_encode_plus_assembly_matches_compress() {
-        // The scheduler's fan-out path must reproduce `compress` exactly.
-        let engine = engine(3, 32, 2);
-        let image = synth::ct_phantom(96, 64, 12, 4);
-        let reference = engine.compress(&image).unwrap();
-        let grid = engine.grid(96, 64).unwrap();
-        let payloads: Vec<Vec<u8>> =
-            (0..grid.tile_count()).map(|i| engine.encode_tile(&image, &grid, i).unwrap()).collect();
-        let assembled = engine.assemble_container(&grid, image.bit_depth(), &payloads).unwrap();
-        assert_eq!(assembled, reference);
     }
 
     #[test]
@@ -553,8 +303,15 @@ mod tests {
         // Hand-build the sequential container.
         let tile = eng.transform().forward(&image).unwrap();
         let payload = encode_tile_payload(FixedSubbandCodec::new(), &tile);
-        let grid = eng.grid(64, 64).unwrap();
-        let header = eng.header_for(&grid, image.bit_depth());
+        let header = FixedHeader {
+            width: 64,
+            height: 64,
+            bit_depth: image.bit_depth(),
+            scales: 3,
+            filter: FilterId::F1.index() as u8,
+            tile_width: 64,
+            tile_height: 64,
+        };
         let sequential = write_container(&header, &[payload]).unwrap();
         assert_eq!(single, sequential);
     }
@@ -575,10 +332,21 @@ mod tests {
             let payloads: Vec<Vec<u8>> = (0..grid.tile_count())
                 .map(|i| {
                     let crop = image.crop(grid.rect(i)).unwrap();
-                    encode_tile_payload(eng.codec, &eng.transform().forward(&crop).unwrap())
+                    encode_tile_payload(
+                        FixedSubbandCodec::new(),
+                        &eng.transform().forward(&crop).unwrap(),
+                    )
                 })
                 .collect();
-            let header = eng.header_for(&grid, image.bit_depth());
+            let header = FixedHeader {
+                width,
+                height,
+                bit_depth: image.bit_depth(),
+                scales,
+                filter: id.index() as u8,
+                tile_width: tile,
+                tile_height: tile,
+            };
             let reference = write_container(&header, &payloads).unwrap();
             assert_eq!(eng.compress(&image).unwrap(), reference, "{id} {width}x{height}/{tile}");
         }

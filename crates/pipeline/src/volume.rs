@@ -1,4 +1,4 @@
-//! Brick-parallel volumetric compression: the 3-D engine.
+//! Brick-parallel volumetric compression: the 3-D engine and its part codec.
 //!
 //! Medical studies are mostly *stacks* of correlated slices. This module
 //! lifts the tile-sharded 2-D engine one dimension: an
@@ -16,34 +16,31 @@
 //!   substreams become byte-identical to the 2-D tiled path's,
 //! * **brick parallelism** — one volume request fans into
 //!   `bricks_z x tiles` independent encode/decode jobs with worker-count
-//!   independent bytes (the same [`Plan`] discipline as every other
-//!   engine),
+//!   independent bytes (the same [`BrickEngine`] as the 2-D formats),
 //! * **bounded-memory decode** — [`VolumeCompressor::decompress_slabs`]
 //!   walks the directory one brick layer at a time, the volumetric mirror of
 //!   `decompress_row_bands`, sound because z transforms never cross brick
 //!   boundaries.
 
-use crate::plan::PartDecoder;
-use crate::pool::resolve_workers;
+use crate::engine::{BrickEngine, Layer, Layers, PartCodec};
 use crate::report::TiledReport;
-use crate::tiled::check_tile_shape;
-use crate::{DecodePlan, PipelineError, Plan};
+use crate::tiled::decode_plane;
+use crate::{PipelineError, Plan};
 use lwc_coder::volume::{split_brick_payload, write_brick_payload};
 use lwc_coder::{
-    check_z_scales, plane_delta_for_volume, write_container, CoderError, LosslessCodec,
-    VolumeHeader,
+    check_z_scales, clamp_reconstruction, plane_delta_for_volume, CoderError, ContainerHeader,
+    LosslessCodec, VolumeHeader,
 };
-use lwc_image::{BrickGrid, BrickRect, ImageStack, ImageView, TileRect};
+use lwc_image::{BrickGrid, BrickRect, ImageStack, ImageView, VolumeView};
 use lwc_lifting::{forward_z, inverse_z};
-use std::borrow::Borrow;
-use std::time::Instant;
 
 /// Default nominal brick depth in slices: deep enough that two z scales have
 /// material to work with, shallow enough that a brick (tile footprint x
 /// depth, i32) stays cache-friendly and slab-streaming memory stays low.
 pub const DEFAULT_BRICK_DEPTH: usize = 8;
 
-/// Brick-parallel lossless codec for volumes (stacks of slices).
+/// Brick-parallel lossless codec for volumes (stacks of slices): the
+/// [`BrickEngine`] over `LWCV` bricks.
 ///
 /// Streams are deterministic for a given brick shape — the worker count
 /// never changes a byte — and every brick decodes independently through the
@@ -62,8 +59,12 @@ pub const DEFAULT_BRICK_DEPTH: usize = 8;
 /// # Ok(())
 /// # }
 /// ```
+pub type VolumeCompressor = BrickEngine<VolumeCodec>;
+
+/// The part codec of `LWCV` bricks: the z transform plus one
+/// [`LosslessCodec`] stream per coefficient plane.
 #[derive(Debug, Clone, Copy)]
-pub struct VolumeCompressor {
+pub struct VolumeCodec {
     /// The user-facing codec; its `delta` is the per-voxel bound the volume
     /// container advertises.
     codec: LosslessCodec,
@@ -73,10 +74,15 @@ pub struct VolumeCompressor {
     /// bound. Identical to `codec` when `delta == 0` or `z_scales == 0`.
     plane_codec: LosslessCodec,
     z_scales: u32,
-    tile_width: usize,
-    tile_height: usize,
-    brick_depth: usize,
-    workers: usize,
+}
+
+impl VolumeCodec {
+    fn new(codec: LosslessCodec, z_scales: u32) -> Result<Self, PipelineError> {
+        check_z_scales(z_scales).map_err(|e| PipelineError::Config(e.to_string()))?;
+        let plane_delta = plane_delta_for_volume(codec.delta(), z_scales);
+        let plane_codec = LosslessCodec::near_lossless(codec.scales(), plane_delta)?;
+        Ok(Self { codec, plane_codec, z_scales })
+    }
 }
 
 impl VolumeCompressor {
@@ -96,14 +102,8 @@ impl VolumeCompressor {
         brick_depth: usize,
         workers: usize,
     ) -> Result<Self, PipelineError> {
-        Self::with_codec(
-            LosslessCodec::new(scales)?,
-            z_scales,
-            tile_size,
-            tile_size,
-            brick_depth,
-            workers,
-        )
+        let codec = LosslessCodec::new(scales)?;
+        Self::with_codec(codec, z_scales, tile_size, tile_size, brick_depth, workers)
     }
 
     /// Wraps an existing per-plane codec with an explicit (possibly
@@ -124,53 +124,20 @@ impl VolumeCompressor {
         brick_depth: usize,
         workers: usize,
     ) -> Result<Self, PipelineError> {
-        if brick_depth == 0 {
-            return Err(PipelineError::Config("brick dimensions must be nonzero".into()));
-        }
-        check_tile_shape(tile_width, tile_height)?;
-        check_z_scales(z_scales).map_err(|e| PipelineError::Config(e.to_string()))?;
-        let workers = resolve_workers(workers);
-        let plane_codec = LosslessCodec::near_lossless(
-            codec.scales(),
-            plane_delta_for_volume(codec.delta(), z_scales),
-        )?;
-        Ok(Self { codec, plane_codec, z_scales, tile_width, tile_height, brick_depth, workers })
+        let codec = VolumeCodec::new(codec, z_scales)?;
+        Self::build(codec, tile_width, tile_height, brick_depth, workers)
     }
 
     /// The per-plane 2-D codec.
     #[must_use]
     pub fn codec(&self) -> &LosslessCodec {
-        &self.codec
+        &self.codec.codec
     }
 
     /// z-axis decomposition depth (0 = per-slice 2-D coding).
     #[must_use]
     pub fn z_scales(&self) -> u32 {
-        self.z_scales
-    }
-
-    /// Nominal tile width.
-    #[must_use]
-    pub fn tile_width(&self) -> usize {
-        self.tile_width
-    }
-
-    /// Nominal tile height.
-    #[must_use]
-    pub fn tile_height(&self) -> usize {
-        self.tile_height
-    }
-
-    /// Nominal brick depth in slices.
-    #[must_use]
-    pub fn brick_depth(&self) -> usize {
-        self.brick_depth
-    }
-
-    /// Worker threads used per volume.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
+        self.codec.z_scales
     }
 
     /// The brick grid this engine would use for a `width x height x depth`
@@ -185,8 +152,7 @@ impl VolumeCompressor {
         height: usize,
         depth: usize,
     ) -> Result<BrickGrid, PipelineError> {
-        BrickGrid::new(width, height, depth, self.tile_width, self.tile_height, self.brick_depth)
-            .map_err(|e| PipelineError::Config(format!("invalid brick grid: {e}")))
+        self.bricks(width, height, depth)
     }
 
     /// Compresses a volume, fanning the bricks across the worker pool. The
@@ -197,7 +163,7 @@ impl VolumeCompressor {
     ///
     /// Returns the first per-brick codec error, if any.
     pub fn compress_stack(&self, stack: &ImageStack) -> Result<Vec<u8>, PipelineError> {
-        Ok(self.compress_stack_with_report(stack)?.0)
+        Ok(self.encode(stack)?.0)
     }
 
     /// Compresses and reports brick-level throughput (the report's `tiles`
@@ -210,104 +176,7 @@ impl VolumeCompressor {
         &self,
         stack: &ImageStack,
     ) -> Result<(Vec<u8>, TiledReport), PipelineError> {
-        let start = Instant::now();
-        let plan = self.encode_plan(stack)?;
-        let bytes = plan.execute(self.workers)?;
-        let report = TiledReport {
-            tiles: plan.parts(),
-            raw_bytes: (stack.voxel_count() * stack.bit_depth() as usize).div_ceil(8),
-            compressed_bytes: bytes.len(),
-            workers: self.workers.min(plan.parts()),
-            wall: start.elapsed(),
-        };
-        Ok((bytes, report))
-    }
-
-    /// The encode plan of `stack`: one part per brick of its grid. `S` owns
-    /// or borrows the volume.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for zero volume dimensions.
-    pub fn encode_plan<S: Borrow<ImageStack>>(
-        &self,
-        stack: S,
-    ) -> Result<BrickEncodePlan<S>, PipelineError> {
-        let volume = stack.borrow();
-        let grid = self.grid(volume.width(), volume.height(), volume.depth())?;
-        Ok(BrickEncodePlan { engine: *self, stack, grid })
-    }
-
-    /// Compresses one brick (plane-major `index` of `grid`) into its
-    /// standalone payload — the unit a scheduler can fan across workers.
-    /// Byte-identical to the payload [`VolumeCompressor::compress_stack`]
-    /// places in the container's `index` directory slot, by construction:
-    /// `compress_stack` itself is built on this.
-    ///
-    /// The brick is gathered plane-major, z-lifted in place
-    /// ([`lwc_lifting::forward_z`]; a no-op at `z_scales = 0`), and every
-    /// resulting coefficient plane is 2-D coded as one `LWC1` stream —
-    /// negative z coefficients ride through the same subband coder pixels
-    /// do, which handles any `i32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the brick's codec error; `grid` must describe `stack` (an
-    /// out-of-bounds box surfaces as a view error).
-    pub fn encode_brick(
-        &self,
-        stack: &ImageStack,
-        grid: &BrickGrid,
-        index: usize,
-    ) -> Result<Vec<u8>, PipelineError> {
-        let rect = grid.rect(index);
-        let mut samples = stack.view_brick(rect).map_err(CoderError::from)?.to_samples();
-        let plane_len = rect.plane.pixel_count();
-        forward_z(&mut samples, plane_len, rect.depth, self.z_scales).map_err(CoderError::from)?;
-        let planes = samples
-            .chunks_exact(plane_len)
-            .map(|plane| {
-                let view = ImageView::from_raw(
-                    plane,
-                    rect.plane.width,
-                    rect.plane.height,
-                    rect.plane.width,
-                    stack.bit_depth(),
-                )
-                .map_err(CoderError::from)?;
-                Ok(self.plane_codec.compress_view(&view)?)
-            })
-            .collect::<Result<Vec<_>, PipelineError>>()?;
-        Ok(write_brick_payload(&planes))
-    }
-
-    /// Assembles per-brick payloads (plane-major `grid` order, one per
-    /// brick, as produced by [`VolumeCompressor::encode_brick`]) into the
-    /// `LWCV` container [`VolumeCompressor::compress_stack`] writes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a container error if the payload count disagrees with the
-    /// grid or an offset overflows the directory format.
-    pub fn assemble_container(
-        &self,
-        grid: &BrickGrid,
-        bit_depth: u32,
-        payloads: &[Vec<u8>],
-    ) -> Result<Vec<u8>, PipelineError> {
-        let header = VolumeHeader {
-            width: grid.plane().image_width(),
-            height: grid.plane().image_height(),
-            depth: grid.image_depth(),
-            bit_depth,
-            scales: self.codec.scales(),
-            z_scales: self.z_scales,
-            tile_width: grid.plane().tile_width(),
-            tile_height: grid.plane().tile_height(),
-            brick_depth: grid.brick_depth(),
-            delta: self.codec.delta(),
-        };
-        Ok(write_container(&header, payloads)?)
+        self.encode(stack)
     }
 
     /// Reconstructs the volume from an `LWCV` container — voxel-exact for
@@ -325,22 +194,7 @@ impl VolumeCompressor {
     /// Returns an error for malformed streams, mismatched configuration, or
     /// bricks that disagree with the container's grid geometry.
     pub fn decompress_stack(&self, bytes: &[u8]) -> Result<ImageStack, PipelineError> {
-        self.decode_plan(bytes)?.execute(self.workers)
-    }
-
-    /// The decode plan of an `LWCV` container over the whole volume; `B`
-    /// owns or borrows the bytes. The container is parsed and validated
-    /// here, once; [`DecodePlan::select`] narrows the plan to a region.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a malformed header or directory, or a container
-    /// coded at a different 2-D depth than this engine's codec.
-    pub fn decode_plan<B: AsRef<[u8]>>(&self, bytes: B) -> Result<DecodePlan<B>, PipelineError> {
-        DecodePlan::container(bytes, |header: VolumeHeader| {
-            self.ensure_scales(&header)?;
-            Ok(PartDecoder::Volume(*self, header))
-        })
+        self.decode_plan(bytes)?.execute(self.workers())
     }
 
     /// Streaming decode: yields the volume one brick-layer **slab** at a
@@ -353,10 +207,10 @@ impl VolumeCompressor {
     ///
     /// # Errors
     ///
-    /// Returns an error if the container header or directory is malformed;
-    /// per-slab decode errors surface through the iterator's items.
+    /// None here: a stream that does not parse yields its error as the
+    /// first item, and each slab's decode error is that slab's item.
     pub fn decompress_slabs<'a>(&self, bytes: &'a [u8]) -> Result<VolumeSlabs<'a>, PipelineError> {
-        Ok(VolumeSlabs { plan: self.decode_plan(bytes)?, workers: self.workers, next_layer: 0 })
+        Ok(self.layers(bytes))
     }
 
     /// Decodes the minimal set of bricks covering the box `rect` and crops
@@ -375,113 +229,85 @@ impl VolumeCompressor {
     ) -> Result<ImageStack, PipelineError> {
         let mut plan = self.decode_plan(bytes)?;
         plan.select(rect)?;
-        plan.execute(self.workers)
+        plan.execute(self.workers())
+    }
+}
+
+impl PartCodec for VolumeCodec {
+    type Header = VolumeHeader;
+    type Frame = ImageStack;
+    const VOLUME: bool = true;
+
+    /// The brick is gathered plane-major, z-lifted in place
+    /// ([`lwc_lifting::forward_z`]; a no-op at `z_scales = 0`), and every
+    /// resulting coefficient plane is 2-D coded as one `LWC1` stream —
+    /// negative z coefficients ride through the same subband coder pixels
+    /// do, which handles any `i32`.
+    fn encode(&self, frame: &VolumeView<'_>, rect: BrickRect) -> Result<Vec<u8>, PipelineError> {
+        let mut samples = frame.subvolume(rect).map_err(CoderError::from)?.to_samples();
+        let plane_len = rect.plane.pixel_count();
+        forward_z(&mut samples, plane_len, rect.depth, self.z_scales).map_err(CoderError::from)?;
+        let (width, height) = (rect.plane.width, rect.plane.height);
+        let planes = samples
+            .chunks_exact(plane_len)
+            .map(|plane| {
+                let view = ImageView::from_raw(plane, width, height, width, frame.bit_depth())?;
+                self.plane_codec.compress_view(&view)
+            })
+            .collect::<Result<Vec<_>, CoderError>>()?;
+        Ok(write_brick_payload(&planes))
     }
 
-    fn ensure_scales(&self, header: &VolumeHeader) -> Result<(), PipelineError> {
-        if header.scales != self.codec.scales() {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "volume stream uses {} scales but the codec is configured for {}",
-                header.scales,
-                self.codec.scales()
-            ))
-            .into());
-        }
-        Ok(())
-    }
-
-    /// Decodes one brick (plane-major `index`, placed at `rect`) to its
-    /// plane-major raw samples: splits the payload's plane table, entropy
-    /// decodes every coefficient plane and runs its inverse cascade straight
-    /// into the plane's slot of the brick buffer (the raw, range-unchecked
-    /// path), then inverts the z transform with the **container's**
-    /// `z_scales`. Each plane's stream header must carry the per-plane
-    /// quantizer delta the container's volume bound implies; near-lossless
-    /// voxels are clamped to the container's sample range after the inverse
-    /// z transform (clamping only moves a reconstruction toward the
-    /// original, so the bound holds).
-    pub(crate) fn decode_brick(
+    /// Splits the payload's plane table, entropy decodes every coefficient
+    /// plane and runs its inverse cascade straight into the plane's slot of
+    /// the brick buffer (the raw, range-unchecked path), then inverts the z
+    /// transform with the **container's** `z_scales`. Each plane's stream
+    /// header must carry the per-plane quantizer delta the container's
+    /// volume bound implies; near-lossless voxels are clamped to the
+    /// container's sample range after the inverse z transform.
+    fn decode(
         &self,
         header: &VolumeHeader,
         index: usize,
         rect: BrickRect,
         bytes: &[u8],
-    ) -> Result<Vec<i32>, CoderError> {
-        let expected_delta = plane_delta_for_volume(header.delta, header.z_scales);
+    ) -> Result<Vec<i32>, PipelineError> {
+        let container = (plane_delta_for_volume(header.delta, header.z_scales), header.bit_depth);
         let plane_len = rect.plane.pixel_count();
         let planes = split_brick_payload(bytes, rect.depth)?;
         let mut samples = vec![0i32; plane_len * rect.depth];
-        for ((z, plane_bytes), slot) in
-            planes.iter().enumerate().zip(samples.chunks_exact_mut(plane_len))
+        for ((z, plane), slot) in planes.iter().enumerate().zip(samples.chunks_exact_mut(plane_len))
         {
-            let (plane_header, subbands) = self.codec.decode_subbands(plane_bytes)?;
-            if plane_header.delta != expected_delta {
-                return Err(CoderError::MalformedStream(format!(
-                    "brick {index} plane {z} carries quantizer delta {} but the container's \
-                     volume bound {} implies {}",
-                    plane_header.delta, header.delta, expected_delta
-                )));
-            }
-            if plane_header.width != rect.plane.width || plane_header.height != rect.plane.height {
-                return Err(CoderError::MalformedStream(format!(
-                    "brick {index} plane {z} decodes to {}x{} but the grid places a {}x{} brick \
-                     there",
-                    plane_header.width, plane_header.height, rect.plane.width, rect.plane.height
-                )));
-            }
-            if plane_header.bit_depth != header.bit_depth {
-                return Err(CoderError::MalformedStream(format!(
-                    "brick {index} plane {z} carries {}-bit samples but the container header says \
-                     {}-bit",
-                    plane_header.bit_depth, header.bit_depth
-                )));
-            }
-            self.codec.reassemble_into(&plane_header, &subbands, slot)?;
+            let part = format_args!("brick {index} plane {z}");
+            decode_plane(&self.codec, plane, container, rect.plane, &part, slot)?;
         }
-        inverse_z(&mut samples, plane_len, rect.depth, header.z_scales)?;
-        if header.delta != 0 {
-            // i64 keeps a forged bit depth from overflowing the shift before
-            // the range validation downstream rejects it.
-            let max = ((1i64 << header.bit_depth) - 1).min(i64::from(i32::MAX)) as i32;
-            for sample in &mut samples {
-                *sample = (*sample).clamp(0, max);
-            }
-        }
+        inverse_z(&mut samples, plane_len, rect.depth, header.z_scales)
+            .map_err(CoderError::from)?;
+        clamp_reconstruction(&mut samples, header.bit_depth, header.delta);
         Ok(samples)
     }
-}
 
-/// The encode plan of a [`VolumeCompressor`]: one part per brick,
-/// assembled into the `LWCV` container.
-pub struct BrickEncodePlan<S> {
-    engine: VolumeCompressor,
-    stack: S,
-    grid: BrickGrid,
-}
-
-impl<S: Borrow<ImageStack> + Send + Sync> Plan for BrickEncodePlan<S> {
-    type Part = Vec<u8>;
-    type Sink = Vec<Vec<u8>>;
-    type Output = Vec<u8>;
-
-    fn parts(&self) -> usize {
-        self.grid.brick_count()
+    fn header(&self, grid: &BrickGrid, bit_depth: u32) -> Result<VolumeHeader, PipelineError> {
+        Ok(VolumeHeader {
+            width: grid.plane().image_width(),
+            height: grid.plane().image_height(),
+            depth: grid.image_depth(),
+            bit_depth,
+            scales: self.codec.scales(),
+            z_scales: self.z_scales,
+            tile_width: grid.plane().tile_width(),
+            tile_height: grid.plane().tile_height(),
+            brick_depth: grid.brick_depth(),
+            delta: self.codec.delta(),
+        })
     }
 
-    fn sink(&self) -> Vec<Vec<u8>> {
-        vec![Vec::new(); self.parts()]
+    fn check(&self, header: &VolumeHeader) -> Result<(), PipelineError> {
+        Ok(header.ensure_scales(self.codec.scales())?)
     }
 
-    fn run(&self, index: usize) -> Result<Vec<u8>, PipelineError> {
-        self.engine.encode_brick(self.stack.borrow(), &self.grid, index)
-    }
-
-    fn place(&self, sink: &mut Vec<Vec<u8>>, index: usize, part: Vec<u8>) {
-        sink[index] = part;
-    }
-
-    fn finish(&self, sink: Vec<Vec<u8>>) -> Result<Vec<u8>, PipelineError> {
-        self.engine.assemble_container(&self.grid, self.stack.borrow().bit_depth(), &sink)
+    fn for_header(header: &VolumeHeader) -> Result<Self, PipelineError> {
+        Self::new(LosslessCodec::new(header.scales)?, header.z_scales)
     }
 }
 
@@ -524,40 +350,23 @@ pub struct VolumeSlab {
 
 /// Iterator over the slabs of a compressed volume, yielded front to back:
 /// each slab is the volume's decode plan narrowed to one brick layer.
-pub struct VolumeSlabs<'a> {
-    plan: DecodePlan<&'a [u8]>,
-    workers: usize,
-    next_layer: usize,
-}
+pub type VolumeSlabs<'a> = Layers<'a, VolumeSlab>;
 
-impl Iterator for VolumeSlabs<'_> {
-    type Item = Result<VolumeSlab, PipelineError>;
+impl Layer for VolumeSlab {
+    fn rect(grid: &BrickGrid, index: usize) -> Option<BrickRect> {
+        let (z, depth) = (index < grid.bricks_z()).then(|| grid.z_extent(index))?;
+        Some(BrickRect { z, depth, ..grid.bounds() })
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        let grid = *self.plan.grid();
-        if self.next_layer >= grid.bricks_z() {
-            return None;
-        }
-        let (z, depth) = grid.z_extent(self.next_layer);
-        self.next_layer += 1;
-        let plane = TileRect {
-            x: 0,
-            y: 0,
-            width: grid.plane().image_width(),
-            height: grid.plane().image_height(),
-        };
-        let stack = self
-            .plan
-            .select(BrickRect { plane, z, depth })
-            .and_then(|()| self.plan.execute(self.workers));
-        Some(stack.map(|stack| VolumeSlab { z, stack }))
+    fn new(rect: BrickRect, stack: ImageStack) -> Result<Self, PipelineError> {
+        Ok(Self { z: rect.z, stack })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lwc_coder::VolumeStream;
+    use lwc_coder::{write_container, VolumeStream};
     use lwc_image::{synth, TileRect};
 
     #[test]
@@ -573,19 +382,6 @@ mod tests {
             let back = engine.decompress_stack(&bytes).unwrap();
             assert_eq!(volume, back);
         }
-    }
-
-    #[test]
-    fn per_brick_encode_plus_assembly_matches_compress() {
-        let engine = VolumeCompressor::new(3, 1, 32, 4, 2).unwrap();
-        let volume = synth::ct_volume(70, 50, 7, 12, 4);
-        let reference = engine.compress_stack(&volume).unwrap();
-        let grid = engine.grid(70, 50, 7).unwrap();
-        let payloads: Vec<Vec<u8>> = (0..grid.brick_count())
-            .map(|i| engine.encode_brick(&volume, &grid, i).unwrap())
-            .collect();
-        let assembled = engine.assemble_container(&grid, volume.bit_depth(), &payloads).unwrap();
-        assert_eq!(assembled, reference);
     }
 
     #[test]
@@ -608,10 +404,12 @@ mod tests {
         let engine = VolumeCompressor::new(3, 0, 32, 4, 2).unwrap();
         let volume = synth::ct_volume(70, 50, 6, 12, 6);
         let grid = engine.grid(70, 50, 6).unwrap();
+        let bytes = engine.compress_stack(&volume).unwrap();
+        let stream = VolumeStream::parse(&bytes).unwrap();
         for index in [0usize, 3, grid.brick_count() - 1] {
             let rect = grid.rect(index);
-            let payload = engine.encode_brick(&volume, &grid, index).unwrap();
-            let planes = split_brick_payload(&payload, rect.depth).unwrap();
+            let payload = stream.part_bytes(index);
+            let planes = split_brick_payload(payload, rect.depth).unwrap();
             for (z, plane) in planes.iter().enumerate() {
                 let slice = volume.slice(rect.z + z).unwrap();
                 let tile = slice.subview(rect.plane).unwrap();
@@ -726,9 +524,10 @@ mod tests {
         let engine = VolumeCompressor::new(3, 0, 32, 4, 2).unwrap();
         let volume = synth::ct_volume(48, 40, 5, 12, 16);
         let grid = engine.grid(48, 40, 5).unwrap();
-        let payloads: Vec<Vec<u8>> = (0..grid.brick_count())
-            .map(|i| engine.encode_brick(&volume, &grid, i).unwrap())
-            .collect();
+        let bytes = engine.compress_stack(&volume).unwrap();
+        let stream = VolumeStream::parse(&bytes).unwrap();
+        let payloads: Vec<Vec<u8>> =
+            (0..grid.brick_count()).map(|i| stream.part_bytes(i).to_vec()).collect();
         let header = VolumeHeader {
             width: 48,
             height: 40,

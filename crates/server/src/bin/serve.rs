@@ -17,8 +17,6 @@
 //!   --max-frame-mb N    per-frame payload limit    (default 64)
 //!   --duration SECS     serve then exit            (default 0 = forever)
 //! ```
-//!
-//! `--queue` is accepted as a deprecated alias for `--budget`.
 
 use lwc_server::{Server, ServerConfig};
 use std::time::Duration;
@@ -48,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match flag.as_str() {
             "--addr" => addr = value("--addr"),
             "--workers" => config.workers = value("--workers").parse()?,
-            "--budget" | "--queue" => config.queue_depth = value("--budget").parse()?,
+            "--budget" => config.queue_depth = value("--budget").parse()?,
             "--conn-inflight" => config.conn_inflight = value("--conn-inflight").parse()?,
             "--cache-entries" => config.cache_entries = value("--cache-entries").parse()?,
             "--cache-mb" => {

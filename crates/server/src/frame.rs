@@ -1,14 +1,10 @@
 //! Frame I/O over byte streams: blocking readers for the client, and the
 //! incremental [`FrameAccumulator`] the server's event loop parses with.
 //!
-//! The blocking side reads with a short socket timeout so callers can poll
-//! a shutdown flag between frames; [`read_frame_idle`] distinguishes "no
-//! frame started yet" (a normal idle tick, [`ReadOutcome::Idle`]) from a
-//! timeout *inside* a frame (a protocol error — a peer that starts a frame
-//! must finish it within the patience window, or it is holding a
-//! connection slot hostage). The incremental side accepts whatever bytes a
-//! nonblocking read produced and yields complete frames as they form,
-//! against the same length/limit validation.
+//! The blocking side (the client's) reads whole frames; a timeout *inside*
+//! a frame is an error once the patience window is spent. The incremental
+//! side accepts whatever bytes a nonblocking read produced and yields
+//! complete frames as they form, against the same length/limit validation.
 
 use crate::error::ServerError;
 use crate::protocol::{parse_header, ErrorCode, Frame, FrameHeader, FRAME_HEADER_BYTES};
@@ -97,63 +93,6 @@ pub fn read_frame<R: Read>(
     let mut payload = vec![0u8; header.payload_len];
     read_full(reader, &mut payload, max_idle_polls)?;
     Ok((header, payload))
-}
-
-/// What one patient read attempt on an idle-capable connection produced.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// No frame byte arrived within one read-timeout quantum — poll your
-    /// shutdown flag and call again.
-    Idle,
-    /// One complete frame (header validated, payload within the limit).
-    Frame(FrameHeader, Vec<u8>),
-    /// A syntactically valid header declaring a payload beyond the limit.
-    /// The payload was **not** read (the frame boundary is lost), but the
-    /// header's request id lets the caller address its error reply before
-    /// closing.
-    Oversized(FrameHeader),
-}
-
-/// Like [`read_frame`], but an idle connection is not an error
-/// ([`ReadOutcome::Idle`]), and an oversized declaration hands back the
-/// parsed header ([`ReadOutcome::Oversized`]) so the caller can reply with
-/// the request id. Once the first byte of a header is in, the frame must
-/// complete within the patience window.
-///
-/// # Errors
-///
-/// See [`read_frame`]; a clean EOF before any frame byte surfaces as an
-/// `UnexpectedEof` I/O error ([`ServerError::is_disconnect`]).
-pub fn read_frame_idle<R: Read>(
-    reader: &mut R,
-    max_payload: usize,
-    max_idle_polls: u32,
-) -> Result<ReadOutcome, ServerError> {
-    let mut first = [0u8; 1];
-    loop {
-        match reader.read(&mut first) {
-            Ok(0) => {
-                return Err(ServerError::Io(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "peer closed the connection",
-                )))
-            }
-            Ok(_) => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(e.kind()) => return Ok(ReadOutcome::Idle),
-            Err(e) => return Err(ServerError::Io(e)),
-        }
-    }
-    let mut header_bytes = [0u8; FRAME_HEADER_BYTES];
-    header_bytes[0] = first[0];
-    read_full(reader, &mut header_bytes[1..], max_idle_polls)?;
-    let header = parse_header(&header_bytes)?;
-    if header.ensure_within(max_payload).is_err() {
-        return Ok(ReadOutcome::Oversized(header));
-    }
-    let mut payload = vec![0u8; header.payload_len];
-    read_full(reader, &mut payload, max_idle_polls)?;
-    Ok(ReadOutcome::Frame(header, payload))
 }
 
 /// Converts a validated `(header, payload)` pair into a [`Frame`], rejecting
@@ -322,16 +261,6 @@ mod tests {
         let mut cursor = bytes.as_slice();
         let err = read_frame(&mut cursor, 16, 0).unwrap_err();
         assert!(matches!(err, ServerError::Protocol { code: ErrorCode::FrameTooLarge, .. }));
-        // The idle-capable reader instead surfaces the header, so the server
-        // can address its FrameTooLarge reply to the real request id.
-        let mut cursor = bytes.as_slice();
-        match read_frame_idle(&mut cursor, 16, 0).unwrap() {
-            ReadOutcome::Oversized(header) => {
-                assert_eq!(header.request_id, 1);
-                assert_eq!(header.payload_len, 64);
-            }
-            other => panic!("expected Oversized, got {other:?}"),
-        }
     }
 
     #[test]
