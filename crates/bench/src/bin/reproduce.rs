@@ -1066,7 +1066,7 @@ fn volume(size: usize) -> Result<(), Box<dyn std::error::Error>> {
 
     // Slab streaming decode: one brick layer resident at a time, same voxels.
     let mut slab_z = 0usize;
-    for slab in engine.decompress_slabs(&bytes)? {
+    for slab in engine.decompress_slabs(&bytes) {
         let slab = slab?;
         assert_eq!(slab.z, slab_z, "slabs must arrive in z order");
         for (dz, z) in (slab.z..slab.z + slab.stack.depth()).enumerate() {
@@ -1244,7 +1244,7 @@ fn tiled(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     let start = std::time::Instant::now();
     let mut rows = 0usize;
     let mut streamed_exact = true;
-    for band in engine.decompress_row_bands(&bytes)? {
+    for band in engine.decompress_row_bands(&bytes) {
         let band = band?;
         let rect = TileRect { x: 0, y: band.y, width: size, height: band.image.height() };
         streamed_exact &= stats::bit_exact(&image.crop(rect)?, &band.image)?;
@@ -1410,7 +1410,7 @@ fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
     let tiled = TiledCompressor::new(scales, DEFAULT_TILE_SIZE, 0)?;
     let container = tiled.compress(&frame)?;
     let mut next_y = 0usize;
-    for band in tiled.decompress_row_bands(&container)? {
+    for band in tiled.decompress_row_bands(&container) {
         let band = band?;
         assert_eq!(band.y, next_y);
         let rect = TileRect { x: 0, y: band.y, width: size, height: band.image.height() };

@@ -382,11 +382,16 @@ impl<'a> BitReader<'a> {
     /// A codeword that does not fit even after a refill — a long unary run or
     /// the end of the stream — goes through [`BitReader::read_unary_then_bits`],
     /// so the values and the error are exactly those of calling it once per
-    /// codeword.
+    /// codeword, except that a quotient whose value `quotient << k` overflows
+    /// 64 bits is refused rather than wrapped. A codeword that fits the
+    /// look-ahead never overflows, and no encoder here writes one that does:
+    /// it takes a run of `2^(64-k)` ones, at least 4 one-bits at `k = 62` and
+    /// 2 GiB of them at `k = 30`.
     ///
     /// # Errors
     ///
-    /// Returns [`CoderError::MalformedStream`] at end of input.
+    /// Returns [`CoderError::MalformedStream`] at end of input or for a
+    /// codeword whose value overflows 64 bits.
     ///
     /// # Panics
     ///
@@ -425,6 +430,11 @@ impl<'a> BitReader<'a> {
             (self.acc, self.avail) = (acc, avail);
             if i == first {
                 let (quotient, field) = self.read_unary_then_bits(k)?;
+                if k > 0 && quotient >> (64 - k) != 0 {
+                    return Err(CoderError::MalformedStream(format!(
+                        "rice quotient {quotient} overflows a 64-bit value at parameter {k}"
+                    )));
+                }
                 out[i] = map((quotient << k) | field);
                 i += 1;
             }

@@ -385,7 +385,7 @@ impl LosslessCodec {
         // Checked before the frame is sized from the header.
         self.check_subbands(header, subbands)?;
         let mut data = vec![0i32; header.width * header.height];
-        self.reassemble_into(header, subbands, &mut data)?;
+        self.inverse_into(header, subbands, &mut data)?;
         Ok(data)
     }
 
@@ -408,6 +408,16 @@ impl LosslessCodec {
         out: &mut [i32],
     ) -> Result<(), CoderError> {
         self.check_subbands(header, subbands)?;
+        self.inverse_into(header, subbands, out)
+    }
+
+    /// [`LosslessCodec::reassemble_into`] once the subbands are checked.
+    fn inverse_into(
+        &self,
+        header: &StreamHeader,
+        subbands: &[Vec<i32>],
+        out: &mut [i32],
+    ) -> Result<(), CoderError> {
         let scales = self.scales();
         let schedule = QuantSchedule::for_delta(header.delta, scales);
         let fill = |row: CoeffRowMut<'_>| {

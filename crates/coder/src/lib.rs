@@ -5,10 +5,13 @@
 //! make this reproduction a complete, usable compressor, this crate adds:
 //!
 //! * [`bitio`] — bit-level writers/readers,
-//! * [`rice`] — Rice/Golomb codes with per-subband parameter selection
-//!   (the standard low-complexity choice for wavelet detail statistics),
-//! * [`SubbandCodec`] — serialization of a multi-scale integer decomposition
-//!   subband by subband,
+//! * [`rice`] — Rice/Golomb codes (the standard low-complexity choice for
+//!   wavelet detail statistics): the one mean-based parameter rule, the
+//!   block decode and the per-codeword reference,
+//! * [`BlockRiceCodec`] — the one block-adaptive Rice subband coder, generic
+//!   over the coded word ([`RiceWord`]); [`SubbandCodec`] is its `i32`
+//!   instance, which serializes a multi-scale integer decomposition subband
+//!   by subband,
 //! * [`LosslessCodec`] — an end-to-end image codec built on the reversible
 //!   5/3 lifting transform from `lwc-lifting`, byte-exact on decode; every
 //!   encode is one streaming pass of the line-based cascade into per-subband
@@ -24,9 +27,10 @@
 //! * [`tiled`] — the versioned tiled container format (`LWCT`): a tile-grid
 //!   header wrapping independent per-tile streams, the format behind the
 //!   tile-parallel engine in `lwc-pipeline`,
-//! * [`fixedband`] — the fixed-word Rice coder for the paper's own datapath:
-//!   [`FixedSubbandCodec`] block-adaptively codes the `i64` transform words
-//!   the fixed-point DWT produces at the Table II word lengths,
+//! * [`fixedband`] — the fixed-word instance for the paper's own datapath:
+//!   [`FixedSubbandCodec`] is [`BlockRiceCodec`] over the `i64` transform
+//!   words the fixed-point DWT produces at the Table II word lengths (6-bit
+//!   parameters, 64-bit zig-zag),
 //! * [`fixedtiled`] — the versioned fixed-path container format (`LWCF`)
 //!   that wraps per-tile fixed-subband payloads in the same framing,
 //! * [`volume`] — the versioned volumetric container format (`LWCV`): the
@@ -36,7 +40,7 @@
 //! `lwc-dwt`; historically the end-to-end compression numbers used only the
 //! reversible integer transform (see DESIGN.md §5), but with [`fixedband`]
 //! and [`fixedtiled`] the paper-exact datapath now has a complete entropy
-//! back end of its own.
+//! back end: the same subband coder, at 64-bit words.
 //!
 //! ```
 //! use lwc_coder::LosslessCodec;
@@ -78,7 +82,9 @@ pub use fixedband::{FixedSubbandCodec, FIXED_PARAMETER_BITS, MAX_FIXED_RICE_PARA
 pub use fixedtiled::{FixedHeader, FixedStream, FIXED_HEADER_BYTES, FIXED_MAGIC};
 pub use line::RowEncoder;
 pub use quant::{clamp_reconstruction, plane_delta_for_volume, QuantSchedule};
-pub use subband::{StreamingSubbandEncoder, SubbandCodec, BLOCK_SIZE, MAX_UNARY_RUN_BITS};
+pub use subband::{
+    BlockRiceCodec, RiceWord, StreamingSubbandEncoder, SubbandCodec, BLOCK_SIZE, MAX_UNARY_RUN_BITS,
+};
 pub use tiled::{TiledHeader, TiledStream};
 pub use volume::{check_z_scales, VolumeHeader, VolumeStream, VOLUME_HEADER_BYTES, VOLUME_MAGIC};
 

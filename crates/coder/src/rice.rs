@@ -6,11 +6,16 @@
 //! the entropy at negligible computational cost — which is why JPEG-LS and
 //! CCSDS use them. Signed values are mapped to unsigned ones with the usual
 //! zig-zag map before coding.
+//!
+//! This module holds the pieces the block coder
+//! ([`BlockRiceCodec`](crate::BlockRiceCodec)) is built from: the one
+//! parameter rule, the block decode, the `i32` word's zig-zag map, and the
+//! per-codeword encode and decode the block paths are checked against.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::CoderError;
+use crate::{CoderError, RiceWord};
 
-/// Largest Rice parameter the coder will choose or accept.
+/// Largest Rice parameter the `i32` coder will choose or accept.
 pub const MAX_RICE_PARAMETER: u32 = 30;
 
 /// Maps a signed integer onto a non-negative one (0, -1, 1, -2, 2, … →
@@ -28,35 +33,37 @@ pub fn zigzag_decode(value: u64) -> i32 {
     ((value >> 1) as i64 ^ -((value & 1) as i64)) as i32
 }
 
-/// Chooses the Rice parameter that minimizes the coded length of `values`
-/// under the standard mean-based rule.
-#[must_use]
-pub fn optimal_parameter(values: &[i32]) -> u32 {
-    if values.is_empty() {
-        return 0;
+/// The `i32` subband word: 5-bit parameters capped at
+/// [`MAX_RICE_PARAMETER`], block sums in 64 bits.
+impl RiceWord for i32 {
+    const PARAMETER_BITS: u32 = 5;
+    const MAX_PARAMETER: u32 = MAX_RICE_PARAMETER;
+    type Sum = u64;
+
+    #[inline]
+    fn zigzag(self) -> u64 {
+        zigzag_encode(self)
     }
-    let mean: f64 =
-        values.iter().map(|&v| zigzag_encode(v) as f64).sum::<f64>() / values.len() as f64;
-    parameter_for_mean(mean)
+
+    #[inline]
+    fn unzigzag(value: u64) -> Self {
+        zigzag_decode(value)
+    }
+
+    fn sum_as_f64(sum: u64) -> f64 {
+        sum as f64
+    }
 }
 
-/// [`optimal_parameter`] from the sum and count of zig-zag mapped values.
-///
-/// For up to `2^21` values the integer sum is exactly the sequential `f64`
-/// sum [`optimal_parameter`] computes (every partial sum stays below
-/// `2^53`), so both select the same parameter and the stream stays
-/// byte-identical.
+/// The Rice parameter for a block whose zig-zag values average `mean`: the
+/// smallest `k` with `2^(k+1) > mean + 1`, capped at `cap` — the standard
+/// mean-based rule. Every word width runs it with its own cap; for
+/// `cap <= 62` each power of two it compares is exact in `f64`, so the
+/// `i32` and `i64` coders choose the same `k` for the same block mean.
 #[must_use]
-pub fn parameter_for_zigzag_sum(sum: u64, count: usize) -> u32 {
-    if count == 0 {
-        return 0;
-    }
-    parameter_for_mean(sum as f64 / count as f64)
-}
-
-fn parameter_for_mean(mean: f64) -> u32 {
+pub(crate) fn parameter_for_mean(mean: f64, cap: u32) -> u32 {
     let mut k = 0;
-    while k < MAX_RICE_PARAMETER && (1u64 << (k + 1)) as f64 <= mean + 1.0 {
+    while k < cap && (1u64 << (k + 1)) as f64 <= mean + 1.0 {
         k += 1;
     }
     k
@@ -65,9 +72,10 @@ fn parameter_for_mean(mean: f64) -> u32 {
 /// Writes one value with Rice parameter `k`.
 ///
 /// The unary quotient is unbounded for arbitrary `(value, k)` pairs, but
-/// when `k` comes from [`optimal_parameter`] over the block containing
-/// `value` the run never exceeds [`crate::MAX_UNARY_RUN_BITS`] bits (see the
-/// derivation there), which is why the stream format needs no escape code.
+/// when `k` comes from the block coder's parameter rule over the block
+/// containing `value` the run never exceeds [`crate::MAX_UNARY_RUN_BITS`]
+/// bits (see the derivation there), which is why the stream format needs no
+/// escape code.
 ///
 /// # Panics
 ///
@@ -88,40 +96,21 @@ pub fn decode_value(reader: &mut BitReader<'_>, k: u32) -> Result<i32, CoderErro
     Ok(zigzag_decode((quotient << k) | remainder))
 }
 
-/// Decodes `out.len()` values coded with parameter `k` through the block
-/// decode ([`BitReader::read_codewords`]): the same values, and on a
-/// truncated stream the same error, as [`decode_value`] once per slot.
+/// Decodes `out.len()` words coded with parameter `k` through the block
+/// decode ([`BitReader::read_codewords`]): for `i32` the same values, and
+/// on a truncated stream the same error, as [`decode_value`] once per slot.
 ///
 /// # Errors
 ///
-/// Returns [`CoderError::MalformedStream`] at end of input.
-pub fn decode_block(reader: &mut BitReader<'_>, out: &mut [i32], k: u32) -> Result<(), CoderError> {
-    reader.read_codewords(k, out, zigzag_decode)
-}
-
-/// Encodes a whole slice with a single parameter, returning the number of
-/// bits written.
-pub fn encode_slice(writer: &mut BitWriter, values: &[i32], k: u32) -> u64 {
-    let before = writer.bit_len();
-    for &v in values {
-        encode_value(writer, v, k);
-    }
-    writer.bit_len() - before
-}
-
-/// Decodes `count` values coded with parameter `k`.
-///
-/// # Errors
-///
-/// Returns [`CoderError::MalformedStream`] at end of input.
-pub fn decode_slice(
+/// Returns [`CoderError::MalformedStream`] at end of input, or for a
+/// codeword whose value overflows 64 bits.
+#[inline]
+pub fn decode_block<W: RiceWord>(
     reader: &mut BitReader<'_>,
-    count: usize,
+    out: &mut [W],
     k: u32,
-) -> Result<Vec<i32>, CoderError> {
-    let mut out = vec![0; count];
-    decode_block(reader, &mut out, k)?;
-    Ok(out)
+) -> Result<(), CoderError> {
+    reader.read_codewords(k, out, W::unzigzag)
 }
 
 #[cfg(test)]
@@ -272,26 +261,41 @@ mod tests {
         }
     }
 
+    /// The one parameter for a whole slice: the block rule over its mean.
+    fn slice_parameter(values: &[i32]) -> u32 {
+        let sum: u64 = values.iter().map(|&v| zigzag_encode(v)).sum();
+        parameter_for_mean(sum as f64 / values.len() as f64, MAX_RICE_PARAMETER)
+    }
+
+    /// Writes every value with parameter `k`.
+    fn encode_values(writer: &mut BitWriter, values: &[i32], k: u32) {
+        for &v in values {
+            encode_value(writer, v, k);
+        }
+    }
+
     #[test]
     fn slice_roundtrip_with_random_data() {
         let mut rng = StdRng::seed_from_u64(11);
         let values: Vec<i32> = (0..500).map(|_| rng.gen_range(-300..300)).collect();
-        let k = optimal_parameter(&values);
+        let k = slice_parameter(&values);
         let mut w = BitWriter::new();
-        let bits = encode_slice(&mut w, &values, k);
-        assert!(bits > 0);
+        encode_values(&mut w, &values, k);
+        assert!(w.bit_len() > 0);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(decode_slice(&mut r, values.len(), k).unwrap(), values);
+        let mut decoded = vec![0; values.len()];
+        decode_block(&mut r, &mut decoded, k).unwrap();
+        assert_eq!(decoded, values);
     }
 
     #[test]
     fn optimal_parameter_tracks_magnitude() {
         let small = vec![0, 1, -1, 0, 2, -2, 0, 0];
         let large = vec![1000, -900, 1200, -1100, 950, -1050];
-        assert!(optimal_parameter(&small) <= 2);
-        assert!(optimal_parameter(&large) >= 9);
-        assert_eq!(optimal_parameter(&[]), 0);
+        assert!(slice_parameter(&small) <= 2);
+        assert!(slice_parameter(&large) >= 9);
+        assert_eq!(slice_parameter(&[]), 0);
     }
 
     #[test]
@@ -300,9 +304,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let values: Vec<i32> =
             (0..4000).map(|_| if rng.gen_bool(0.85) { 0 } else { rng.gen_range(-6..=6) }).collect();
-        let k = optimal_parameter(&values);
+        let k = slice_parameter(&values);
         let mut w = BitWriter::new();
-        encode_slice(&mut w, &values, k);
+        encode_values(&mut w, &values, k);
         let bits_per_sample = w.bit_len() as f64 / values.len() as f64;
         assert!(
             bits_per_sample < 2.5,

@@ -4,54 +4,93 @@
 //! localized heavy tails along tissue boundaries. A single Rice parameter per
 //! subband would be dragged up by those edges, so the codec is
 //! **block adaptive** (as in CCSDS 121 / JPEG-LS run mode): the subband is
-//! split into fixed-size blocks and every block carries its own 5-bit
-//! parameter chosen to minimize that block's cost.
+//! split into fixed-size blocks and every block carries its own parameter
+//! chosen to minimize that block's cost.
+//!
+//! One coder, [`BlockRiceCodec`], serves both datapaths. It is generic over
+//! the coded word ([`RiceWord`]): the `i32` subbands of the reversible
+//! lifting transform ([`SubbandCodec`]: 5-bit parameter field, cap 30) and
+//! the raw `i64` words of the paper-exact fixed-point transform
+//! ([`FixedSubbandCodec`](crate::FixedSubbandCodec): 6-bit field, cap 62).
+//! Both run the same block encode, the same parameter rule
+//! (`rice::parameter_for_mean`) and the same block decode
+//! ([`BitReader::read_codewords`]).
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::rice::{self, MAX_RICE_PARAMETER};
+use crate::rice;
 use crate::CoderError;
+use std::marker::PhantomData;
 
 /// Number of samples coded with one shared Rice parameter.
 pub const BLOCK_SIZE: usize = 64;
 
 /// Upper bound on the unary run length (quotient plus terminator, in bits) of
-/// any value the block-adaptive encoder emits — for **any** `i32` input, not
-/// just plan-conformant coefficients.
+/// any value the block-adaptive encoder emits — for **any** `i32` or `i64`
+/// input, not just plan-conformant coefficients.
 ///
 /// Why no escape code is needed: within a block of `B <= BLOCK_SIZE` samples
-/// the parameter is `k = optimal_parameter(block)`, which satisfies
-/// `2^(k+1) > mean + 1` unless capped at [`MAX_RICE_PARAMETER`]. For any
-/// zig-zagged value `u` in the block, `u <= sum(u_i) = B * mean`, so the
-/// quotient obeys
+/// the parameter is `k = rice::parameter_for_mean(mean, cap)`, which
+/// satisfies `2^(k+1) > mean + 1` unless capped at
+/// [`RiceWord::MAX_PARAMETER`]. For any zig-zagged value `u` in the block,
+/// `u <= sum(u_i) = B * mean`, so the quotient obeys
 ///
 /// ```text
 /// u >> k  <=  u / 2^k  <  2u / (mean + 1)  <=  2 * B * mean / (mean + 1)  <  2B
 /// ```
 ///
-/// and in the capped case `k = 30` the largest zig-zag value (`2^32 - 1`,
-/// from `i32::MIN`) still quotients to at most 3. The run is therefore at
-/// most `max(2B, 4) <= 2 * BLOCK_SIZE` bits, which the tests below exercise
-/// with adversarial blocks. This is why the stream format can stay
-/// escape-free (and byte-stable) while [`crate::bitio::BitWriter::write_unary`]
-/// never sees a pathological run from the encoder.
+/// and in the capped case the largest zig-zag value still quotients to at
+/// most 3: `2^32 - 1` (from `i32::MIN`) at `k = 30`, `2^64 - 1` (from
+/// `i64::MIN`) at `k = 62`. The run is therefore at most
+/// `max(2B, 4) <= 2 * BLOCK_SIZE` bits, which the tests below exercise with
+/// adversarial blocks. This is why the stream format can stay escape-free
+/// (and byte-stable) while [`crate::bitio::BitWriter::write_unary`] never
+/// sees a pathological run from the encoder.
 pub const MAX_UNARY_RUN_BITS: u64 = 2 * BLOCK_SIZE as u64;
 
-/// Encodes/decodes the subbands of an integer wavelet decomposition with a
-/// block-adaptive Rice code.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SubbandCodec;
+/// A subband word the block-adaptive Rice coder codes: its zig-zag map onto
+/// `u64`, its per-block parameter field and the parameter cap that keeps
+/// every unary run within [`MAX_UNARY_RUN_BITS`] for **any** word.
+///
+/// Implemented by `i32` (the lifting subbands) and `i64` (the fixed-point
+/// words).
+pub trait RiceWord: Copy + Default {
+    /// Bits of the per-block parameter field.
+    const PARAMETER_BITS: u32;
+    /// Largest Rice parameter the coder chooses or accepts (at most 62): the
+    /// zig-zag image of the word's most negative value quotients to at most
+    /// 3 there.
+    const MAX_PARAMETER: u32;
+    /// A block's zig-zag sum, wide enough for [`BLOCK_SIZE`] mapped words.
+    type Sum: Copy + Default + std::ops::AddAssign + From<u64>;
+    /// The zig-zag map (0, -1, 1, -2, 2, … → 0, 1, 2, 3, 4, …).
+    fn zigzag(self) -> u64;
+    /// Inverse of [`RiceWord::zigzag`] (truncating to the word).
+    fn unzigzag(value: u64) -> Self;
+    /// A block sum as `f64`, for the mean-based parameter rule.
+    fn sum_as_f64(sum: Self::Sum) -> f64;
+}
 
-impl SubbandCodec {
+/// Encodes/decodes the subbands of a wavelet decomposition with a
+/// block-adaptive Rice code over words of type `W`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockRiceCodec<W>(PhantomData<W>);
+
+/// The coder of the reversible transform's `i32` subbands (`LWC1`/`LWCQ`
+/// streams, `LWCT` tiles and `LWCV` planes): 5-bit parameters capped at
+/// [`rice::MAX_RICE_PARAMETER`].
+pub type SubbandCodec = BlockRiceCodec<i32>;
+
+impl<W: RiceWord> BlockRiceCodec<W> {
     /// Creates a codec.
     #[must_use]
     pub fn new() -> Self {
-        Self
+        Self(PhantomData)
     }
 
     /// Encodes one subband as a sequence of `BLOCK_SIZE` (64) sample blocks,
-    /// each preceded by its 5-bit Rice parameter. Returns the number of bits
-    /// written.
-    pub fn encode_subband(self, writer: &mut BitWriter, samples: &[i32]) -> u64 {
+    /// each preceded by its [`RiceWord::PARAMETER_BITS`]-bit Rice parameter.
+    /// Returns the number of bits written.
+    pub fn encode_subband(self, writer: &mut BitWriter, samples: &[W]) -> u64 {
         let before = writer.bit_len();
         for block in samples.chunks(BLOCK_SIZE) {
             encode_block(writer, block);
@@ -60,12 +99,11 @@ impl SubbandCodec {
     }
 
     /// Decodes one subband of `count` samples: the output is sized once and
-    /// filled by [`SubbandCodec::decode_subband_into`].
+    /// filled by [`BlockRiceCodec::decode_subband_into`].
     ///
     /// # Errors
     ///
-    /// Returns [`CoderError::MalformedStream`] if the stream is truncated or
-    /// a stored parameter is out of range.
+    /// See [`BlockRiceCodec::decode_subband_into`].
     // Not `vec![0; count]`: that is a `calloc`, which glibc serves under the
     // arena lock every time, while a `malloc` of a small band comes from the
     // thread's cache, so parallel brick decodes do not queue on the lock.
@@ -74,9 +112,9 @@ impl SubbandCodec {
         self,
         reader: &mut BitReader<'_>,
         count: usize,
-    ) -> Result<Vec<i32>, CoderError> {
+    ) -> Result<Vec<W>, CoderError> {
         let mut out = Vec::with_capacity(count);
-        out.resize(count, 0);
+        out.resize(count, W::default());
         self.decode_subband_into(reader, &mut out)?;
         Ok(out)
     }
@@ -86,19 +124,20 @@ impl SubbandCodec {
     ///
     /// # Errors
     ///
-    /// Returns [`CoderError::MalformedStream`] if the stream is truncated or
-    /// a stored parameter is out of range.
+    /// Returns [`CoderError::MalformedStream`] if the stream is truncated, a
+    /// stored parameter is out of range, or a codeword's value overflows 64
+    /// bits (only possible on corrupt input: the encoder's unary runs are
+    /// bounded).
     pub fn decode_subband_into(
         self,
         reader: &mut BitReader<'_>,
-        out: &mut [i32],
+        out: &mut [W],
     ) -> Result<(), CoderError> {
         for block in out.chunks_mut(BLOCK_SIZE) {
-            let k = reader.read_bits(5)? as u32;
-            if k > MAX_RICE_PARAMETER {
-                return Err(CoderError::MalformedStream(format!(
-                    "rice parameter {k} exceeds the supported maximum"
-                )));
+            let k = reader.read_bits(W::PARAMETER_BITS)? as u32;
+            if k > W::MAX_PARAMETER {
+                let message = format!("rice parameter {k} exceeds the supported maximum");
+                return Err(CoderError::MalformedStream(message));
             }
             rice::decode_block(reader, block, k)?;
         }
@@ -106,27 +145,26 @@ impl SubbandCodec {
     }
 }
 
-/// Encodes one block (at most [`BLOCK_SIZE`] samples): the 5-bit Rice
-/// parameter chosen by the block-mean rule, then the zig-zagged values.
+/// Encodes one block (at most [`BLOCK_SIZE`] samples): the Rice parameter
+/// chosen by the block-mean rule, then the zig-zagged values.
 ///
 /// Zig-zags the block once into a stack scratch, summing for the parameter
 /// rule in the same pass; the value coder then consumes the mapped values
-/// without re-mapping. Shared by [`SubbandCodec::encode_subband`] and
+/// without re-mapping. Shared by [`BlockRiceCodec::encode_subband`] and
 /// [`StreamingSubbandEncoder`], so the streamed and one-shot encodings are
 /// the same code, not merely equivalent.
-fn encode_block(writer: &mut BitWriter, block: &[i32]) {
+fn encode_block<W: RiceWord>(writer: &mut BitWriter, block: &[W]) {
     debug_assert!(!block.is_empty() && block.len() <= BLOCK_SIZE);
     let mut zigzag = [0u64; BLOCK_SIZE];
-    let mut sum = 0u64;
+    let mut sum = W::Sum::default();
     for (slot, &v) in zigzag.iter_mut().zip(block) {
-        let u = rice::zigzag_encode(v);
+        let u = v.zigzag();
         *slot = u;
-        sum += u;
+        sum += W::Sum::from(u);
     }
-    let mapped = &zigzag[..block.len()];
-    let k = rice::parameter_for_zigzag_sum(sum, mapped.len());
-    writer.write_bits(u64::from(k), 5);
-    writer.write_codewords(k, mapped);
+    let k = rice::parameter_for_mean(W::sum_as_f64(sum) / block.len() as f64, W::MAX_PARAMETER);
+    writer.write_bits(u64::from(k), W::PARAMETER_BITS);
+    writer.write_codewords(k, &zigzag[..block.len()]);
 }
 
 /// Incremental counterpart of [`SubbandCodec::encode_subband`] for one
@@ -294,8 +332,9 @@ mod tests {
         let adaptive_bits = codec.encode_subband(&mut w, &samples);
 
         let mut single = BitWriter::new();
-        let k = rice::optimal_parameter(&samples);
-        rice::encode_slice(&mut single, &samples, k);
+        let mapped: Vec<u64> = samples.iter().map(|&v| rice::zigzag_encode(v)).collect();
+        let mean = mapped.iter().sum::<u64>() as f64 / mapped.len() as f64;
+        single.write_codewords(rice::parameter_for_mean(mean, rice::MAX_RICE_PARAMETER), &mapped);
         let single_bits = single.bit_len();
 
         assert!(

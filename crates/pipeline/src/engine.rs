@@ -314,12 +314,11 @@ impl<C: PartCodec<Frame = Image>> BrickEngine<C> {
     /// memory is bounded by one band plus the compressed bytes, whatever
     /// the image height.
     ///
-    /// # Errors
-    ///
-    /// None here: a stream that does not parse yields its error as the
-    /// first item, and each band's decode error is that band's item.
-    pub fn decompress_row_bands<'a>(&self, bytes: &'a [u8]) -> Result<RowBands<'a>, PipelineError> {
-        Ok(self.layers(bytes))
+    /// A stream that does not parse yields its error as the first item, and
+    /// each band's decode error is that band's item.
+    #[must_use]
+    pub fn decompress_row_bands<'a>(&self, bytes: &'a [u8]) -> RowBands<'a> {
+        self.layers(bytes)
     }
 
     /// Decodes tile `index` of a parsed stream to its image.

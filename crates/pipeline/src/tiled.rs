@@ -290,7 +290,7 @@ mod tests {
         let mut rebuilt = Image::zeros(100, 83, 12).unwrap();
         let mut bands = 0;
         let mut next_y = 0;
-        for band in engine.decompress_row_bands(&bytes).unwrap() {
+        for band in engine.decompress_row_bands(&bytes) {
             let band = band.unwrap();
             assert_eq!(band.y, next_y, "bands arrive top to bottom");
             assert_eq!(band.image.width(), 100);
@@ -314,8 +314,7 @@ mod tests {
         let engine = TiledCompressor::new(3, 256, 2).unwrap();
         let image = synth::ct_phantom(64, 64, 12, 0);
         let bytes = engine.codec().compress(&image).unwrap();
-        let bands: Vec<RowBand> =
-            engine.decompress_row_bands(&bytes).unwrap().map(|b| b.unwrap()).collect();
+        let bands: Vec<RowBand> = engine.decompress_row_bands(&bytes).map(|b| b.unwrap()).collect();
         assert_eq!(bands.len(), 1);
         assert_eq!(bands[0].y, 0);
         assert!(stats::bit_exact(&image, &bands[0].image).unwrap());
@@ -352,7 +351,7 @@ mod tests {
         for bad in [&bad_magic[..], truncated] {
             assert!(engine.decompress(bad).is_err());
             assert!(engine.decompress_tile(bad, 0).is_err());
-            assert!(engine.decompress_row_bands(bad).unwrap().next().unwrap().is_err());
+            assert!(engine.decompress_row_bands(bad).next().unwrap().is_err());
         }
     }
 
@@ -370,14 +369,9 @@ mod tests {
                 let prefix = &stream[..len];
                 assert!(engine.decompress(prefix).is_err(), "decompress, prefix {len}");
                 assert!(engine.decompress_tile(prefix, 0).is_err(), "tile, prefix {len}");
-                // The row-band iterator may defer the failure to the first
-                // item (legacy sniff) — either way it must be an Err.
-                match engine.decompress_row_bands(prefix) {
-                    Err(_) => {}
-                    Ok(mut bands) => {
-                        assert!(matches!(bands.next(), Some(Err(_))), "bands, prefix {len}");
-                    }
-                }
+                // The row-band iterator yields the failure as its first item.
+                let first = engine.decompress_row_bands(prefix).next();
+                assert!(matches!(first, Some(Err(_))), "bands, prefix {len}");
             }
         }
     }
@@ -409,7 +403,7 @@ mod tests {
             let engine = TiledCompressor::with_codec(codec, 32, 32, 2).unwrap();
             let bytes = engine.compress(&image).unwrap();
             assert!(TiledStream::sniff(&bytes));
-            assert!(engine.decompress_row_bands(&bytes).is_ok());
+            assert!(engine.decompress_row_bands(&bytes).all(|band| band.is_ok()));
             let back = engine.decompress(&bytes).unwrap();
             let err = stats::max_abs_diff(&image, &back).unwrap();
             assert!(err <= i32::from(delta), "delta {delta}: max error {err}");

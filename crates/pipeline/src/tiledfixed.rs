@@ -23,6 +23,7 @@ use lwc_coder::{subband_order, CoderError, ContainerHeader, FixedHeader, FixedSu
 use lwc_dwt::{Decomposition, Dwt2d, DwtError, FixedDwt2d, LineFixedDwt, Subband};
 use lwc_filters::{FilterBank, FilterId};
 use lwc_image::{BrickGrid, BrickRect, Image, TileGrid, TileRect, VolumeView};
+use lwc_lifting::geometry::band_len;
 
 /// The subbands in [`subband_order`] band-index order.
 const BANDS: [Subband; 4] =
@@ -153,6 +154,9 @@ impl PartCodec for FixedDwt2d {
         Ok(encode_tile_payload(FixedSubbandCodec::new(), &tile))
     }
 
+    /// The tile's subbands decode in [`subband_order`] into its
+    /// Mallat-layout word container, the payload consumed exactly; then the
+    /// multi-pass inverse.
     fn decode(
         &self,
         header: &FixedHeader,
@@ -160,7 +164,28 @@ impl PartCodec for FixedDwt2d {
         rect: BrickRect,
         bytes: &[u8],
     ) -> Result<Vec<i32>, PipelineError> {
-        let tile = decode_tile_payload(self, bytes, &rect.plane, header.bit_depth)?;
+        let (TileRect { width, height, .. }, scales) = (rect.plane, self.scales());
+        let (id, depth) = (self.bank().id(), header.bit_depth);
+        let mut tile =
+            Decomposition::from_raw(vec![0; width * height], width, height, scales, id, depth);
+        let mut reader = BitReader::new(bytes);
+        for (scale, band) in subband_order(scales) {
+            // LWCF tiles are divisible by 2^scales: every band is a full
+            // quarter of the layout above it.
+            let count = band_len(width, height, scale, band);
+            let words = FixedSubbandCodec::new().decode_subband(&mut reader, count)?;
+            let sb = tile.subband_rect(scale, BANDS[band]);
+            for (row, chunk) in words.chunks_exact(sb.width).enumerate() {
+                let start = (sb.y + row) * width + sb.x;
+                tile.data_mut()[start..start + sb.width].copy_from_slice(chunk);
+            }
+        }
+        // Anything beyond byte-alignment padding is corruption, not slack.
+        let trailing = (bytes.len() as u64 * 8 - reader.bits_read()) / 8;
+        if trailing > 0 {
+            let message = format!("tile payload has {trailing} trailing bytes past its subbands");
+            return Err(CoderError::MalformedStream(message).into());
+        }
         Ok(self.inverse(&tile)?.into_samples())
     }
 
@@ -210,38 +235,6 @@ fn encode_tile_payload(codec: FixedSubbandCodec, tile: &Decomposition<i64>) -> V
         codec.encode_subband(&mut writer, &tile.subband(scale, BANDS[band]));
     }
     writer.into_bytes()
-}
-
-/// Decodes one `bit_depth`-bit tile payload placed at `rect` back into the
-/// tile's Mallat-layout word container, validating exact consumption of the
-/// payload.
-fn decode_tile_payload(
-    transform: &FixedDwt2d,
-    payload: &[u8],
-    rect: &TileRect,
-    bit_depth: u32,
-) -> Result<Decomposition<i64>, PipelineError> {
-    let (width, height, scales) = (rect.width, rect.height, transform.scales());
-    let id = transform.bank().id();
-    let mut tile =
-        Decomposition::from_raw(vec![0; width * height], width, height, scales, id, bit_depth);
-    let mut reader = BitReader::new(payload);
-    for (scale, band) in subband_order(scales) {
-        let sb = tile.subband_rect(scale, BANDS[band]);
-        let words = FixedSubbandCodec::new().decode_subband(&mut reader, sb.len())?;
-        let data = tile.data_mut();
-        for (row, chunk) in words.chunks_exact(sb.width).enumerate() {
-            let start = (sb.y + row) * width + sb.x;
-            data[start..start + sb.width].copy_from_slice(chunk);
-        }
-    }
-    // Anything beyond byte-alignment padding is corruption, not slack.
-    let trailing = (payload.len() as u64 * 8 - reader.bits_read()) / 8;
-    if trailing > 0 {
-        let message = format!("tile payload has {trailing} trailing bytes after its last subband");
-        return Err(CoderError::MalformedStream(message).into());
-    }
-    Ok(tile)
 }
 
 #[cfg(test)]
@@ -386,7 +379,7 @@ mod tests {
         let bytes = eng.compress(&image).unwrap();
         let mut rebuilt = Image::zeros(96, 64, 12).unwrap();
         let mut next_y = 0;
-        for band in eng.decompress_row_bands(&bytes).unwrap() {
+        for band in eng.decompress_row_bands(&bytes) {
             let band = band.unwrap();
             assert_eq!(band.y, next_y, "bands arrive top to bottom");
             assert_eq!(band.image.width(), 96);

@@ -205,12 +205,11 @@ impl VolumeCompressor {
     /// a brick boundary. The volumetric mirror of
     /// [`crate::TiledCompressor::decompress_row_bands`].
     ///
-    /// # Errors
-    ///
-    /// None here: a stream that does not parse yields its error as the
-    /// first item, and each slab's decode error is that slab's item.
-    pub fn decompress_slabs<'a>(&self, bytes: &'a [u8]) -> Result<VolumeSlabs<'a>, PipelineError> {
-        Ok(self.layers(bytes))
+    /// A stream that does not parse yields its error as the first item, and
+    /// each slab's decode error is that slab's item.
+    #[must_use]
+    pub fn decompress_slabs<'a>(&self, bytes: &'a [u8]) -> VolumeSlabs<'a> {
+        self.layers(bytes)
     }
 
     /// Decodes the minimal set of bricks covering the box `rect` and crops
@@ -426,7 +425,7 @@ mod tests {
         let bytes = engine.compress_stack(&volume).unwrap();
         let mut next_z = 0;
         let mut slabs = 0;
-        for slab in engine.decompress_slabs(&bytes).unwrap() {
+        for slab in engine.decompress_slabs(&bytes) {
             let slab = slab.unwrap();
             assert_eq!(slab.z, next_z, "slabs arrive front to back");
             for z in 0..slab.stack.depth() {

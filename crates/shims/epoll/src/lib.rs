@@ -590,6 +590,10 @@ mod tests {
     fn pollers() -> Vec<Poller> {
         #[cfg(target_os = "linux")]
         {
+            // The backend switch is process-wide and tests run on parallel
+            // threads: build each pair of pollers under one lock.
+            static BACKEND_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+            let _switch = BACKEND_SWITCH.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             std::env::set_var("LWC_POLL_BACKEND", "poll");
             let forced = Poller::new().unwrap();
             std::env::remove_var("LWC_POLL_BACKEND");
