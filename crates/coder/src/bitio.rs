@@ -447,6 +447,22 @@ impl<'a> BitReader<'a> {
     pub fn bits_read(&self) -> u64 {
         self.next_byte as u64 * 8 - u64::from(self.avail)
     }
+
+    /// Checks that the stream ends here: past the last coded field only the
+    /// padding of its byte may remain. Anything beyond it is corruption, not
+    /// slack.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoderError::MalformedStream`] if whole bytes are left.
+    pub fn ensure_consumed(&self) -> Result<(), CoderError> {
+        let trailing = (self.bytes.len() as u64 * 8 - self.bits_read()) / 8;
+        if trailing > 0 {
+            let message = format!("{trailing} trailing bytes past the last subband");
+            return Err(CoderError::MalformedStream(message));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -539,8 +539,8 @@ impl LosslessCodec {
     ///
     /// # Errors
     ///
-    /// Returns an error for malformed streams or a scale count other than
-    /// this codec's.
+    /// Returns an error for malformed streams (bytes past the last
+    /// subband's padding included) or a scale count other than this codec's.
     pub fn decode_subbands(
         &self,
         bytes: &[u8],
@@ -554,6 +554,7 @@ impl LosslessCodec {
                 self.subbands.decode_subband(&mut reader, header.band_len(scale, band))
             })
             .collect::<Result<_, _>>()?;
+        reader.ensure_consumed()?;
         Ok((header, subbands))
     }
 

@@ -19,7 +19,7 @@
 //! composition the property tests keep as the reference.
 //!
 //! The session never allocates a frame-sized coefficient buffer: peak
-//! coefficient state is the cascade's line rings, one quantizer row and at
+//! coefficient state is the cascade's row slots, one quantizer row and at
 //! most one partial Rice block per band ([`RowEncoder::working_set_samples`]).
 
 use crate::bitio::BitWriter;
@@ -110,7 +110,7 @@ impl RowEncoder {
         Ok(Self { header, dwt, bands })
     }
 
-    /// Coefficient samples currently buffered: the transform's line rings,
+    /// Coefficient samples currently buffered: the transform's row slots,
     /// the quantizer row and the partial Rice block pending in each band
     /// encoder. Bounded by `O(width x levels)` — the streaming tests assert
     /// it never approaches the frame's pixel count. (The accumulating
@@ -140,18 +140,17 @@ impl RowEncoder {
         self.dwt.push_row(row, &mut |c: CoeffRow<'_>| bands.accept(c));
     }
 
-    /// Flushes the cascade's boundary tails and splices the per-band
-    /// bitstreams (in [`subband_order`]) behind the header into the final
-    /// stream — byte-identical to [`LosslessCodec::compress`] of the same
+    /// Splices the per-band bitstreams (in [`subband_order`]) behind the
+    /// header into the final stream (the last pushed row has already
+    /// emitted every coefficient) — byte-identical to [`LosslessCodec::compress`] of the same
     /// frame.
     ///
     /// # Panics
     ///
     /// Panics if fewer than `height` rows were pushed.
     #[must_use]
-    pub fn finish(mut self) -> Vec<u8> {
-        let bands = &mut self.bands;
-        self.dwt.finish(&mut |c: CoeffRow<'_>| bands.accept(c));
+    pub fn finish(self) -> Vec<u8> {
+        self.dwt.finish();
         let streams: Vec<(Vec<u8>, u64)> =
             self.bands.encoders.into_iter().map(StreamingSubbandEncoder::finish).collect();
         // The header is a few bytes; one allocation holds the whole stream.

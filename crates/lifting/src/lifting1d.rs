@@ -58,8 +58,8 @@ pub fn forward_53(x: &[i32]) -> (Vec<i32>, Vec<i32>) {
 
 /// Allocation-free form of [`forward_53`]: writes the approximation and
 /// detail halves into caller-provided slices. This is the horizontal kernel
-/// of the line-based fused transform ([`crate::LineDwt53`]), which recycles
-/// its row buffers instead of allocating two vectors per row.
+/// of the line-based fused transform ([`crate::LineDwt53`]), which writes
+/// each row into a fixed slot instead of allocating two vectors per row.
 ///
 /// # Panics
 ///

@@ -6,17 +6,22 @@
 //! LL band from memory once per level. This module implements the scheduling
 //! the hardware world uses instead (PAPERS.md, *"Area and Throughput
 //! Trade-Offs in the Design of Pipelined Discrete Wavelet Transform
-//! Architectures"*): **line-based** evaluation, where each level keeps a
-//! bounded ring of line buffers and level `n + 1` consumes LL rows as level
-//! `n` emits them. Rows flow from the input straight up the level cascade in
-//! a single pass, with an `O(width x levels)` working set instead of
+//! Architectures"*): **line-based** evaluation, where each level owns a
+//! fixed set of line buffers and level `n + 1` consumes LL rows as level `n`
+//! emits them. Rows flow from the input straight up the level cascade in a
+//! single pass, with an `O(width x levels)` working set instead of
 //! `O(pixels)`.
 //!
 //! The 5/3 lifting steps make this cheap: the vertical predict for detail
 //! row `k` needs horizontally-transformed rows `2k`, `2k + 1` and `2k + 2`,
 //! and the vertical update for approximation row `k` needs detail rows
-//! `k - 1` and `k`, so a ring of about six rows per level covers the filter
-//! support including the symmetric (mirror) boundary taps. The ragged
+//! `k - 1` and `k`. So each level allocates seven rows once — three even
+//! rows, the latest odd row, two detail rows and the update's output row,
+//! the slots indexed by row number — which cover the filter support
+//! including the symmetric (mirror) boundary taps. A pushed row is
+//! transformed into its slot and every output whose taps are now present is
+//! computed at once; the height is known, so the last row emits every
+//! boundary output and nothing waits for a flush. The ragged
 //! `ceil(n / 2)` pyramid of [`crate::geometry`] is handled exactly like the
 //! multi-pass driver: one-sample dimensions pass through, odd dimensions
 //! mirror at the tail.
@@ -43,7 +48,6 @@ use crate::lifting1d::{
 use crate::transform::LiftingCoefficients;
 use crate::LiftingError;
 use lwc_image::ImageView;
-use std::collections::VecDeque;
 
 /// One row of subband coefficients emitted by [`LineDwt53`].
 ///
@@ -65,246 +69,168 @@ pub struct CoeffRow<'a> {
     pub samples: &'a [i32],
 }
 
-/// Per-level state of the line cascade: a ring of horizontally transformed
-/// rows plus the last few vertical detail rows, sized by the 5/3 filter
-/// support (not the image height).
-#[derive(Debug)]
-struct Level {
-    /// 1-based scale this level produces.
-    scale: u32,
-    /// Active region entering this level.
-    w: usize,
-    h: usize,
-    /// Horizontal split of a transformed row: `[approx | detail]`.
-    a_w: usize,
-    /// Vertical output counts.
-    a_h: usize,
-    d_h: usize,
-    /// Ring of horizontally transformed rows; `rows[0]` has absolute row
-    /// index `rows_start`.
-    rows: VecDeque<Vec<i32>>,
-    rows_start: usize,
-    rows_in: usize,
-    /// Recent vertical detail rows; `details[0]` has index `details_start`.
-    details: VecDeque<Vec<i32>>,
-    details_start: usize,
-    next_detail: usize,
-    next_approx: usize,
-    flushed: bool,
-    /// Recycled row buffers (the ring never allocates in steady state).
-    spare: Vec<Vec<i32>>,
+/// A zeroed row of `w` samples: every fixed row slot of both cascades.
+// Not `vec![0; w]`: that is a `calloc`, which glibc serves under the arena
+// lock every time, while a `malloc` of a row comes from the thread's cache,
+// so parallel brick codes do not queue on the lock.
+#[allow(clippy::slow_vector_initialization)]
+fn zero_row(w: usize) -> Vec<i32> {
+    let mut row = Vec::with_capacity(w);
+    row.resize(w, 0);
+    row
 }
 
-impl Level {
+/// The shape check both cascades share, then one level per scale, built by
+/// `level(scale, width, height)` over the ragged `ceil(n / 2)` pyramid.
+fn build_levels<L>(
+    width: usize,
+    height: usize,
+    scales: u32,
+    level: impl Fn(u32, usize, usize) -> L,
+) -> Result<Vec<L>, LiftingError> {
+    if scales == 0 {
+        return Err(LiftingError::NoScales);
+    }
+    if width == 0 || height == 0 {
+        return Err(LiftingError::ConfigurationMismatch(format!(
+            "line transform needs nonzero dimensions, got {width}x{height}"
+        )));
+    }
+    Ok((0..scales).map(|l| level(l + 1, scaled_dim(width, l), scaled_dim(height, l))).collect())
+}
+
+/// Per-level state of the forward cascade: fixed row slots sized by the 5/3
+/// filter support, not the image height. Rows are horizontally transformed
+/// `[approx | detail]` rows split at `a_w`, each slot indexed by its row
+/// number like [`SynthesisLevel`]'s.
+#[derive(Debug)]
+struct AnalysisLevel {
+    /// 1-based scale this level produces.
+    scale: u32,
+    /// Height of the region entering this level.
+    h: usize,
+    a_w: usize,
+    a_h: usize,
+    d_h: usize,
+    /// Even rows; `evens[i % 3]` holds even row `i`. Three, because
+    /// approximation row 0 waits for detail row 1, which needs even row 2.
+    evens: [Vec<i32>; 3],
+    /// The latest odd row.
+    odd: Vec<i32>,
+    /// Detail rows `[band 2 row | band 3 row]`; `details[k % 2]` holds row `k`.
+    details: [Vec<i32>; 2],
+    /// The update's output row: `[LL row | band 1 row]`.
+    approx: Vec<i32>,
+    approx_done: usize,
+    rows_in: usize,
+}
+
+impl AnalysisLevel {
     fn new(scale: u32, w: usize, h: usize) -> Self {
+        let row = || zero_row(w);
         Self {
             scale,
-            w,
             h,
             a_w: approx_len(w),
             a_h: approx_len(h),
             d_h: detail_len(h),
-            rows: VecDeque::new(),
-            rows_start: 0,
+            evens: [row(), row(), row()],
+            odd: row(),
+            details: [row(), row()],
+            approx: row(),
+            approx_done: 0,
             rows_in: 0,
-            details: VecDeque::new(),
-            details_start: 0,
-            next_detail: 0,
-            next_approx: 0,
-            flushed: false,
-            spare: Vec::new(),
-        }
-    }
-
-    fn row(&self, index: usize) -> &[i32] {
-        &self.rows[index - self.rows_start]
-    }
-
-    fn detail(&self, index: usize) -> &[i32] {
-        &self.details[index - self.details_start]
-    }
-
-    fn take_buf(&mut self) -> Vec<i32> {
-        let mut buf = self.spare.pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Receives one input row: applies the horizontal lifting step (identical
-    /// to the multi-pass row pass) and appends the `[approx | detail]` row to
-    /// the ring.
-    fn receive(&mut self, src: &[i32]) {
-        debug_assert_eq!(src.len(), self.w);
-        let mut buf = self.take_buf();
-        buf.resize(self.w, 0);
-        if self.w >= 2 {
-            let (a, d) = buf.split_at_mut(self.a_w);
-            forward_53_into(src, a, d);
-        } else {
-            buf.copy_from_slice(src);
-        }
-        self.rows.push_back(buf);
-        self.rows_in += 1;
-    }
-
-    /// Computes every vertical output whose dependencies are satisfied,
-    /// emitting detail rows (bands 2/3) and horizontal-detail rows (band 1)
-    /// and pushing LL rows either up the cascade (`out`) or out as the
-    /// deepest approximation (band 0) when `is_top`.
-    fn pump(
-        &mut self,
-        is_top: bool,
-        out: &mut Vec<Vec<i32>>,
-        pool: &mut Vec<Vec<i32>>,
-        emit: &mut dyn FnMut(CoeffRow<'_>),
-    ) {
-        if self.h == 1 {
-            // No vertical pass (exactly like the multi-pass driver): the
-            // single horizontally transformed row is approximation row 0.
-            if self.next_approx == 0 && self.rows_in == 1 {
-                let row = &self.rows[0];
-                emit(CoeffRow { scale: self.scale, band: 1, y: 0, samples: &row[self.a_w..] });
-                if is_top {
-                    emit(CoeffRow { scale: self.scale, band: 0, y: 0, samples: &row[..self.a_w] });
-                } else {
-                    let mut ll = pool.pop().unwrap_or_default();
-                    ll.clear();
-                    ll.extend_from_slice(&row[..self.a_w]);
-                    out.push(ll);
-                }
-                self.next_approx = 1;
-            }
-            return;
-        }
-        loop {
-            let mut progressed = false;
-            if self.try_detail(emit) {
-                progressed = true;
-            }
-            if self.try_approx(is_top, out, pool, emit) {
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-            self.trim();
-        }
-    }
-
-    /// Vertical predict for detail row `next_detail`, if its rows are in.
-    fn try_detail(&mut self, emit: &mut dyn FnMut(CoeffRow<'_>)) -> bool {
-        let k = self.next_detail;
-        if k >= self.d_h {
-            return false;
-        }
-        let interior = 2 * k + 2 < self.h;
-        if interior && self.rows_in <= 2 * k + 2 {
-            return false;
-        }
-        if !interior && !self.flushed {
-            // Even-height mirror tail: needs the last row, i.e. end of input.
-            return false;
-        }
-        let mut buf = self.take_buf();
-        {
-            let r0 = self.row(2 * k);
-            let r1 = self.row(2 * k + 1);
-            let r2 = if interior {
-                self.row(2 * k + 2)
-            } else {
-                // The right even neighbour is mirrored in even-subsequence
-                // index space, exactly as in `forward_53`.
-                let m = mirror(k as i64 + 1, self.a_h as i64) as usize;
-                self.row(2 * m)
-            };
-            buf.resize(r1.len(), 0);
-            predict_rows(r1, r0, r2, &mut buf);
-        }
-        emit(CoeffRow { scale: self.scale, band: 2, y: k, samples: &buf[..self.a_w] });
-        emit(CoeffRow { scale: self.scale, band: 3, y: k, samples: &buf[self.a_w..] });
-        self.details.push_back(buf);
-        self.next_detail += 1;
-        true
-    }
-
-    /// Vertical update for approximation row `next_approx`, if its detail
-    /// rows are computed.
-    fn try_approx(
-        &mut self,
-        is_top: bool,
-        out: &mut Vec<Vec<i32>>,
-        pool: &mut Vec<Vec<i32>>,
-        emit: &mut dyn FnMut(CoeffRow<'_>),
-    ) -> bool {
-        let j = self.next_approx;
-        if j >= self.a_h {
-            return false;
-        }
-        let ready = if j == 0 {
-            // Needs d(-1) and d(0): d(-1) mirrors to detail row 1 when it
-            // exists, else row 0.
-            self.next_detail >= 2.min(self.d_h)
-        } else if j < self.d_h {
-            self.next_detail > j
-        } else {
-            // Odd-height tail: both taps mirror into already-computed rows,
-            // but only once every detail row exists.
-            self.next_detail == self.d_h
-        };
-        if !ready {
-            return false;
-        }
-        let mut buf = self.take_buf();
-        {
-            let (dm1, d0) = if j == 0 {
-                (self.detail(1.min(self.d_h - 1)), self.detail(0))
-            } else if j < self.d_h {
-                (self.detail(j - 1), self.detail(j))
-            } else {
-                let m = mirror(j as i64, self.d_h as i64) as usize;
-                (self.detail(j - 1), self.detail(m))
-            };
-            let r = self.row(2 * j);
-            buf.resize(r.len(), 0);
-            update_rows(r, dm1, d0, &mut buf);
-        }
-        emit(CoeffRow { scale: self.scale, band: 1, y: j, samples: &buf[self.a_w..] });
-        if is_top {
-            emit(CoeffRow { scale: self.scale, band: 0, y: j, samples: &buf[..self.a_w] });
-        } else {
-            let mut ll = pool.pop().unwrap_or_default();
-            ll.clear();
-            ll.extend_from_slice(&buf[..self.a_w]);
-            out.push(ll);
-        }
-        self.spare.push(buf);
-        self.next_approx += 1;
-        true
-    }
-
-    /// Drops ring entries no future output can reference. The retention
-    /// bounds are the filter support: approximation row `j` reads input row
-    /// `2j` and detail rows `j - 2..=j`; the even-height mirror tail reads
-    /// input row `2 * next_detail - 2`.
-    fn trim(&mut self) {
-        let keep_rows = (2 * self.next_approx).min((2 * self.next_detail).saturating_sub(2));
-        while self.rows_start < keep_rows {
-            let buf = self.rows.pop_front().expect("retention keeps rows_start in range");
-            self.spare.push(buf);
-            self.rows_start += 1;
-        }
-        let keep_details = self.next_approx.saturating_sub(2);
-        while self.details_start < keep_details {
-            let buf = self.details.pop_front().expect("retention keeps details_start in range");
-            self.spare.push(buf);
-            self.details_start += 1;
         }
     }
 
     fn buffered_samples(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum::<usize>()
-            + self.details.iter().map(Vec::len).sum::<usize>()
-            + self.spare.iter().map(|b| b.capacity()).sum::<usize>()
+        self.evens.iter().chain(&self.details).chain([&self.odd, &self.approx]).map(Vec::len).sum()
+    }
+
+    /// Vertical predict for detail row `k` from even rows `k` and `right`,
+    /// then the vertical update for every approximation row it completes.
+    fn detail(
+        &mut self,
+        k: usize,
+        right: usize,
+        coarser: &mut [AnalysisLevel],
+        emit: &mut dyn FnMut(CoeffRow<'_>),
+    ) {
+        let row = &mut self.details[k % 2];
+        predict_rows(&self.odd, &self.evens[k % 3], &self.evens[right % 3], row);
+        let (band2, band3) = row.split_at(self.a_w);
+        emit(CoeffRow { scale: self.scale, band: 2, y: k, samples: band2 });
+        emit(CoeffRow { scale: self.scale, band: 3, y: k, samples: band3 });
+        // Approximation row `j` reads detail rows `j - 1` and `j`, mirrored
+        // in detail-index space, and is computed as soon as both exist.
+        while self.approx_done < self.a_h {
+            let j = self.approx_done;
+            let prev = mirror(j as i64 - 1, self.d_h as i64) as usize;
+            let next = mirror(j as i64, self.d_h as i64) as usize;
+            if prev.max(next) > k {
+                break;
+            }
+            let (evens, details) = (&self.evens, &self.details);
+            update_rows(&evens[j % 3], &details[prev % 2], &details[next % 2], &mut self.approx);
+            self.emit_approx(j, coarser, emit);
+            self.approx_done += 1;
+        }
+    }
+
+    /// Emits approximation row `j`'s band 1 half and sends its LL half up
+    /// the cascade, or out as band 0 at the deepest level.
+    fn emit_approx(
+        &self,
+        j: usize,
+        coarser: &mut [AnalysisLevel],
+        emit: &mut dyn FnMut(CoeffRow<'_>),
+    ) {
+        let (ll, band1) = self.approx.split_at(self.a_w);
+        emit(CoeffRow { scale: self.scale, band: 1, y: j, samples: band1 });
+        if coarser.is_empty() {
+            emit(CoeffRow { scale: self.scale, band: 0, y: j, samples: ll });
+        } else {
+            push_row(coarser, ll, emit);
+        }
+    }
+}
+
+/// The horizontal analysis step of one row into `out`, split at `a_w`.
+fn lift_row(row: &[i32], a_w: usize, out: &mut [i32]) {
+    let (approx, detail) = out.split_at_mut(a_w);
+    forward_53_into(row, approx, detail);
+}
+
+/// Feeds the next row of `levels[0]` (the level's width) through the
+/// cascade: it is transformed into its slot, every detail and approximation
+/// row whose taps are now present is computed, and each LL row goes on to
+/// the coarser levels `levels[1..]` — [`pull_row`] in reverse.
+fn push_row(levels: &mut [AnalysisLevel], row: &[i32], emit: &mut dyn FnMut(CoeffRow<'_>)) {
+    let (level, coarser) = levels.split_first_mut().expect("a cascade has at least one level");
+    let r = level.rows_in;
+    debug_assert!(r < level.h, "more rows pushed than the level holds");
+    level.rows_in += 1;
+    if level.h == 1 {
+        // No vertical pass (exactly like the multi-pass driver): the single
+        // horizontally transformed row is approximation row 0.
+        lift_row(row, level.a_w, &mut level.approx);
+        level.emit_approx(0, coarser, emit);
+        return;
+    }
+    let k = r / 2;
+    if r % 2 == 1 {
+        lift_row(row, level.a_w, &mut level.odd);
+        if r + 1 == level.h {
+            // Even-height tail: the right even neighbour is mirrored in
+            // even-subsequence index space, exactly as in `forward_53`.
+            let right = mirror(k as i64 + 1, level.a_h as i64) as usize;
+            level.detail(k, right, coarser, emit);
+        }
+        return;
+    }
+    lift_row(row, level.a_w, &mut level.evens[k % 3]);
+    if k >= 1 {
+        level.detail(k - 1, k, coarser, emit);
     }
 }
 
@@ -315,7 +241,7 @@ impl Level {
 /// The engine is bit-identical to [`crate::Lifting53::forward`] on every
 /// image geometry (any dimensions, any depth) while holding only
 /// `O(width x levels)` samples — see the module documentation for the
-/// scheduling and the ring-buffer sizing.
+/// scheduling and the row-slot sizing.
 ///
 /// ```
 /// use lwc_image::synth;
@@ -334,15 +260,7 @@ pub struct LineDwt53 {
     width: usize,
     height: usize,
     scales: u32,
-    levels: Vec<Level>,
-    rows_in: usize,
-    finished: bool,
-    /// Recycled LL row buffers passed between cascade levels.
-    pool: Vec<Vec<i32>>,
-    /// The LL rows one level hands the next during a sweep, kept between
-    /// sweeps so a pushed row allocates nothing once the rings are warm.
-    inputs: Vec<Vec<i32>>,
-    outputs: Vec<Vec<i32>>,
+    levels: Vec<AnalysisLevel>,
 }
 
 impl LineDwt53 {
@@ -353,28 +271,8 @@ impl LineDwt53 {
     /// Returns [`LiftingError::NoScales`] for zero scales and
     /// [`LiftingError::ConfigurationMismatch`] for zero dimensions.
     pub fn new(width: usize, height: usize, scales: u32) -> Result<Self, LiftingError> {
-        if scales == 0 {
-            return Err(LiftingError::NoScales);
-        }
-        if width == 0 || height == 0 {
-            return Err(LiftingError::ConfigurationMismatch(format!(
-                "line transform needs nonzero dimensions, got {width}x{height}"
-            )));
-        }
-        let levels = (0..scales)
-            .map(|l| Level::new(l + 1, scaled_dim(width, l), scaled_dim(height, l)))
-            .collect();
-        Ok(Self {
-            width,
-            height,
-            scales,
-            levels,
-            rows_in: 0,
-            finished: false,
-            pool: Vec::new(),
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-        })
+        let levels = build_levels(width, height, scales, AnalysisLevel::new)?;
+        Ok(Self { width, height, scales, levels })
     }
 
     /// Image width.
@@ -395,70 +293,39 @@ impl LineDwt53 {
         self.scales
     }
 
-    /// Samples currently buffered across every level's ring (including
-    /// recycled spares) — the engine's coefficient working set. Bounded by
-    /// the filter support times the level widths, independent of the image
-    /// height; the streaming smoke test asserts the bound on a 4096² frame.
+    /// Samples held in every level's row slots — the engine's coefficient
+    /// working set. Allocated once by [`LineDwt53::new`]: at most seven rows
+    /// of each level's width, independent of the image height.
     #[must_use]
     pub fn working_set_samples(&self) -> usize {
-        self.levels.iter().map(Level::buffered_samples).sum::<usize>()
-            + self.pool.iter().map(|b| b.capacity()).sum::<usize>()
+        self.levels.iter().map(AnalysisLevel::buffered_samples).sum()
     }
 
     /// Pushes the next image row (top to bottom), emitting every coefficient
-    /// row that becomes computable anywhere in the cascade.
+    /// row that becomes computable anywhere in the cascade. The last row
+    /// emits every remaining boundary row.
     ///
     /// # Panics
     ///
-    /// Panics if the row length differs from the image width, if more than
-    /// `height` rows are pushed, or after [`LineDwt53::finish`].
+    /// Panics if the row length differs from the image width or if more
+    /// than `height` rows are pushed.
     pub fn push_row(&mut self, row: &[i32], emit: &mut dyn FnMut(CoeffRow<'_>)) {
-        assert!(!self.finished, "push_row called after finish");
         assert_eq!(row.len(), self.width, "row length must equal the image width");
-        assert!(self.rows_in < self.height, "more rows pushed than the image height");
-        self.rows_in += 1;
-        self.levels[0].receive(row);
-        self.run_levels(false, emit);
+        assert!(self.levels[0].rows_in < self.height, "more rows pushed than the image height");
+        push_row(&mut self.levels, row, emit);
     }
 
-    /// Flushes the cascade after the last row, emitting every remaining
-    /// boundary output level by level.
+    /// Checks that the whole image was pushed; the last row has already
+    /// emitted every coefficient.
     ///
     /// # Panics
     ///
-    /// Panics if fewer than `height` rows were pushed or on a second call.
-    pub fn finish(&mut self, emit: &mut dyn FnMut(CoeffRow<'_>)) {
-        assert!(!self.finished, "finish called twice");
-        assert_eq!(self.rows_in, self.height, "finish called before every row was pushed");
-        self.finished = true;
-        self.run_levels(true, emit);
-        debug_assert!(
-            self.levels.iter().all(|l| l.next_approx == l.a_h && l.next_detail == l.d_h),
-            "flush must drain every level"
+    /// Panics if fewer than `height` rows were pushed.
+    pub fn finish(&self) {
+        assert_eq!(
+            self.levels[0].rows_in, self.height,
+            "finish called before every row was pushed"
         );
-    }
-
-    /// One cascade sweep: feed each level the LL rows the level below
-    /// released, then pump it. With `flush` set, levels are flushed bottom-up
-    /// so boundary tails propagate in one sweep.
-    fn run_levels(&mut self, flush: bool, emit: &mut dyn FnMut(CoeffRow<'_>)) {
-        let (inputs, outputs) = (&mut self.inputs, &mut self.outputs);
-        let level_count = self.levels.len();
-        for li in 0..level_count {
-            let is_top = li + 1 == level_count;
-            let level = &mut self.levels[li];
-            for buf in inputs.drain(..) {
-                level.receive(&buf);
-                self.pool.push(buf);
-            }
-            if flush {
-                level.flushed = true;
-            }
-            level.pump(is_top, outputs, &mut self.pool, emit);
-            std::mem::swap(inputs, outputs);
-        }
-        // The top level emits band 0 instead of cascading.
-        debug_assert!(inputs.is_empty() && outputs.is_empty());
     }
 
     /// Convenience driver: runs the whole view through the streaming engine
@@ -487,7 +354,7 @@ impl LineDwt53 {
         for y in 0..height {
             engine.push_row(view.row(y), &mut sink);
         }
-        engine.finish(&mut sink);
+        engine.finish();
         LiftingCoefficients::from_raw(data, width, height, scales, view.bit_depth())
     }
 }
@@ -509,9 +376,9 @@ pub struct CoeffRowMut<'a> {
 }
 
 /// Per-level state of the inverse cascade. Rows of the vertical domain are
-/// `[approx | detail]` split at `a_w`, like the forward ring's rows; the
-/// rings are indexed by row parity, since synthesis only ever reads the two
-/// most recent even rows and the two most recent detail rows.
+/// `[approx | detail]` split at `a_w`, like [`AnalysisLevel`]'s; the slots
+/// are indexed by row parity, since synthesis only ever reads the two most
+/// recent even rows and the two most recent detail rows.
 #[derive(Debug)]
 struct SynthesisLevel {
     /// 1-based scale this level reconstructs.
@@ -536,7 +403,7 @@ struct SynthesisLevel {
 
 impl SynthesisLevel {
     fn new(scale: u32, w: usize, h: usize) -> Self {
-        let row = || vec![0i32; w];
+        let row = || zero_row(w);
         Self {
             scale,
             h,
@@ -699,18 +566,7 @@ pub struct LineIdwt53 {
 
 impl LineIdwt53 {
     fn new(width: usize, height: usize, scales: u32) -> Result<Self, LiftingError> {
-        if scales == 0 {
-            return Err(LiftingError::NoScales);
-        }
-        if width == 0 || height == 0 {
-            return Err(LiftingError::ConfigurationMismatch(format!(
-                "line transform needs nonzero dimensions, got {width}x{height}"
-            )));
-        }
-        let levels = (0..scales)
-            .map(|l| SynthesisLevel::new(l + 1, scaled_dim(width, l), scaled_dim(height, l)))
-            .collect();
-        Ok(Self { levels })
+        Ok(Self { levels: build_levels(width, height, scales, SynthesisLevel::new)? })
     }
 
     /// Reconstructs a `width x height` image decomposed to `scales` levels
@@ -789,7 +645,7 @@ mod tests {
             (101, 63),
             (64, 37),
         ] {
-            for scales in [1u32, 2, 3, 5] {
+            for scales in [1u32, 2, 3, 5, 8] {
                 let image = synth::random_image(w, h, 12, (w * 1000 + h) as u64 + scales as u64);
                 let fused = LineDwt53::forward_view(&image.view(), scales).unwrap();
                 let multi = Lifting53::new(scales).unwrap().forward(&image).unwrap();
@@ -814,8 +670,8 @@ mod tests {
         for y in 0..29 {
             engine.push_row(image.view().row(y), &mut sink);
         }
-        engine.finish(&mut sink);
-        assert_eq!(emitted, 45 * 29, "every pixel position maps to one coefficient");
+        assert_eq!(emitted, 45 * 29, "the last row emits every remaining coefficient");
+        engine.finish();
         for ((scale, band), rows) in next_y {
             let rect = band_rect(45, 29, scale, band);
             assert_eq!(rows, rect.height, "band ({scale}, {band}) incomplete");
@@ -827,18 +683,17 @@ mod tests {
         let (w, h, scales) = (128usize, 512usize, 4u32);
         let image = synth::mr_slice(w, h, 12, 7);
         let mut engine = LineDwt53::new(w, h, scales).unwrap();
-        let mut peak = 0usize;
+        // Every level's rows are allocated up front: seven of its width.
+        let held = engine.working_set_samples();
+        let level_widths: usize = (0..scales).map(|l| scaled_dim(w, l)).sum();
+        assert!(held <= 7 * level_widths, "{held} samples held");
         let mut sink = |_c: CoeffRow<'_>| {};
         for y in 0..h {
             engine.push_row(image.view().row(y), &mut sink);
-            peak = peak.max(engine.working_set_samples());
+            assert_eq!(engine.working_set_samples(), held, "after row {y}");
         }
-        engine.finish(&mut sink);
-        peak = peak.max(engine.working_set_samples());
-        // Sum of level widths is < 2w; each level holds a constant number of
-        // rows (ring + details + spares), far below the pixel count.
-        assert!(peak <= 64 * w * scales as usize, "peak {peak}");
-        assert!(peak < w * h / 4, "peak {peak} not far below the {} pixels", w * h);
+        engine.finish();
+        assert_eq!(engine.working_set_samples(), held, "after finish");
     }
 
     #[test]
@@ -912,10 +767,7 @@ mod tests {
         let mut engine = LineDwt53::new(4, 2, 1).unwrap();
         let mut sink = |_c: CoeffRow<'_>| {};
         engine.push_row(&[0; 4], &mut sink);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut sink = |_c: CoeffRow<'_>| {};
-            engine.finish(&mut sink);
-        }));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.finish()));
         assert!(result.is_err(), "finish before the last row must panic");
     }
 }

@@ -154,9 +154,9 @@ impl PartCodec for FixedDwt2d {
         Ok(encode_tile_payload(FixedSubbandCodec::new(), &tile))
     }
 
-    /// The tile's subbands decode in [`subband_order`] into its
-    /// Mallat-layout word container, the payload consumed exactly; then the
-    /// multi-pass inverse.
+    /// The tile's subbands decode in [`subband_order`] through one scratch
+    /// band into its Mallat-layout word container, the payload consumed
+    /// exactly; then the multi-pass inverse.
     fn decode(
         &self,
         header: &FixedHeader,
@@ -168,24 +168,20 @@ impl PartCodec for FixedDwt2d {
         let (id, depth) = (self.bank().id(), header.bit_depth);
         let mut tile =
             Decomposition::from_raw(vec![0; width * height], width, height, scales, id, depth);
+        // LWCF tiles are divisible by 2^scales: every band is a full quarter
+        // of the layout above it, so a scale-1 band is the largest.
+        let mut words = vec![0; band_len(width, height, 1, 1)];
         let mut reader = BitReader::new(bytes);
         for (scale, band) in subband_order(scales) {
-            // LWCF tiles are divisible by 2^scales: every band is a full
-            // quarter of the layout above it.
-            let count = band_len(width, height, scale, band);
-            let words = FixedSubbandCodec::new().decode_subband(&mut reader, count)?;
+            let words = &mut words[..band_len(width, height, scale, band)];
+            FixedSubbandCodec::new().decode_subband_into(&mut reader, words)?;
             let sb = tile.subband_rect(scale, BANDS[band]);
             for (row, chunk) in words.chunks_exact(sb.width).enumerate() {
                 let start = (sb.y + row) * width + sb.x;
                 tile.data_mut()[start..start + sb.width].copy_from_slice(chunk);
             }
         }
-        // Anything beyond byte-alignment padding is corruption, not slack.
-        let trailing = (bytes.len() as u64 * 8 - reader.bits_read()) / 8;
-        if trailing > 0 {
-            let message = format!("tile payload has {trailing} trailing bytes past its subbands");
-            return Err(CoderError::MalformedStream(message).into());
-        }
+        reader.ensure_consumed()?;
         Ok(self.inverse(&tile)?.into_samples())
     }
 

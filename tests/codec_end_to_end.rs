@@ -2,6 +2,9 @@
 //! (reversible transform + Rice-coded subbands) on the medical-like
 //! workloads.
 
+use lwc_core::lwc_coder::volume::{split_brick_payload, write_brick_payload};
+use lwc_core::lwc_coder::{write_container, CoderError, Container, ContainerHeader};
+use lwc_core::lwc_coder::{TiledHeader, VolumeHeader};
 use lwc_core::prelude::*;
 
 #[test]
@@ -73,6 +76,47 @@ fn corrupted_streams_are_rejected_not_miscoded() {
     assert!(codec.decompress(&bad_magic).is_err());
     let truncated = &bytes[..bytes.len() / 2];
     assert!(codec.decompress(truncated).is_err());
+}
+
+/// Container `bytes` with one byte appended to its last part's stream: the
+/// part payload itself, or the last plane stream of a brick `planes` deep.
+fn grow_last_part<H: ContainerHeader>(bytes: &[u8], planes: Option<usize>) -> Vec<u8> {
+    let container = Container::<H>::parse(bytes).unwrap();
+    let mut parts: Vec<Vec<u8>> =
+        (0..container.part_count()).map(|i| container.part_bytes(i).to_vec()).collect();
+    let last = parts.last_mut().unwrap();
+    match planes {
+        None => last.push(0),
+        Some(depth) => {
+            let mut streams: Vec<Vec<u8>> =
+                split_brick_payload(last, depth).unwrap().into_iter().map(<[u8]>::to_vec).collect();
+            streams.last_mut().unwrap().push(0);
+            *last = write_brick_payload(&streams);
+        }
+    }
+    write_container(container.header(), &parts).unwrap()
+}
+
+#[test]
+fn bytes_past_the_last_subband_are_refused() {
+    let malformed = |error| matches!(error, PipelineError::Coder(CoderError::MalformedStream(_)));
+    let image = synth::ct_phantom(40, 24, 12, 1);
+    for codec in [LosslessCodec::new(2).unwrap(), LosslessCodec::near_lossless(2, 2).unwrap()] {
+        let bytes = codec.compress(&image).unwrap();
+        let grown = [bytes.as_slice(), &[0]].concat();
+        assert!(matches!(codec.decompress(&grown), Err(CoderError::MalformedStream(_))));
+        assert!(codec.decompress(&bytes).is_ok());
+    }
+    let tiled = TiledCompressor::new(2, 16, 1).unwrap();
+    let bytes = tiled.compress(&image).unwrap();
+    assert!(tiled.decompress(&grow_last_part::<TiledHeader>(&bytes, None)).is_err_and(malformed));
+    assert_eq!(tiled.decompress(&bytes).unwrap(), image);
+    let volume = VolumeCompressor::new(2, 1, 16, 2, 1).unwrap();
+    let stack = synth::ct_volume(24, 16, 4, 12, 2);
+    let bytes = volume.compress_stack(&stack).unwrap();
+    let grown = grow_last_part::<VolumeHeader>(&bytes, Some(2));
+    assert!(volume.decompress_stack(&grown).is_err_and(malformed));
+    assert_eq!(volume.decompress_stack(&bytes).unwrap().samples(), stack.samples());
 }
 
 #[test]
