@@ -141,9 +141,9 @@ impl RowEncoder {
     }
 
     /// Splices the per-band bitstreams (in [`subband_order`]) behind the
-    /// header into the final stream (the last pushed row has already
-    /// emitted every coefficient) — byte-identical to [`LosslessCodec::compress`] of the same
-    /// frame.
+    /// header into the final stream — byte-identical to
+    /// [`LosslessCodec::compress`] of the same frame. The last pushed row
+    /// has already emitted every coefficient.
     ///
     /// # Panics
     ///
